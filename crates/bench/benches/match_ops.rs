@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use xk_index::{build_disk_index, DiskIndex, SharedEnv};
+use xk_index::{build_disk_index, BuildOptions, DiskIndex, SharedEnv};
 use xk_slca::{MemList, RankedList, StreamList};
 use xk_storage::{EnvOptions, StorageEnv};
 use xk_workload::{generate, DblpSpec, Planted};
@@ -25,7 +25,8 @@ fn fixture() -> Fixture {
     };
     let tree = generate(&spec);
     let env = StorageEnv::in_memory(EnvOptions { page_size: 4096, pool_pages: 8192 });
-    build_disk_index(&env, &tree, false).expect("index build");
+    build_disk_index(&env, &tree, &BuildOptions { store_document: false, ..Default::default() })
+        .expect("index build");
     let index = DiskIndex::open(&env).expect("index open");
     let mem = xk_index::MemIndex::build(&tree)
         .keyword_list("needle")

@@ -63,7 +63,8 @@ fn main() {
 
     let tree = build_doc(entries);
     let env = StorageEnv::create(&path, options.clone()).unwrap();
-    let keywords = xk_index::build_disk_index(&env, &tree, false).unwrap();
+    let no_doc = xk_index::BuildOptions { store_document: false, ..Default::default() };
+    let keywords = xk_index::build_disk_index(&env, &tree, &no_doc).unwrap();
     env.flush().unwrap();
     drop(env);
 

@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 use xk_bench::trial::Suite;
-use xk_index::{build_disk_index, DiskIndex, SharedEnv};
+use xk_index::{build_disk_index, BuildOptions, DiskIndex, SharedEnv};
 use xk_slca::{deepest_dominator_ranked, AlgoStats, StreamList};
 use xk_storage::{EnvOptions, IoStats, StorageEnv};
 use xk_workload::{generate, DblpSpec, Planted};
@@ -118,7 +118,8 @@ fn main() {
     let options = EnvOptions { page_size: 4096, pool_pages: 16_384 };
     eprintln!("building disk index ...");
     let env = StorageEnv::create(&db, options.clone()).unwrap();
-    build_disk_index(&env, &tree, false).unwrap();
+    build_disk_index(&env, &tree, &BuildOptions { store_document: false, ..Default::default() })
+        .unwrap();
     env.flush().unwrap();
     drop(env);
     let env = SharedEnv::new(StorageEnv::open(&db, options).unwrap());

@@ -1,7 +1,9 @@
 //! Durable write path benchmark: append throughput under
 //! `SyncEachCommit` vs `GroupCommit`, the group-commit batch size
 //! (commits per fsync), crash-recovery time over a full WAL, and read
-//! latency with and without a concurrent writer.
+//! latency with and without a concurrent writer. Every append goes
+//! through the engine's one write path — journal, mem segment, seal at
+//! the default threshold — over a database seeded in the segment layout.
 //!
 //! Emits `results/BENCH_writepath.json` through the shared
 //! `xk_bench::trial` envelope and prints a human summary to stderr.
@@ -36,8 +38,9 @@ fn durability(mode: CommitMode) -> DurabilityOptions {
     DurabilityOptions { mode, ..DurabilityOptions::default() }
 }
 
-/// Builds the seed index once; each measurement copies it to a private
-/// working file so every mode starts from identical bytes.
+/// Builds the seed index once (database file plus its `.segments/`
+/// blob directory); each measurement copies both to a private working
+/// pair so every mode starts from identical bytes.
 fn build_seed(dir: &Path, cfg: &Config, classes: &[FrequencyClass]) -> PathBuf {
     let db = dir.join(format!("writepath_seed_{}.db", cfg.scale));
     let spec = DblpSpec {
@@ -52,32 +55,25 @@ fn build_seed(dir: &Path, cfg: &Config, classes: &[FrequencyClass]) -> PathBuf {
     };
     let tree = generate(&spec);
     eprintln!("[writepath] seed document: {} nodes", tree.len());
-    // Built directly (not via Engine::build) for two write-path needs:
-    // the stored document is the graft target for appends, and the
-    // append sweeps fan the root far beyond the generated fanout, so the
-    // Dewey level table gets generous width headroom.
-    // xk-analyze: allow(swallowed_result, reason = "removing a stale seed is best-effort; create truncates")
-    std::fs::remove_file(&db).ok();
-    let env = xk_storage::StorageEnv::create(&db, options()).expect("create seed env");
-    xk_index::build_disk_index_with(
-        &env,
-        &tree,
-        &xk_index::BuildOptions {
-            store_document: true,
-            level_headroom_bits: 12,
-            extra_levels: 2,
-            ..Default::default()
-        },
-    )
-    .expect("seed index build");
-    env.flush().expect("flush seed");
+    // The stored document is the graft target for appends.
+    let engine = Engine::build_segmented(&tree, &db, options(), true).expect("seed index build");
+    engine.with_env(|e| e.flush()).expect("flush seed");
     db
 }
 
-/// A private copy of the seed with no WAL next to it.
+/// A private copy of the seed — database file and blob directory — with
+/// no WAL next to it.
 fn working_copy(seed: &Path, tag: &str) -> PathBuf {
     let db = seed.with_file_name(format!("writepath_{tag}.db"));
     std::fs::copy(seed, &db).expect("copy seed db");
+    let blobs = xksearch::default_segments_dir(&db);
+    // xk-analyze: allow(swallowed_result, reason = "a missing blob directory from a previous run is the desired state")
+    std::fs::remove_dir_all(&blobs).ok();
+    std::fs::create_dir_all(&blobs).expect("create working blob dir");
+    for blob in std::fs::read_dir(xksearch::default_segments_dir(seed)).expect("list seed blobs") {
+        let blob = blob.expect("seed blob entry");
+        std::fs::copy(blob.path(), blobs.join(blob.file_name())).expect("copy seed blob");
+    }
     // xk-analyze: allow(swallowed_result, reason = "a missing WAL from a previous run is the desired state")
     std::fs::remove_file(xksearch::default_wal_path(&db)).ok();
     db

@@ -12,6 +12,35 @@ use crate::matching::{deepest_dominator_ranked, EagerFilter};
 use crate::stats::AlgoStats;
 use xk_xmltree::Dewey;
 
+/// The candidate loop every eager variant runs. Each witness `v` is
+/// chained through the other lists — `x ← v; x ← slca({x}, S_i)` for
+/// `i = 2..k` (Property 2), two match lookups per step — and the
+/// surviving candidate goes through the Lemma 1/2 ancestor filter, which
+/// hands confirmed SLCAs to `emit`.
+fn eager_candidates(
+    witnesses: impl Iterator<Item = Dewey>,
+    others: &mut [&mut dyn RankedList],
+    filter: &mut EagerFilter,
+    stats: &mut AlgoStats,
+    emit: &mut impl FnMut(Dewey),
+) {
+    'witness: for v in witnesses {
+        stats.nodes_scanned += 1;
+        let mut x = v;
+        for list in others.iter_mut() {
+            match deepest_dominator_ranked(*list, &x, stats) {
+                Some(next) => x = next,
+                None => continue 'witness, // unreachable: lists are non-empty
+            }
+        }
+        stats.candidates += 1;
+        filter.push(x, |slca| {
+            stats.results += 1;
+            emit(slca);
+        });
+    }
+}
+
 /// **Indexed Lookup Eager** (Algorithm IL, the paper's core contribution).
 ///
 /// For every node `v` of `S_1`, chains the match step through the other
@@ -32,21 +61,8 @@ pub fn indexed_lookup_eager(
     }
     s1.rewind();
     let mut filter = EagerFilter::new();
-    'witness: while let Some(v) = s1.next_node() {
-        stats.nodes_scanned += 1;
-        let mut x = v;
-        for list in others.iter_mut() {
-            match deepest_dominator_ranked(*list, &x, &mut stats) {
-                Some(next) => x = next,
-                None => continue 'witness, // unreachable: lists are non-empty
-            }
-        }
-        stats.candidates += 1;
-        filter.push(x, |slca| {
-            stats.results += 1;
-            emit(slca);
-        });
-    }
+    let witnesses = std::iter::from_fn(|| s1.next_node());
+    eager_candidates(witnesses, others, &mut filter, &mut stats, &mut emit);
     filter.finish(|slca| {
         stats.results += 1;
         emit(slca);
@@ -80,43 +96,21 @@ pub fn indexed_lookup_eager_buffered(
     s1.rewind();
     let mut filter = EagerFilter::new();
     let mut buffer: Vec<Dewey> = Vec::with_capacity(beta);
-    let mut exhausted = false;
-    while !exhausted {
-        // Fill the buffer with the next β witnesses of S1.
-        buffer.clear();
-        while buffer.len() < beta {
-            match s1.next_node() {
-                Some(v) => {
-                    stats.nodes_scanned += 1;
-                    buffer.push(v);
-                }
-                None => {
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
+    loop {
+        // Fill the buffer with the next β witnesses of S1, then push the
+        // block's candidates through the ancestor filter; everything
+        // except a possible trailing frontier is emitted before the
+        // next block is read.
+        buffer.extend(std::iter::from_fn(|| s1.next_node()).take(beta));
         if buffer.is_empty() {
             break;
         }
-        // Compute the block's candidates and push them through the
-        // ancestor filter; everything except a possible trailing
-        // frontier is emitted before the next block is read.
-        'witness: for v in buffer.drain(..) {
-            let mut x = v;
-            for list in others.iter_mut() {
-                match deepest_dominator_ranked(*list, &x, &mut stats) {
-                    Some(next) => x = next,
-                    None => continue 'witness,
-                }
-            }
-            stats.candidates += 1;
-            filter.push(x, |slca| {
-                stats.results += 1;
-                emit(slca);
-            });
-        }
+        let exhausted = buffer.len() < beta;
+        eager_candidates(buffer.drain(..), others, &mut filter, &mut stats, &mut emit);
         on_block(beta);
+        if exhausted {
+            break;
+        }
     }
     filter.finish(|slca| {
         stats.results += 1;
@@ -135,50 +129,23 @@ pub fn indexed_lookup_eager_collect(
     (out, stats)
 }
 
-/// **Scan Eager** — the Indexed Lookup Eager structure with the match
-/// operations answered by per-list cursors that remember their position
-/// (Section 3.2). Preferable when the keyword frequencies are similar:
-/// the probes arrive in near-ascending document order, so each cursor
-/// advances forward instead of paying a full `log |S_i|` lookup.
-///
-/// The cursor state lives behind the [`RankedList`] implementation: a
-/// disk-backed list uses an anchored B+tree cursor (see
-/// `DiskRankedList::anchored` in `xk-index`) whose pinned root-to-leaf
-/// path turns the near-monotone probe sequence into O(1) leaf hops —
-/// the same access pattern the paper's scan cursors exploit, without a
-/// bespoke in-memory advance loop duplicating the match logic.
+/// **Scan Eager** as this repository runs it: [`indexed_lookup_eager`],
+/// nothing else. The paper's Section 3.2 variant replaces the indexed
+/// lookups with per-list scan cursors; here the same `lm`/`rm` probes
+/// are issued and any "scanning" happens behind the [`RankedList`]
+/// implementation — an anchored B+tree cursor in the reference layout
+/// (`DiskRankedList::anchored` in `xk-index`), the skip table plus one
+/// decoded block in a segment — which serves a near-ascending probe
+/// sequence with short forward hops. Operation counts are therefore
+/// identical to IL's on every input.
 pub fn scan_eager<L: RankedList>(
     s1: &mut dyn StreamList,
-    others: Vec<L>,
-    mut emit: impl FnMut(Dewey),
+    mut others: Vec<L>,
+    emit: impl FnMut(Dewey),
 ) -> AlgoStats {
-    let mut stats = AlgoStats::default();
-    let mut lists = others;
-    if lists.iter().any(|l| l.is_empty()) {
-        return stats;
-    }
-    s1.rewind();
-    let mut filter = EagerFilter::new();
-    'witness: while let Some(v) = s1.next_node() {
-        stats.nodes_scanned += 1;
-        let mut x = v;
-        for list in lists.iter_mut() {
-            match deepest_dominator_ranked(list, &x, &mut stats) {
-                Some(next) => x = next,
-                None => continue 'witness, // unreachable: lists are non-empty
-            }
-        }
-        stats.candidates += 1;
-        filter.push(x, |slca| {
-            stats.results += 1;
-            emit(slca);
-        });
-    }
-    filter.finish(|slca| {
-        stats.results += 1;
-        emit(slca);
-    });
-    stats
+    let mut refs: Vec<&mut dyn RankedList> =
+        others.iter_mut().map(|l| l as &mut dyn RankedList).collect();
+    indexed_lookup_eager(s1, &mut refs, emit)
 }
 
 /// Convenience wrapper collecting [`scan_eager`] results.

@@ -179,70 +179,37 @@ pub(crate) fn decode_blob(blob: &[u8]) -> Result<(LevelTable, Option<ListHandle>
     Ok((table, doc, blob[ext_start..].to_vec()))
 }
 
-/// Options for [`build_disk_index_with`].
+/// Options for [`build_disk_index`].
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
     /// Embed the serialized document so answer subtrees can be rendered
     /// from the index file alone.
     pub store_document: bool,
-    /// Extra bits of width per Dewey level beyond the initial document's
-    /// exact fanouts. Incremental ingestion ([`DiskIndex::append_nodes`])
-    /// assigns ordinals past the build-time fanouts, which only pack if
-    /// the level table has headroom. 0 = exact fit (smallest keys, no
-    /// appends possible at full levels).
-    pub level_headroom_bits: u8,
-    /// Additional 8-bit levels beyond the initial document's depth, so
-    /// appended fragments may be deeper than anything seen at build time.
-    pub extra_levels: usize,
     /// Write posting lists into the B+tree layouts (sequential chains +
     /// composite IL keys). `false` leaves both trees empty — the segment
     /// store becomes the sole posting layout and the index keeps only
-    /// the level table, vocabulary-free frequency map, and document.
+    /// the level table and document.
     pub index_postings: bool,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions {
-            store_document: true,
-            level_headroom_bits: 2,
-            extra_levels: 2,
-            index_postings: true,
-        }
+        BuildOptions { store_document: true, index_postings: true }
     }
 }
 
-/// Builds the complete disk index for `tree` inside `env`, optionally
-/// storing the serialized document so the index file is self-contained.
-/// Returns the number of distinct keywords indexed. Uses an exact-fit
-/// level table; use [`build_disk_index_with`] to leave headroom for
-/// incremental appends.
+/// Builds the complete disk index for `tree` inside `env`. Returns the
+/// number of distinct keywords indexed. The posting layout it writes is
+/// **read-only** after this call: packed Deweys use an exact-fit level
+/// table, and nothing inserts into the posting trees again — growth goes
+/// through the segment store (see `xksearch::Engine::append_subtree`).
 pub fn build_disk_index(
-    env: &StorageEnv,
-    tree: &XmlTree,
-    store_document: bool,
-) -> Result<usize> {
-    build_disk_index_with(
-        env,
-        tree,
-        &BuildOptions {
-            store_document,
-            level_headroom_bits: 0,
-            extra_levels: 0,
-            index_postings: true,
-        },
-    )
-}
-
-/// Builds the disk index with explicit [`BuildOptions`].
-pub fn build_disk_index_with(
     env: &StorageEnv,
     tree: &XmlTree,
     options: &BuildOptions,
 ) -> Result<usize> {
     let store_document = options.store_document;
-    let table = LevelTable::build(tree)
-        .with_headroom(options.level_headroom_bits, options.extra_levels);
+    let table = LevelTable::build(tree);
     let lists = MemIndex::build(tree).into_sorted_lists();
 
     // Phase 1: sequential list chains, collecting the vocabulary entries.
@@ -277,33 +244,34 @@ pub fn build_disk_index_with(
     }
     BTree::bulk_load(env, SLOT_IL, il_keys)?;
 
-    let doc_handle = if store_document {
-        // Structural encoding, not XML text: XML merges adjacent text
-        // siblings on re-parse, which would shift the Dewey ordinals
-        // appends are allocated from (see `xk_xmltree::encode_tree`).
-        let encoded = xk_xmltree::encode_tree(tree);
-        let mut writer = ListWriter::new(env);
-        // Chunk the document into page-sized records.
-        let chunk = env.page_size() / 2;
-        for part in encoded.chunks(chunk) {
-            writer.append(env, part)?;
-        }
-        Some(writer.finish(env)?)
-    } else {
-        None
-    };
+    let doc_handle = if store_document { Some(write_document(env, tree)?) } else { None };
 
     env.set_user_blob(&encode_blob(&table, doc_handle, &[]))?;
     env.flush()?;
     Ok(lists.len())
 }
 
+/// Writes `tree` into a fresh record chain, in page-sized chunks.
+/// Structural encoding, not XML text: XML merges adjacent text siblings
+/// on re-parse, which would shift the Dewey ordinals appends are
+/// allocated from (see `xk_xmltree::encode_tree`).
+fn write_document(env: &StorageEnv, tree: &XmlTree) -> Result<ListHandle> {
+    let encoded = xk_xmltree::encode_tree(tree);
+    let mut writer = ListWriter::new(env);
+    for part in encoded.chunks(env.page_size() / 2) {
+        writer.append(env, part)?;
+    }
+    Ok(writer.finish(env)?)
+}
+
 /// A read handle over a built disk index.
 ///
 /// `Clone` is cheap (the B+tree handle is `Copy`, the level table is
 /// shared behind an `Arc`; only the frequency table is deep-copied) —
-/// the engine's append path mutates a clone and swaps it in after the
-/// commit, so readers never see a half-updated vocabulary.
+/// the engine's append path re-points a clone's document handle and
+/// extension bytes and swaps it in after the commit, so readers never
+/// see a half-updated meta blob. The posting trees themselves are never
+/// written after [`build_disk_index`].
 #[derive(Clone)]
 pub struct DiskIndex {
     il: BTree,
@@ -315,7 +283,6 @@ pub struct DiskIndex {
     /// blob — owned by higher layers (the segment store), preserved
     /// verbatim across document rewrites.
     extension: Vec<u8>,
-    max_kwid: u32,
 }
 
 impl DiskIndex {
@@ -326,17 +293,15 @@ impl DiskIndex {
         let vocab = BTree::open(env, SLOT_VOCAB)?;
         let il = BTree::open(env, SLOT_IL)?;
         let mut freq = HashMap::new();
-        let mut max_kwid = 0;
         let mut c = vocab.cursor_first(env)?;
         while let Some((k, v)) = c.read(env)? {
             let meta = KeywordMeta::decode(&v)?;
-            max_kwid = max_kwid.max(meta.kwid);
             let word = String::from_utf8(k)
                 .map_err(|_| IndexError::Corrupt("non-UTF-8 keyword".into()))?;
             freq.insert(word, meta);
             c.advance(env)?;
         }
-        Ok(DiskIndex { il, level_table: Arc::new(level_table), freq, doc_handle, extension, max_kwid })
+        Ok(DiskIndex { il, level_table: Arc::new(level_table), freq, doc_handle, extension })
     }
 
     /// Frequency-table lookup (already-normalized keyword).
@@ -414,88 +379,13 @@ impl DiskIndex {
         })
     }
 
-    /// Largest keyword id in the vocabulary (build-time assigned).
-    pub fn max_kwid(&self) -> u32 {
-        self.max_kwid
-    }
-
-    /// Incrementally indexes nodes appended **at the document tail**.
-    ///
-    /// `added` lists the new nodes in document order with their keyword
-    /// tokens (see [`crate::memindex::node_tokens`]); every Dewey id must
-    /// be greater than every id already indexed — i.e. the new subtree
-    /// was appended along the document's rightmost path, the way a
-    /// bibliography grows. That invariant is what lets every keyword's
-    /// sequential chain be extended in place ([`xk_storage::ListAppender`])
-    /// while the composite-key B+tree absorbs ordinary inserts.
-    ///
-    /// Fails with a codec error if an ordinal or depth exceeds the level
-    /// table; build with headroom ([`BuildOptions`]) to ingest appends.
-    ///
-    /// Returns the distinct keywords whose lists changed, in first-touch
-    /// order — the commit path uses this for scoped cache invalidation
-    /// (only cached results that mention a touched keyword are stale).
-    pub fn append_nodes(
-        &mut self,
-        env: &StorageEnv,
-        added: &[(Dewey, Vec<String>)],
-    ) -> Result<Vec<String>> {
-        // Encode everything first: a codec failure must not leave the
-        // index half-updated.
-        let mut packed_nodes = Vec::with_capacity(added.len());
-        for (dewey, tokens) in added {
-            packed_nodes.push((encode_dewey(dewey, &self.level_table)?, tokens));
-        }
-        let vocab = BTree::open(env, SLOT_VOCAB)?;
-        let mut dirty: Vec<String> = Vec::new();
-        for (packed, tokens) in packed_nodes {
-            for token in tokens {
-                match self.freq.get_mut(token) {
-                    Some(meta) => {
-                        let mut appender = xk_storage::ListAppender::open(env, meta.handle)?;
-                        appender.append(env, &packed)?;
-                        meta.handle = appender.finish();
-                        meta.count += 1;
-                        self.il.insert(env, &il_key(meta.kwid, &packed), &[])?;
-                    }
-                    None => {
-                        self.max_kwid += 1;
-                        let mut writer = ListWriter::new(env);
-                        writer.append(env, &packed)?;
-                        let handle = writer.finish(env)?;
-                        let meta = KeywordMeta { kwid: self.max_kwid, count: 1, handle };
-                        self.il.insert(env, &il_key(meta.kwid, &packed), &[])?;
-                        self.freq.insert(token.clone(), meta);
-                    }
-                }
-                if !dirty.contains(token) {
-                    dirty.push(token.clone());
-                }
-            }
-        }
-        // Persist the updated vocabulary entries once per keyword.
-        for token in &dirty {
-            // xk-analyze: allow(panic_path, reason = "every token in dirty was inserted into freq by the loop above")
-            let meta = self.freq[token];
-            vocab.insert(env, token.as_bytes(), &meta.encode())?;
-        }
-        Ok(dirty)
-    }
-
     /// Replaces the embedded document (incremental ingestion re-serializes
     /// the grown tree so rendering stays consistent with the index).
     pub fn store_document(&mut self, env: &StorageEnv, tree: &XmlTree) -> Result<()> {
         if let Some(old) = self.doc_handle.take() {
             xk_storage::free_list(env, &old)?;
         }
-        let encoded = xk_xmltree::encode_tree(tree);
-        let mut writer = ListWriter::new(env);
-        let chunk = env.page_size() / 2;
-        for part in encoded.chunks(chunk) {
-            writer.append(env, part)?;
-        }
-        let handle = writer.finish(env)?;
-        self.doc_handle = Some(handle);
+        self.doc_handle = Some(write_document(env, tree)?);
         env.set_user_blob(&encode_blob(&self.level_table, self.doc_handle, &self.extension))?;
         Ok(())
     }
@@ -753,7 +643,7 @@ mod tests {
     fn build_school() -> (SharedEnv, DiskIndex) {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
         let tree = school_example();
-        let n = build_disk_index(&env, &tree, true).unwrap();
+        let n = build_disk_index(&env, &tree, &BuildOptions::default()).unwrap();
         assert!(n > 10);
         let index = DiskIndex::open(&env).unwrap();
         (SharedEnv::new(env), index)
@@ -865,92 +755,14 @@ mod tests {
     #[test]
     fn build_without_document() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 64 });
-        build_disk_index(&env, &school_example(), false).unwrap();
+        build_disk_index(
+            &env,
+            &school_example(),
+            &BuildOptions { store_document: false, ..Default::default() },
+        )
+        .unwrap();
         let index = DiskIndex::open(&env).unwrap();
         assert!(index.load_document(&env).unwrap().is_none());
-    }
-
-    #[test]
-    fn append_nodes_extends_lists_and_vocab() {
-        use crate::diskindex::{build_disk_index_with, BuildOptions};
-        let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
-        let tree = school_example();
-        build_disk_index_with(&env, &tree, &BuildOptions::default()).unwrap();
-        let mut index = DiskIndex::open(&env).unwrap();
-        let john_before = index.frequency("john");
-
-        // Append one node past everything: a new root child (ordinal 4).
-        let new_class = Dewey::from_components(vec![4]);
-        let new_name = Dewey::from_components(vec![4, 0]);
-        index
-            .append_nodes(
-                &env,
-                &[
-                    (new_class.clone(), vec!["class".into()]),
-                    (new_name.clone(), vec!["john".into(), "freshword".into()]),
-                ],
-            )
-            .unwrap();
-
-        assert_eq!(index.frequency("john"), john_before + 1);
-        assert_eq!(index.frequency("freshword"), 1);
-
-        let shared = SharedEnv::new(env);
-        // Sequential list ends with the new node and stays sorted.
-        let mut stream = index.stream_list(shared.clone(), "john").unwrap();
-        let mut nodes = Vec::new();
-        while let Some(d) = stream.next_node() {
-            nodes.push(d);
-        }
-        assert_eq!(nodes.last(), Some(&new_name));
-        assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        // Indexed matches see it too.
-        let mut ranked = index.ranked_list(shared.clone(), "john").unwrap();
-        assert_eq!(ranked.rm(&new_class), Some(new_name.clone()));
-        let mut fresh = index.ranked_list(shared, "freshword").unwrap();
-        assert_eq!(fresh.rm(&Dewey::root()), Some(new_name));
-    }
-
-    #[test]
-    fn append_survives_reopen() {
-        use crate::diskindex::{build_disk_index_with, BuildOptions};
-        let dir = std::env::temp_dir().join(format!("xk-append-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.db");
-        let opts = EnvOptions { page_size: 512, pool_pages: 64 };
-        {
-            let env = StorageEnv::create(&path, opts.clone()).unwrap();
-            build_disk_index_with(&env, &school_example(), &BuildOptions::default())
-                .unwrap();
-            let mut index = DiskIndex::open(&env).unwrap();
-            index
-                .append_nodes(&env, &[(Dewey::from_components(vec![4]), vec!["late".into()])])
-                .unwrap();
-            env.flush().unwrap();
-        }
-        {
-            let env = StorageEnv::open(&path, opts).unwrap();
-            let index = DiskIndex::open(&env).unwrap();
-            assert_eq!(index.frequency("late"), 1);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn append_without_headroom_fails_cleanly() {
-        let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 64 });
-        // Exact-fit table: the school root has 4 children (2 bits), so
-        // ordinal 4 does not pack.
-        build_disk_index(&env, &school_example(), false).unwrap();
-        let mut index = DiskIndex::open(&env).unwrap();
-        let john_before = index.frequency("john");
-        let err = index.append_nodes(
-            &env,
-            &[(Dewey::from_components(vec![4]), vec!["john".into()])],
-        );
-        assert!(matches!(err, Err(IndexError::Codec(_))), "{err:?}");
-        // And nothing was half-applied.
-        assert_eq!(index.frequency("john"), john_before);
     }
 
     #[test]
@@ -977,7 +789,7 @@ mod tests {
         let opts = EnvOptions { page_size: 512, pool_pages: 64 };
         {
             let env = StorageEnv::create(&path, opts.clone()).unwrap();
-            build_disk_index(&env, &school_example(), true).unwrap();
+            build_disk_index(&env, &school_example(), &BuildOptions::default()).unwrap();
         }
         {
             let env = StorageEnv::open(&path, opts).unwrap();

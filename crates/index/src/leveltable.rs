@@ -33,17 +33,6 @@ impl LevelTable {
         LevelTable { bits: fanouts.iter().map(|&f| bits_for(f)).collect() }
     }
 
-    /// A widened copy: every level gets `extra_bits` of headroom (capped
-    /// at 32) and `extra_levels` additional 8-bit levels are appended.
-    /// Incremental document ingestion needs widths beyond the initial
-    /// document's exact fanouts — appended siblings may exceed them.
-    pub fn with_headroom(&self, extra_bits: u8, extra_levels: usize) -> LevelTable {
-        let mut bits: Vec<u8> =
-            self.bits.iter().map(|&b| b.saturating_add(extra_bits).min(32)).collect();
-        bits.extend(std::iter::repeat_n(8, extra_levels));
-        LevelTable { bits }
-    }
-
     /// The bit width of the Dewey component at `component_index` (0-based:
     /// component 0 addresses the children of the root).
     pub fn width(&self, component_index: usize) -> Option<u8> {
@@ -134,22 +123,6 @@ mod tests {
         assert_eq!(LevelTable::decode(&enc), Some(lt));
         assert_eq!(LevelTable::decode(b""), None);
         assert_eq!(LevelTable::decode(&[9, 0]), None); // truncated
-    }
-
-    #[test]
-    fn headroom_widens_and_deepens() {
-        let lt = LevelTable::from_fanouts(&[4, 2]); // widths 2, 1
-        let wide = lt.with_headroom(2, 2);
-        assert_eq!(wide.width(0), Some(4));
-        assert_eq!(wide.width(1), Some(3));
-        assert_eq!(wide.width(2), Some(8));
-        assert_eq!(wide.width(3), Some(8));
-        assert_eq!(wide.depth(), 4);
-        // Capped at 32 bits.
-        let huge = LevelTable::from_fanouts(&[u32::MAX]).with_headroom(10, 0);
-        assert_eq!(huge.width(0), Some(32));
-        // Zero headroom is the identity.
-        assert_eq!(lt.with_headroom(0, 0), lt);
     }
 
     #[test]

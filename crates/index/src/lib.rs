@@ -10,8 +10,8 @@
 //!   encoding for positions beyond the document shape (the Section 5
 //!   "uncle node");
 //! * [`MemIndex`] — in-memory keyword → sorted Dewey lists;
-//! * [`DiskIndex`] / [`build_disk_index`] — the on-disk layout: a
-//!   vocabulary B+tree (the frequency table), the composite-key B+tree
+//! * [`DiskIndex`] / [`build_disk_index`] — the on-disk layout, bulk
+//!   loaded once and read-only afterwards: a vocabulary B+tree (the frequency table), the composite-key B+tree
 //!   for Indexed Lookup matches, and sequential list chains for scanning,
 //!   with [`DiskRankedList`] / [`DiskStreamList`] adapters implementing
 //!   the `xk-slca` list traits (storage failures poison the [`SharedEnv`]
@@ -27,8 +27,8 @@ pub mod verify;
 
 pub use codec::{decode_dewey, encode_dewey, encode_probe, encode_upper_bound, CodecError, Probe};
 pub use diskindex::{
-    build_disk_index, build_disk_index_with, BuildOptions, DiskIndex, DiskRankedList,
-    DiskStreamList, IndexError, KeywordMeta, Result, SharedEnv, SLOT_IL, SLOT_VOCAB,
+    build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, IndexError,
+    KeywordMeta, Result, SharedEnv, SLOT_IL, SLOT_VOCAB,
 };
 pub use leveltable::LevelTable;
 pub use memindex::{node_tokens, MemIndex};

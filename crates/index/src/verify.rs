@@ -364,13 +364,14 @@ fn verify_document(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diskindex::build_disk_index;
+    use crate::diskindex::{build_disk_index, BuildOptions};
     use xk_storage::EnvOptions;
     use xk_xmltree::school_example;
 
     fn built_env(store_document: bool) -> StorageEnv {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
-        build_disk_index(&env, &school_example(), store_document).unwrap();
+        let options = BuildOptions { store_document, ..Default::default() };
+        build_disk_index(&env, &school_example(), &options).unwrap();
         env
     }
 

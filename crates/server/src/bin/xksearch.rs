@@ -2,7 +2,7 @@
 //! of the paper's DBLP web demo.
 //!
 //! ```text
-//! xksearch build <input.xml> <index.db> [--segments] [--no-doc] [--page-size N] [--pool-pages N]
+//! xksearch build <input.xml> <index.db> [--no-doc] [--page-size N] [--pool-pages N]
 //! xksearch query <index.db> <keyword>... [--algo auto|il|scan|stack] [--lca]
 //!                [--show N] [--cold] [--json]
 //! xksearch serve <index.db> [--addr A] [--workers N] [--cache-entries C]
@@ -49,7 +49,7 @@ const USAGE: &str = "\
 XKSearch: keyword search for smallest LCAs in XML documents
 
 USAGE:
-  xksearch build <input.xml> <index.db> [--segments] [--no-doc] [--page-size N] [--pool-pages N]
+  xksearch build <input.xml> <index.db> [--no-doc] [--page-size N] [--pool-pages N]
   xksearch query <index.db> <keyword>... [--algo auto|il|scan|stack] [--lca] [--show N] [--cold]
                  [--json]
   xksearch stats <index.db>
@@ -107,6 +107,9 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     while i < args.len() {
         match args[i].as_str() {
             "--page-size" | "--pool-pages" => i += 1, // skip the value too
+            // `--segments` selected this layout when there were two to
+            // choose from; it is the only one now, and `xkbench` (which
+            // this repo may not edit) still passes the flag.
             "--no-doc" | "--segments" => {}
             a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
             _ => positional.push(&args[i]),
@@ -117,7 +120,6 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
         return Err("build needs <input.xml> and <index.db>".into());
     };
     let store_document = !args.iter().any(|a| a == "--no-doc");
-    let segmented = args.iter().any(|a| a == "--segments");
     let options = parse_env_options(args)?;
 
     let xml = std::fs::read_to_string(input)?;
@@ -131,27 +133,26 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
         started.elapsed()
     );
     let started = std::time::Instant::now();
-    let engine = if segmented {
-        Engine::build_segmented(&tree, output, options, store_document)?
-    } else {
-        Engine::build(&tree, output, options, store_document)?
-    };
+    // Always the segment layout: every database the CLI produces can be
+    // appended to and served. (`Engine::build`, the read-only B+tree
+    // reference, is a library entry point for the benches.)
+    let engine = Engine::build_segmented(&tree, output, options, store_document)?;
     engine.with_env(|env| env.flush())?;
+    // A fresh build seals exactly one blob (none for an empty document),
+    // so its manifest record carries the vocabulary size.
+    let metas = engine.segment_metas();
     eprintln!(
         "indexed {} keywords into {} in {:.2?}",
-        engine.index().keyword_count(),
+        metas.iter().map(|m| u64::from(m.keywords)).sum::<u64>(),
         output,
         started.elapsed()
     );
-    if segmented {
-        let metas = engine.segment_metas();
-        let postings: u64 = metas.iter().map(|m| m.postings).sum();
-        eprintln!(
-            "segment layout: {} sealed blob(s), {postings} postings in {}",
-            metas.len(),
-            xksearch::default_segments_dir(std::path::Path::new(output.as_str())).display()
-        );
-    }
+    let postings: u64 = metas.iter().map(|m| m.postings).sum();
+    eprintln!(
+        "segment layout: {} sealed blob(s), {postings} postings in {}",
+        metas.len(),
+        xksearch::default_segments_dir(std::path::Path::new(output.as_str())).display()
+    );
     Ok(())
 }
 
@@ -171,21 +172,24 @@ fn cmd_stats(args: &[String]) -> Result<(), AnyError> {
         return Err("stats needs <index.db>".into());
     };
     let engine = Engine::open(db, options)?;
-    let index = engine.index();
+    let mut freqs = engine.vocabulary();
     println!("index file      : {db}");
-    println!("distinct words  : {}", index.keyword_count());
-    println!("document depth  : {}", index.level_table().depth());
-    let mut freqs: Vec<(String, u64)> =
-        index.keywords().map(|(k, f)| (k.to_string(), f)).collect();
+    if engine.segments_enabled() {
+        let metas = engine.segment_metas();
+        let postings: u64 = metas.iter().map(|m| m.postings).sum();
+        println!(
+            "posting layout  : segments, appendable ({} sealed blob(s), {postings} sealed postings)",
+            metas.len()
+        );
+    } else {
+        println!("posting layout  : B+tree reference, read-only");
+    }
+    println!("distinct words  : {}", freqs.len());
+    println!("document depth  : {}", engine.index().level_table().depth());
     freqs.sort_by_key(|&(_, f)| std::cmp::Reverse(f));
     println!("most frequent   :");
     for (k, f) in freqs.iter().take(10) {
         println!("  {f:>10}  {k}");
-    }
-    if engine.segments_enabled() {
-        let metas = engine.segment_metas();
-        let postings: u64 = metas.iter().map(|m| m.postings).sum();
-        println!("segment blobs   : {} ({postings} sealed postings)", metas.len());
     }
     Ok(())
 }
@@ -479,16 +483,11 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         );
     }
     let engine = std::sync::Arc::new(engine);
-    // Segment stores get a background merger: it folds small sealed
-    // blobs into larger tiers between appends, without blocking queries.
-    let merger = if engine.segments_enabled() {
-        Some(xksearch::spawn_merger(
-            std::sync::Arc::clone(&engine),
-            std::time::Duration::from_secs(1),
-        )?)
-    } else {
-        None
-    };
+    // The background merger folds small sealed blobs into larger tiers
+    // between appends, without blocking queries (it idles over a
+    // read-only reference database, which has no blobs).
+    let merger =
+        xksearch::spawn_merger(std::sync::Arc::clone(&engine), std::time::Duration::from_secs(1))?;
     server.install_engine(engine);
     eprintln!(
         "serving {db} with {} workers, {} cache entries, queue bound {} \
@@ -496,9 +495,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         config.workers, config.cache_entries, config.queue_cap
     );
     let final_metrics = server.join();
-    if let Some(ctl) = merger {
-        ctl.stop();
-    }
+    merger.stop();
     eprintln!("drained; final metrics:");
     println!("{final_metrics}");
     Ok(())

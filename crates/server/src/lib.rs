@@ -12,7 +12,9 @@
 //!   Sync` read path from PR 2 makes `&Engine` queries safe from any
 //!   number of threads) — CPU-bound queries never run on the reactor,
 //! * an **LRU result cache** keyed by (normalized keyword set, requested
-//!   algorithm) and invalidated by [`Engine::data_version`],
+//!   algorithm), each entry tagged with the epoch its query observed and
+//!   invalidated per keyword: an append raises the staleness floor of
+//!   exactly the keywords it touched,
 //! * **admission control**: connections beyond `max_connections` and
 //!   requests beyond the job-queue bound are shed with `503` instead of
 //!   piling up latency,
@@ -30,7 +32,6 @@
 //! binary sits on top of both).
 //!
 //! [`Engine`]: xksearch::Engine
-//! [`Engine::data_version`]: xksearch::Engine::data_version
 //! [`IoStats`]: xk_storage::IoStats
 
 pub mod cache;

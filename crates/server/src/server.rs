@@ -539,6 +539,7 @@ fn handle_append(shared: &Shared, request: &Request, received: Instant) -> Respo
         }
         Err(EngineError::BadQuery(msg)) => bad(shared, &format!("bad append: {msg}")),
         Err(EngineError::Parse(e)) => bad(shared, &format!("bad fragment: {e}")),
+        Err(e @ EngineError::ReadOnlyLayout) => bad(shared, &format!("bad append: {e}")),
         Err(e) => {
             shared.metrics.internal_errors.fetch_add(1, Ordering::Relaxed);
             Response::json(500, payload::error_json(&format!("append failed: {e}")))

@@ -1,8 +1,10 @@
 //! Loopback end-to-end tests for the durable write path's service
 //! surface (ISSUE 6): `POST /append` commits fragments while readers
 //! keep querying, cached answers for untouched keywords survive appends
-//! (measured through `/metrics` `saved_disk_reads`), and an empty
-//! engine slot answers `503` + `Retry-After` instead of hanging.
+//! (measured through the `/metrics` cache `hits` counter), an engine
+//! over the read-only reference layout refuses appends with a `4xx`,
+//! and an empty engine slot answers `503` + `Retry-After` instead of
+//! hanging.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,9 +14,10 @@ use xk_server::{Server, ServerConfig};
 use xk_storage::EnvOptions;
 use xksearch::Engine;
 
+/// The segment layout — the one `POST /append` can grow.
 fn school_engine() -> Arc<Engine> {
     Arc::new(
-        Engine::build_in_memory(
+        Engine::build_in_memory_segmented(
             &xk_xmltree::school_example(),
             EnvOptions { page_size: 512, pool_pages: 256 },
         )
@@ -125,9 +128,8 @@ fn append_accepts_fragments_larger_than_the_old_head_cap() {
     let server = start(school_engine());
     let addr = server.local_addr();
 
-    // A valid fragment comfortably past 8 KB: a narrow tree (the Dewey
-    // codec caps sibling fanout) whose bulk is one long text node, plus
-    // a fresh keyword pair we can query for afterwards.
+    // A valid fragment comfortably past 8 KB whose bulk is one long
+    // text node, plus a fresh keyword pair we can query for afterwards.
     let mut fragment = String::from("<bulk><name>Zelda</name><name>Quorra</name><note>");
     while fragment.len() <= 12 * 1024 {
         fragment.push_str("pad padding paddington ");
@@ -157,13 +159,11 @@ fn append_accepts_fragments_larger_than_the_old_head_cap() {
 
 /// The scoped-invalidation acceptance test: an append evicts only the
 /// cached answers whose keywords it touched. The untouched entry keeps
-/// serving hits, observed through the `/metrics` `saved_disk_reads`
-/// counter (a hit that saves reads can only have come from the cache).
+/// serving hits, observed through the `/metrics` cache `hits` counter
+/// (the engine does not run for a hit).
 #[test]
 fn untouched_cache_entries_survive_appends() {
-    let engine = school_engine();
-    engine.clear_cache().unwrap(); // cold buffer pool: misses pay real reads
-    let server = start(Arc::clone(&engine));
+    let server = start(school_engine());
     let addr = server.local_addr();
 
     // Prime two disjoint cached answers: miss, then hit.
@@ -171,8 +171,8 @@ fn untouched_cache_entries_survive_appends() {
         assert!(get(addr, path).1.contains(r#""cached":false"#));
         assert!(get(addr, path).1.contains(r#""cached":true"#));
     }
-    let saved_before = json_u64(&server.metrics_json(), "saved_disk_reads");
-    assert!(saved_before > 0, "both hits saved their miss's reads");
+    let hits_before = json_u64(&server.metrics_json(), "hits");
+    assert_eq!(hits_before, 2, "one hit per primed answer");
 
     // The append touches john/ben but not cs2a.
     let (status, _, body) = http(
@@ -188,14 +188,14 @@ fn untouched_cache_entries_survive_appends() {
     assert!(fresh.contains(r#""cached":false"#), "{fresh}");
     assert_eq!(json_u64(&fresh, "count"), 4, "{fresh}");
 
-    // …while the untouched entry still serves from the cache, still
-    // saving its disk reads — the metric moves, the engine does not run.
+    // …while the untouched entry still serves from the cache — the
+    // metric moves, the engine does not run.
     let (_, hot) = get(addr, "/query?kw=CS2A");
     assert!(hot.contains(r#""cached":true"#), "untouched entry must survive: {hot}");
-    let saved_after = json_u64(&server.metrics_json(), "saved_disk_reads");
-    assert!(
-        saved_after > saved_before,
-        "the surviving entry's hit must keep saving reads ({saved_before} -> {saved_after})"
+    assert_eq!(
+        json_u64(&server.metrics_json(), "hits"),
+        hits_before + 1,
+        "the surviving entry's hit is the only new one"
     );
 
     server.shutdown();
@@ -250,6 +250,35 @@ fn concurrent_readers_during_appends_never_tear() {
     );
     let metrics = server.metrics_json();
     assert!(metrics.contains(&format!(r#""appends_ok":{APPENDS}"#)), "{metrics}");
+    server.shutdown();
+    server.join();
+}
+
+/// The bulk-loaded B+tree layout is a read-only reference: `POST
+/// /append` against it is the client's mistake (a `4xx` booked under
+/// `bad_requests`), not a server fault, and the index keeps serving the
+/// unchanged document.
+#[test]
+fn append_to_a_read_only_layout_is_a_client_error() {
+    let reference = Engine::build_in_memory(
+        &xk_xmltree::school_example(),
+        EnvOptions { page_size: 512, pool_pages: 256 },
+    )
+    .unwrap();
+    let server = start(Arc::new(reference));
+    let addr = server.local_addr();
+
+    let (status, _, body) = http(addr, "POST", "/append?xml=%3Cnote%3EJohn%3C%2Fnote%3E");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("read-only"), "{body}");
+    let metrics = server.metrics_json();
+    assert!(metrics.contains(r#""bad_requests":1"#), "{metrics}");
+    assert!(metrics.contains(r#""internal_errors":0"#), "{metrics}");
+    assert!(metrics.contains(r#""appends_ok":0"#), "{metrics}");
+
+    let (status, answer) = get(addr, "/query?kw=John&algo=stack");
+    assert_eq!(status, 200);
+    assert_eq!(json_u64(&answer, "count"), 4, "{answer}");
     server.shutdown();
     server.join();
 }

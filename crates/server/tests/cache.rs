@@ -12,12 +12,17 @@ use xk_storage::EnvOptions;
 use xk_xmltree::Dewey;
 use xksearch::{Algorithm, Engine};
 
+const OPTS: EnvOptions = EnvOptions { page_size: 512, pool_pages: 256 };
+
+/// The reference layout: every posting read goes through the buffer
+/// pool, so `IoStats` prices what a cache hit saves.
 fn school_engine() -> Engine {
-    Engine::build_in_memory(
-        &xk_xmltree::school_example(),
-        EnvOptions { page_size: 512, pool_pages: 256 },
-    )
-    .unwrap()
+    Engine::build_in_memory(&xk_xmltree::school_example(), OPTS).unwrap()
+}
+
+/// The segment layout, for the tests that append.
+fn growing_school_engine() -> Engine {
+    Engine::build_in_memory_segmented(&xk_xmltree::school_example(), OPTS).unwrap()
 }
 
 /// Per-keyword staleness floors, exactly as the server keeps them.
@@ -90,7 +95,7 @@ fn hot_repeated_query_reads_zero_pages() {
 
 #[test]
 fn append_invalidates_only_touched_keywords() {
-    let engine = school_engine();
+    let engine = growing_school_engine();
     let cache = QueryCache::new(64);
     let mut floors = Floors::new();
 
@@ -133,7 +138,7 @@ fn append_invalidates_only_touched_keywords() {
 /// it is inserted *after* the sweep ran, the raised floor rejects it.
 #[test]
 fn raised_floor_rejects_late_stale_insert() {
-    let engine = school_engine();
+    let engine = growing_school_engine();
     let cache = QueryCache::new(64);
     let mut floors = Floors::new();
 

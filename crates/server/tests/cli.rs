@@ -15,6 +15,77 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A running `xksearch serve <db>` child on an ephemeral port.
+struct Served {
+    child: std::process::Child,
+    stdout: std::io::BufReader<std::process::ChildStdout>,
+    addr: String,
+}
+
+fn serve(db: &std::path::Path) -> Served {
+    use std::io::BufRead;
+    let mut child = bin()
+        .args(["serve", db.to_str().unwrap(), "--addr", "127.0.0.1:0", "--workers", "2"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on http://")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .to_string();
+    Served { child, stdout, addr }
+}
+
+impl Served {
+    /// One `Connection: close` exchange; returns the raw response.
+    fn request(&self, method: &str, path: &str, body: &str) -> String {
+        use std::io::{Read, Write};
+        // The port is claimed before the index finishes loading, so the
+        // server may briefly answer 503 + Retry-After — honor it.
+        for _ in 0..200 {
+            let mut s = std::net::TcpStream::connect(&self.addr).unwrap();
+            s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+            write!(
+                s,
+                "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+            let mut raw = String::new();
+            s.read_to_string(&mut raw).unwrap();
+            if raw.starts_with("HTTP/1.1 503") && raw.contains("Retry-After") {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                continue;
+            }
+            return raw;
+        }
+        panic!("server still recovering after 200 retries");
+    }
+
+    fn get(&self, path: &str) -> String {
+        self.request("GET", path, "")
+    }
+
+    /// `GET /shutdown`, waits for a clean exit, returns what the drained
+    /// server printed (its final metrics document).
+    fn shutdown(mut self) -> String {
+        use std::io::Read;
+        let raw = self.get("/shutdown");
+        assert!(raw.contains("draining"), "{raw}");
+        let status = self.child.wait().unwrap();
+        assert!(status.success(), "serve must exit cleanly after drain");
+        let mut rest = String::new();
+        self.stdout.read_to_string(&mut rest).unwrap();
+        rest
+    }
+}
+
 #[test]
 fn demo_runs_the_figure_1_query() {
     let out = bin().arg("demo").output().unwrap();
@@ -63,15 +134,31 @@ fn build_query_stats_lifecycle() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("LCAs"), "{stdout}");
 
-    let out = bin().args(["stats", db.to_str().unwrap()]).output().unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("distinct words"), "{stdout}");
+    let stats = || {
+        let out = bin().args(["stats", db.to_str().unwrap()]).output().unwrap();
+        assert!(out.status.success(), "stats: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let plain = stats();
+    assert!(plain.contains("distinct words  : 11"), "{plain}");
+    assert!(plain.contains("posting layout  : segments, appendable"), "{plain}");
+
+    // `--segments` used to select this layout; it is still accepted and
+    // changes nothing.
+    let out = bin()
+        .args(["build", xml.to_str().unwrap(), db.to_str().unwrap(), "--segments"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "build --segments: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stats(), plain);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every database `build` produces (no flag) can be appended to from
+/// the CLI, verified, served, and appended to again over HTTP.
 #[test]
-fn append_command_grows_the_index() {
+fn built_index_grows_through_cli_and_server() {
     let dir = temp_dir("append");
     let xml = dir.join("doc.xml");
     let db = dir.join("doc.db");
@@ -94,6 +181,21 @@ fn append_command_grows_the_index() {
     let out = bin().args(["query", db.to_str().unwrap(), "omega"]).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 SLCAs") && stdout.contains("finish"), "{stdout}");
+
+    let out = bin().args(["verify", db.to_str().unwrap()]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("OK: no integrity issues"), "{stdout}");
+    assert!(stdout.contains("segment blobs  : 1"), "{stdout}");
+
+    let served = serve(&db);
+    let raw = served.request("POST", "/append", "<entry>omega sequel</entry>");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    assert!(raw.contains(r#""root":"2""#), "{raw}");
+    let raw = served.get("/query?kw=omega");
+    assert!(raw.contains(r#""count":2"#), "{raw}");
+    let metrics = served.shutdown();
+    assert!(metrics.contains(r#""appends_ok":1"#), "{metrics}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -231,8 +333,6 @@ fn query_json_emits_the_server_payload() {
 
 #[test]
 fn serve_lifecycle_over_loopback() {
-    use std::io::{BufRead, BufReader, Read, Write};
-
     let dir = temp_dir("serve");
     let xml = dir.join("doc.xml");
     let db = dir.join("doc.db");
@@ -247,54 +347,18 @@ fn serve_lifecycle_over_loopback() {
         .unwrap()
         .success());
 
-    let mut child = bin()
-        .args(["serve", db.to_str().unwrap(), "--addr", "127.0.0.1:0", "--workers", "2"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let mut reader = BufReader::new(child.stdout.take().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let addr = line
-        .trim()
-        .strip_prefix("listening on http://")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .to_string();
+    let served = serve(&db);
 
-    let get = |path: &str| -> String {
-        // The port is claimed before the index finishes loading, so the
-        // server may briefly answer 503 + Retry-After — honor it.
-        for _ in 0..200 {
-            let mut s = std::net::TcpStream::connect(&addr).unwrap();
-            s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-            write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
-            let mut raw = String::new();
-            s.read_to_string(&mut raw).unwrap();
-            if raw.starts_with("HTTP/1.1 503") && raw.contains("Retry-After") {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                continue;
-            }
-            return raw;
-        }
-        panic!("server still recovering after 200 retries");
-    };
-
-    let raw = get("/query?kw=serving+ada&algo=auto");
+    let raw = served.get("/query?kw=serving+ada&algo=auto");
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
     assert!(raw.contains(r#""slcas":["0"]"#), "{raw}");
-    let raw = get("/query?kw=serving+ada");
+    let raw = served.get("/query?kw=serving+ada");
     assert!(raw.contains(r#""cached":true"#), "second request hits the cache: {raw}");
-    let raw = get("/metrics");
+    let raw = served.get("/metrics");
     assert!(raw.contains(r#""hits":1"#), "{raw}");
 
-    let raw = get("/shutdown");
-    assert!(raw.contains("draining"), "{raw}");
-    let status = child.wait().unwrap();
-    assert!(status.success(), "serve must exit cleanly after drain");
     // The drained server printed its final metrics document.
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).unwrap();
+    let rest = served.shutdown();
     assert!(rest.contains(r#""queries_ok":2"#), "{rest}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

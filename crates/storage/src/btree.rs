@@ -10,9 +10,10 @@
 //! * `rm(v, S)` — right match, the smallest key `>= v` — is [`BTree::seek_ge`];
 //! * `lm(v, S)` — left match, the largest key `<= v` — is [`BTree::seek_le`].
 //!
-//! The tree supports insert, point get, delete with rebalancing
-//! (merge-or-redistribute), ordered cursors in both directions, and
-//! persists its root in a named root slot of the [`StorageEnv`] meta page.
+//! The tree supports bulk loading, insert, point get, and ordered
+//! cursors in both directions, and persists its root in a named root
+//! slot of the [`StorageEnv`] meta page. There is no delete: the index
+//! built on it is loaded once and read-only afterwards.
 
 use crate::env::StorageEnv;
 use crate::error::{Result, StorageError};
@@ -828,181 +829,6 @@ impl BTree {
         Ok(!c.is_valid())
     }
 
-    /// Deletes `key`, returning its value if it was present. Underfull
-    /// nodes are rebalanced by merging with or redistributing entries from
-    /// a sibling; emptied pages return to the free list.
-    pub fn remove(&self, env: &StorageEnv, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let root = self.root(env)?;
-        let old = self.remove_rec(env, root, key)?;
-        // Collapse a root that became a single-child internal node.
-        if let Node::Internal { keys, children } = read_node(env, root)? {
-            if keys.is_empty() {
-                env.set_root_slot(self.slot, Some(children[0]))?;
-                env.free_page(root)?;
-            }
-        }
-        Ok(old)
-    }
-
-    fn remove_rec(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>> {
-        let mut node = read_node(env, page)?;
-        match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let (_, v) = entries.remove(i);
-                        write_node(env, page, &node)?;
-                        Ok(Some(v))
-                    }
-                    Err(_) => Ok(None),
-                }
-            }
-            Node::Internal { keys, children } => {
-                let idx = upper_bound(keys, key);
-                let child = children[idx];
-                let old = self.remove_rec(env, child, key)?;
-                if old.is_some() {
-                    let child_size = read_node(env, child)?.serialized_size();
-                    if is_underfull(env, child_size) {
-                        self.rebalance_child(env, page, idx)?;
-                    }
-                }
-                Ok(old)
-            }
-        }
-    }
-
-    /// Rebalances `children[idx]` of the internal node at `page` by merging
-    /// with or borrowing from an adjacent sibling.
-    fn rebalance_child(&self, env: &StorageEnv, page: PageId, idx: usize) -> Result<()> {
-        let node = read_node(env, page)?;
-        let (keys, children) = match node {
-            Node::Internal { keys, children } => (keys, children),
-            _ => unreachable!("rebalance_child is only called on internal nodes"),
-        };
-        // Pair the child with its right sibling when one exists, otherwise
-        // its left sibling (idx >= 1 then, since internal nodes have >= 2
-        // children).
-        let (li, ri) = if idx + 1 < children.len() { (idx, idx + 1) } else { (idx - 1, idx) };
-        let left_page = children[li];
-        let right_page = children[ri];
-        let sep = keys[li].clone();
-        let left = read_node(env, left_page)?;
-        let right = read_node(env, right_page)?;
-
-        match (left, right) {
-            (
-                Node::Leaf { prev: lp, entries: mut le, .. },
-                Node::Leaf { next: rn, entries: re, .. },
-            ) => {
-                le.extend(re);
-                let combined = Node::Leaf { prev: lp, next: rn, entries: le };
-                if combined.serialized_size() <= env.page_size() {
-                    // Merge into the left page; free the right page.
-                    write_node(env, left_page, &combined)?;
-                    if let Some(n) = rn {
-                        update_leaf_prev(env, n, Some(left_page))?;
-                    }
-                    env.free_page(right_page)?;
-                    self.remove_separator(env, page, li, left_page)?;
-                } else {
-                    // Redistribute at the byte midpoint.
-                    let entries = match combined {
-                        Node::Leaf { entries, .. } => entries,
-                        _ => unreachable!(),
-                    };
-                    let mid = split_point_leaf(&entries);
-                    let new_sep = entries[mid].0.clone();
-                    let lnode = Node::Leaf {
-                        prev: lp,
-                        next: Some(right_page),
-                        entries: entries[..mid].to_vec(),
-                    };
-                    let rnode = Node::Leaf {
-                        prev: Some(left_page),
-                        next: rn,
-                        entries: entries[mid..].to_vec(),
-                    };
-                    write_node(env, left_page, &lnode)?;
-                    write_node(env, right_page, &rnode)?;
-                    self.replace_separator(env, page, li, new_sep)?;
-                }
-            }
-            (
-                Node::Internal { keys: lk, children: lc },
-                Node::Internal { keys: rk, children: rc },
-            ) => {
-                let mut all_keys = lk;
-                all_keys.push(sep);
-                all_keys.extend(rk);
-                let mut all_children = lc;
-                all_children.extend(rc);
-                let combined =
-                    Node::Internal { keys: all_keys.clone(), children: all_children.clone() };
-                if combined.serialized_size() <= env.page_size() {
-                    write_node(env, left_page, &combined)?;
-                    env.free_page(right_page)?;
-                    self.remove_separator(env, page, li, left_page)?;
-                } else {
-                    let mid = all_keys.len() / 2;
-                    let new_sep = all_keys[mid].clone();
-                    let lnode = Node::Internal {
-                        keys: all_keys[..mid].to_vec(),
-                        children: all_children[..=mid].to_vec(),
-                    };
-                    let rnode = Node::Internal {
-                        keys: all_keys[mid + 1..].to_vec(),
-                        children: all_children[mid + 1..].to_vec(),
-                    };
-                    write_node(env, left_page, &lnode)?;
-                    write_node(env, right_page, &rnode)?;
-                    self.replace_separator(env, page, li, new_sep)?;
-                }
-            }
-            _ => {
-                return Err(StorageError::Corrupt(
-                    "sibling nodes of different kinds".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// After a merge: drop separator `li` and the right child pointer.
-    fn remove_separator(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        li: usize,
-        _merged_into: PageId,
-    ) -> Result<()> {
-        let mut node = read_node(env, page)?;
-        if let Node::Internal { keys, children } = &mut node {
-            keys.remove(li);
-            children.remove(li + 1);
-        }
-        write_node(env, page, &node)
-    }
-
-    fn replace_separator(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        li: usize,
-        sep: Vec<u8>,
-    ) -> Result<()> {
-        let mut node = read_node(env, page)?;
-        if let Node::Internal { keys, .. } = &mut node {
-            keys[li] = sep;
-        }
-        write_node(env, page, &node)
-    }
-
     /// Walks the tree and checks structural invariants (key order within
     /// and across nodes, separator correctness, child kinds). For tests.
     pub fn check_invariants(&self, env: &StorageEnv) -> Result<()> {
@@ -1354,10 +1180,6 @@ fn split_point_leaf(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
     entries.len() / 2
 }
 
-fn is_underfull(env: &StorageEnv, serialized_size: usize) -> bool {
-    serialized_size < env.page_size() / 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1446,26 +1268,6 @@ mod tests {
             c.retreat(&env).unwrap();
         }
         assert!(c.read(&env).unwrap().is_none());
-    }
-
-    #[test]
-    fn remove_everything() {
-        let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let n = 1000u32;
-        for i in 0..n {
-            t.insert(&env, &key(i), &key(i)).unwrap();
-        }
-        for i in 0..n {
-            let k = (i * 6151) % n; // scrambled deletion order
-            assert_eq!(t.remove(&env, &key(k)).unwrap(), Some(key(k)));
-            if k.is_multiple_of(100) {
-                t.check_invariants(&env).unwrap();
-            }
-        }
-        assert!(t.is_empty(&env).unwrap());
-        t.check_invariants(&env).unwrap();
-        assert_eq!(t.remove(&env, &key(1)).unwrap(), None);
     }
 
     #[test]
@@ -1559,7 +1361,6 @@ mod tests {
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(n - 1));
         // And the tree stays mutable afterwards.
         bulk.insert(&env, &key(n + 5), b"later").unwrap();
-        bulk.remove(&env, &key(7)).unwrap();
         bulk.check_invariants(&env).unwrap();
     }
 
@@ -1598,11 +1399,6 @@ mod tests {
         let entries: Vec<_> = (0..2000u32).map(|i| (key(i), vec![])).collect();
         let b = BTree::bulk_load(&env, 1, entries).unwrap();
         b.verify_leaf_links(&env).unwrap();
-        // And after deletions rebalance the chain.
-        for i in (0..2000u32).step_by(2) {
-            t.remove(&env, &key(i)).unwrap();
-        }
-        t.verify_leaf_links(&env).unwrap();
     }
 
     #[test]
@@ -1727,10 +1523,6 @@ mod tests {
         let c = t.seek_ge_anchored(&env, &mut anchor, &key(101)).unwrap();
         let (k, v) = c.read(&env).unwrap().unwrap();
         assert_eq!((k, v), (key(101), b"new".to_vec()), "post-insert probe sees the insert");
-        // Deletes too.
-        t.remove(&env, &key(102)).unwrap();
-        let c = t.seek_ge_anchored(&env, &mut anchor, &key(102)).unwrap();
-        assert_eq!(c.read(&env).unwrap().unwrap().0, key(104));
         // Manual invalidation also forces a re-pin.
         anchor.invalidate();
         assert!(!anchor.is_pinned());

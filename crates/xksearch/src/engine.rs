@@ -8,6 +8,16 @@
 //! buffer-pool I/O deltas, and wall-clock time — the measurements the
 //! experiments in Section 6 chart.
 //!
+//! ## Two layouts, one write path
+//!
+//! [`Engine::build`] / [`Engine::build_in_memory`] bulk-load the paper's
+//! layout (posting B+trees plus sequential list chains) and it is
+//! **read-only** from then on: the paper-fidelity reference the figure
+//! benches and the differential tests read. [`Engine::build_segmented`]
+//! puts the postings into packed XKSEG1 segments instead, and that is
+//! the only layout [`Engine::append_subtree`] accepts — every append
+//! goes journal → mem segment → sealed blob, whatever the front end.
+//!
 //! ## The durable write path
 //!
 //! Mutations ([`Engine::append_subtree`]) run as storage transactions:
@@ -34,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
-use xk_index::{build_disk_index_with, DiskIndex, DiskRankedList, DiskStreamList, SharedEnv};
+use xk_index::{build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, SharedEnv};
 use xk_segment::{
     encode_journal_record, merged_lists, plan_merge, read_manifest, replay_journal, seal,
     verify_store, write_manifest, ArcList, DirSegmentIo, ErrorSlot, MemSegment, MemSegmentIo,
@@ -59,10 +69,17 @@ pub enum Algorithm {
     /// [`AUTO_RATIO_THRESHOLD`], Scan Eager otherwise — following the
     /// paper's guidance that IL wins by orders of magnitude on skewed
     /// frequencies while Scan Eager is the best variant for similar ones.
+    /// (In this implementation the two run the same probe loop, see
+    /// [`Algorithm::ScanEager`]; the choice only changes the reported
+    /// name.)
     Auto,
     /// The paper's core algorithm (Section 3.1).
     IndexedLookupEager,
-    /// The cursor-scanning variant (Section 3.2).
+    /// The paper's Section 3.2 name, **not** its cursor-advance
+    /// algorithm: this runs Indexed Lookup Eager, with the `lm`/`rm`
+    /// probes served by anchored (B+tree) or sequential (segment)
+    /// cursors behind the list adapters (`xk_slca::scan_eager`). Its
+    /// operation counts equal IL's on every query.
     ScanEager,
     /// The XRANK-style sort-merge baseline (Section 3.3).
     Stack,
@@ -333,48 +350,65 @@ pub struct Engine {
     document: Mutex<Option<XmlTree>>,
     /// Serializes appenders (single-writer); queries never take it.
     append_lock: Mutex<()>,
-    /// Bumped on every successful mutation ([`Engine::append_subtree`]);
-    /// coarse caches key their entries on this so served answers can
-    /// never go stale (see `xk_server::QueryCache`).
-    version: AtomicU64,
     durability: Option<DurabilityCtl>,
     /// Present when the index's extension region carries a [`SegExt`]:
     /// postings then live in packed segment blobs plus a journaled mem
-    /// segment instead of B+tree posting trees.
+    /// segment instead of B+tree posting trees. `None` is the read-only
+    /// reference layout.
     segments: Option<SegState>,
 }
 
 impl Engine {
-    /// Builds an index for `tree` in a new storage file and opens it.
+    /// Builds an index for `tree` in a new storage file and opens it —
+    /// the paper's layout (Section 4): posting B+trees and list chains,
+    /// bulk-loaded with exact-fit packed Deweys. The result is a
+    /// **read-only reference**: [`Engine::append_subtree`] rejects it
+    /// with [`EngineError::ReadOnlyLayout`]; build with
+    /// [`Engine::build_segmented`] for a database that grows.
     ///
     /// The build is **crash-safe**: it writes to `<db_path>.building` and
     /// atomically renames over `db_path` only after a successful build and
     /// flush. A crash mid-build leaves either the old index intact or a
     /// temp file that [`StorageEnv::open`] rejects (dirty flag set) — the
     /// final path never holds a half-built index.
-    // xk-analyze: root(durability_order)
     pub fn build(
         tree: &XmlTree,
         db_path: impl AsRef<Path>,
         options: EnvOptions,
         store_document: bool,
     ) -> Result<Engine> {
-        let db_path = db_path.as_ref();
+        Self::build_staged(db_path.as_ref(), options, |env, _| {
+            build_disk_index(env, tree, &BuildOptions { store_document, ..Default::default() })?;
+            Ok(())
+        })
+    }
+
+    /// The crash-safe protocol both file builders share: `fill` builds
+    /// into a fresh environment at `<db_path>.building`, with
+    /// `<db_path>.building.segments` for its blobs (only the segment
+    /// layout creates it), and both are renamed into place only after a
+    /// checked flush, replacing whatever an earlier build left there.
+    // xk-analyze: root(durability_order)
+    fn build_staged(
+        db_path: &Path,
+        options: EnvOptions,
+        fill: impl FnOnce(&StorageEnv, &Path) -> Result<()>,
+    ) -> Result<Engine> {
         let mut tmp = db_path.as_os_str().to_os_string();
         tmp.push(".building");
-        let tmp = std::path::PathBuf::from(tmp);
-        // A stale temp file from a killed build is dead weight: replace it.
-        // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of the temp build file; a leftover is harmless")
-        let _ = std::fs::remove_file(&tmp);
+        let tmp = PathBuf::from(tmp);
+        let tmp_seg = default_segments_dir(&tmp);
+        // Stale temp artifacts from a killed build are dead weight.
+        let discard_temps = || {
+            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of temp build artifacts; leftovers are harmless")
+            let _ = std::fs::remove_file(&tmp);
+            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of temp build artifacts; leftovers are harmless")
+            let _ = std::fs::remove_dir_all(&tmp_seg);
+        };
+        discard_temps();
         let built = (|| -> Result<()> {
             let env = StorageEnv::create(&tmp, options.clone())?;
-            // Default build options leave level-table headroom so the
-            // index accepts incremental appends ([`Engine::append_subtree`]).
-            build_disk_index_with(
-                &env,
-                tree,
-                &xk_index::BuildOptions { store_document, ..Default::default() },
-            )?;
+            fill(&env, &tmp_seg)?;
             // An explicit checked flush: dropping the env also flushes,
             // but Drop swallows the error and the rename below would
             // publish a file whose pages never reached the disk.
@@ -382,72 +416,15 @@ impl Engine {
             Ok(())
         })();
         if let Err(e) = built {
-            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of the temp build file; a leftover is harmless")
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        std::fs::rename(&tmp, db_path)
-            .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))?;
-        sync_parent_dir(db_path);
-        Self::open(db_path, options)
-    }
-
-    /// Builds an index for `tree` fully in memory (tests, small data).
-    pub fn build_in_memory(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
-        let env = StorageEnv::in_memory(options);
-        build_disk_index_with(&env, tree, &xk_index::BuildOptions::default())?;
-        Self::from_env(env)
-    }
-
-    /// [`Engine::build`] with the **segment layout**: postings go into
-    /// one packed XKSEG1 blob under `<db_path>.segments/` instead of
-    /// B+tree posting trees; the structural index (frequency table,
-    /// level table, document) is built as usual. Same crash discipline
-    /// as `build`: both the database file and the blob directory are
-    /// staged under `.building` names and renamed into place only after
-    /// a full flush.
-    ///
-    /// Caveat: rebuilding *over* an existing segmented database replaces
-    /// the db file atomically but swaps the blob directory in two
-    /// renames; a crash exactly between them is repaired by the next
-    /// open only up to orphan deletion, so prefer building to a fresh
-    /// path.
-    // xk-analyze: root(durability_order)
-    pub fn build_segmented(
-        tree: &XmlTree,
-        db_path: impl AsRef<Path>,
-        options: EnvOptions,
-        store_document: bool,
-    ) -> Result<Engine> {
-        let db_path = db_path.as_ref();
-        let mut tmp = db_path.as_os_str().to_os_string();
-        tmp.push(".building");
-        let tmp = PathBuf::from(tmp);
-        let tmp_seg = default_segments_dir(&tmp);
-        // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-        let _ = std::fs::remove_file(&tmp);
-        // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-        let _ = std::fs::remove_dir_all(&tmp_seg);
-        let built = (|| -> Result<()> {
-            let env = StorageEnv::create(&tmp, options.clone())?;
-            let io = DirSegmentIo::new(&tmp_seg, env.physical_page_size());
-            Self::build_segment_store(&env, tree, &io, store_document)?;
-            env.flush()?;
-            Ok(())
-        })();
-        if let Err(e) = built {
-            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-            let _ = std::fs::remove_file(&tmp);
-            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-            let _ = std::fs::remove_dir_all(&tmp_seg);
+            discard_temps();
             return Err(e);
         }
         let seg_dir = default_segments_dir(db_path);
         // xk-analyze: allow(swallowed_result, reason = "a previous segment directory may not exist; rename below surfaces real failures")
         let _ = std::fs::remove_dir_all(&seg_dir);
         if tmp_seg.exists() {
-            // Absent when the document has no postings (the directory is
-            // created lazily at the first seal).
+            // Absent for the reference layout, and when the document has
+            // no postings (the directory is created at the first seal).
             std::fs::rename(&tmp_seg, &seg_dir)
                 .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))?;
             sync_parent_dir(&seg_dir);
@@ -458,43 +435,64 @@ impl Engine {
         Self::open(db_path, options)
     }
 
+    /// [`Engine::build`] fully in memory (tests, small data): the same
+    /// read-only reference layout.
+    pub fn build_in_memory(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
+        let env = StorageEnv::in_memory(options);
+        build_disk_index(&env, tree, &BuildOptions::default())?;
+        Self::from_env(env)
+    }
+
+    /// [`Engine::build`] with the **segment layout** — the one that
+    /// serves and grows: postings go into one packed XKSEG1 blob under
+    /// `<db_path>.segments/` instead of B+tree posting trees; the
+    /// structural index (level table, document) is built as usual and
+    /// its posting trees stay empty. Same crash discipline
+    /// as `build`: both the database file and the blob directory are
+    /// staged under `.building` names and renamed into place only after
+    /// a full flush.
+    ///
+    /// Caveat: rebuilding *over* an existing segmented database replaces
+    /// the db file atomically but swaps the blob directory in two
+    /// renames; a crash exactly between them is repaired by the next
+    /// open only up to orphan deletion, so prefer building to a fresh
+    /// path.
+    pub fn build_segmented(
+        tree: &XmlTree,
+        db_path: impl AsRef<Path>,
+        options: EnvOptions,
+        store_document: bool,
+    ) -> Result<Engine> {
+        Self::build_staged(db_path.as_ref(), options, |env, blob_dir| {
+            let io = DirSegmentIo::new(blob_dir, env.physical_page_size());
+            Self::build_segment_store_with(env, tree, &io, store_document)
+        })
+    }
+
     /// [`Engine::build_in_memory`] with the segment layout (blobs live in
     /// a [`MemSegmentIo`]).
     pub fn build_in_memory_segmented(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
         let env = StorageEnv::in_memory(options);
         let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-        Self::build_segment_store(&env, tree, io.as_ref(), true)?;
+        Self::build_segment_store_with(&env, tree, io.as_ref(), true)?;
         Self::from_parts(env, None, Some(io))
     }
 
     /// Seeds a caller-supplied environment/blob store with the segmented
-    /// layout without constructing an engine: crash and fault-injection
-    /// tests own both halves and reopen them later through
-    /// [`Engine::open_durable_with_pagers_and_io`].
+    /// layout without constructing an engine — the shared core of the
+    /// segmented builds, and what crash and fault-injection tests call
+    /// when they own both halves and reopen them later through
+    /// [`Engine::open_durable_with_pagers`]: structural index with
+    /// postings disabled, the full posting set sealed as segment 1, and
+    /// the [`SegExt`] recorded in the index's extension region.
+    // xk-analyze: root(durability_order)
     pub fn build_segment_store_with(
         env: &StorageEnv,
         tree: &XmlTree,
         io: &dyn SegmentIo,
         store_document: bool,
     ) -> Result<()> {
-        Self::build_segment_store(env, tree, io, store_document)
-    }
-
-    /// Shared core of the segmented builds: structural index with
-    /// postings disabled, the full posting set sealed as segment 1, and
-    /// the [`SegExt`] recorded in the index's extension region.
-    // xk-analyze: root(durability_order)
-    fn build_segment_store(
-        env: &StorageEnv,
-        tree: &XmlTree,
-        io: &dyn SegmentIo,
-        store_document: bool,
-    ) -> Result<()> {
-        build_disk_index_with(
-            env,
-            tree,
-            &xk_index::BuildOptions { store_document, index_postings: false, ..Default::default() },
-        )?;
+        build_disk_index(env, tree, &BuildOptions { store_document, index_postings: false })?;
         let lists: BTreeMap<String, Vec<Dewey>> =
             xk_index::MemIndex::build(tree).into_sorted_lists().into_iter().collect();
         let ext = if lists.is_empty() {
@@ -509,10 +507,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Opens an existing index file **without** a write-ahead log.
-    /// Appends are still transactional (atomic in memory and on a clean
-    /// flush) but a crash between commit and flush loses them; use
-    /// [`Engine::open_durable`] for crash durability.
+    /// Opens an existing index file (either layout) **without** a
+    /// write-ahead log. Appends are still transactional (atomic in memory
+    /// and on a clean flush) but a crash between commit and flush loses
+    /// them; use [`Engine::open_durable`] for crash durability.
     pub fn open(db_path: impl AsRef<Path>, options: EnvOptions) -> Result<Engine> {
         let db_path = db_path.as_ref();
         let env = StorageEnv::open(db_path, options)?;
@@ -559,40 +557,21 @@ impl Engine {
         Ok((engine, report))
     }
 
-    /// [`Engine::open_durable`] over caller-supplied pagers (crash and
-    /// fault-injection tests drive this with [`xk_storage::FaultPager`]
-    /// or shared [`xk_storage::MemPager`]s).
-    pub fn open_durable_with_pagers(
-        db: Arc<dyn Pager>,
-        wal: Arc<dyn Pager>,
-        pool_pages: usize,
-        durability: DurabilityOptions,
-    ) -> Result<(Engine, RecoveryReport)> {
-        let report = xk_storage::recover(&*db, &*wal)?;
-        let mut env = StorageEnv::open_with_pager(Box::new(db), pool_pages)?;
-        let attached = Wal::open_or_reinit(wal, env.physical_page_size() as u32)?;
-        env.attach_wal(attached)?;
-        let engine = Self::from_parts(env, Some(durability), None)?;
-        Ok((engine, report))
-    }
-
-    /// Wraps an already-constructed storage environment (tests and tools
-    /// that build their index over a custom [`Pager`], e.g. a fault
-    /// injector). The environment must already hold a built index.
+    /// Wraps an already-constructed storage environment holding the
+    /// read-only reference layout (tests and tools that
+    /// [`build_disk_index`] over a custom [`Pager`], e.g. a fault
+    /// injector).
     pub fn from_env(env: StorageEnv) -> Result<Engine> {
         Self::from_parts(env, None, None)
     }
 
-    /// [`Engine::from_env`] for a **segmented** environment: `io` is the
-    /// blob store the index's segment manifest refers to.
-    pub fn from_env_with_io(env: StorageEnv, io: Arc<dyn SegmentIo>) -> Result<Engine> {
-        Self::from_parts(env, None, Some(io))
-    }
-
-    /// [`Engine::open_durable_with_pagers`] for a segmented database:
-    /// `io` supplies the segment blobs (fault-injection tests drive this
-    /// with [`xk_segment::FaultSegmentIo`]).
-    pub fn open_durable_with_pagers_and_io(
+    /// [`Engine::open_durable`] over caller-supplied pagers and blob
+    /// store (crash and fault-injection tests drive this with
+    /// [`xk_storage::FaultPager`], shared [`xk_storage::MemPager`]s and
+    /// [`xk_segment::FaultSegmentIo`]). `io` must be the store the
+    /// database was seeded with ([`Engine::build_segment_store_with`]),
+    /// shared across reopens.
+    pub fn open_durable_with_pagers(
         db: Arc<dyn Pager>,
         wal: Arc<dyn Pager>,
         pool_pages: usize,
@@ -683,18 +662,9 @@ impl Engine {
             index_epoch,
             document: Mutex::new(None),
             append_lock: Mutex::new(()),
-            version: AtomicU64::new(0),
             durability,
             segments,
         })
-    }
-
-    /// A counter that changes whenever the indexed data changes (every
-    /// successful [`Engine::append_subtree`]). Cache entries tagged with
-    /// an older version must be discarded. For scoped invalidation use
-    /// the epochs in [`QueryOutcome::epoch`] / [`AppendOutcome`] instead.
-    pub fn data_version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 
     /// The committed epoch — advances on every commit.
@@ -726,6 +696,23 @@ impl Engine {
         }
     }
 
+    /// Every keyword with its frequency, in keyword order, from whichever
+    /// layout holds the postings (tools: `xksearch stats`).
+    pub fn vocabulary(&self) -> Vec<(String, u64)> {
+        let (index, _pin) = self.read_view();
+        let mut freq: BTreeMap<&str, u64> = BTreeMap::new();
+        let seg = self.segments.as_ref().map(|s| s.snapshot());
+        match seg.as_deref() {
+            Some(s) => {
+                for (k, f) in s.sealed.iter().flat_map(|r| r.keywords()).chain(s.mem.keywords()) {
+                    *freq.entry(k).or_default() += f;
+                }
+            }
+            None => freq.extend(index.keywords()),
+        }
+        freq.into_iter().map(|(k, f)| (k.to_string(), f)).collect()
+    }
+
     /// Runs `f` against the storage environment (for cache control and
     /// I/O statistics in experiments).
     pub fn with_env<R>(&self, f: impl FnOnce(&StorageEnv) -> R) -> R {
@@ -752,8 +739,9 @@ impl Engine {
         self.index().ranked_list(self.env.clone(), keyword)
     }
 
-    /// Drains `keyword`'s full posting chain (B+tree part, sealed
-    /// segments, mem segment) through the exact [`StreamList`] adapter
+    /// Drains `keyword`'s full posting chain (the B+tree list, or the
+    /// sealed segments then the mem segment) through the exact
+    /// [`StreamList`] adapter
     /// the algorithms consume. `Ok(None)` when the keyword is absent.
     /// The differential tests compare this across layouts element for
     /// element.
@@ -772,12 +760,7 @@ impl Engine {
             out.push(d);
         }
         drop(pin);
-        if let Some(e) = qenv.take_error() {
-            return Err(e.into());
-        }
-        if let Some(e) = slot.take() {
-            return Err(EngineError::Segment(e));
-        }
+        take_list_errors(&qenv, &slot)?;
         Ok(Some(out))
     }
 
@@ -800,12 +783,7 @@ impl Engine {
         drop(index);
         let pair = (ranked.rm(at), ranked.lm(at));
         drop(pin);
-        if let Some(e) = qenv.take_error() {
-            return Err(e.into());
-        }
-        if let Some(e) = slot.take() {
-            return Err(EngineError::Segment(e));
-        }
+        take_list_errors(&qenv, &slot)?;
         Ok(Some(pair))
     }
 
@@ -852,16 +830,14 @@ impl Engine {
         // because the snapshot pin (held to the end) serves pre-images,
         // and segment adapters hold `Arc`s into immutable blobs/views.
         //
-        // Every adapter is a chain over the keyword's sources (B+tree
-        // part, sealed segments, mem segment); for a pure B+tree or a
-        // single sealed segment the chain degenerates to the sole part.
-        // On the B+tree side each non-smallest list holds one anchored
-        // cursor for the whole candidate loop: the probes are
-        // near-sorted, so most lm/rm pairs resolve inside the pinned
-        // leaf, and Scan Eager's sorted witness stream degenerates them
-        // into leaf-chain hops — the paper's sequential scans — without
-        // a separate scanning code path. Segment parts answer the same
-        // probes from the skip table plus at most one decoded block.
+        // In the segment layout every adapter is a chain over the
+        // keyword's sources (sealed segments, then the mem segment); the
+        // reference layout has exactly one source, the B+tree list.
+        // There each non-smallest list holds one anchored cursor for the
+        // whole candidate loop: the probes are near-sorted, so most
+        // lm/rm pairs resolve inside the pinned leaf or a leaf-chain hop
+        // away. Segment parts answer the same probes from the skip table
+        // plus at most one decoded block.
         let slot = ErrorSlot::new();
         let sg = seg.as_deref();
         let mut s1_stream: Option<Box<dyn StreamList>> = None;
@@ -916,16 +892,7 @@ impl Engine {
             // xk-analyze: allow(panic_path, reason = "resolve() never returns Auto")
             Algorithm::Auto => unreachable!("resolved above"),
         };
-        // The list traits are infallible, so disk adapters report storage
-        // failures by poisoning the shared env (segment adapters their
-        // error slot); a poisoned run produced a truncated (wrong) answer
-        // and must error out instead.
-        if let Some(e) = qenv.take_error() {
-            return Err(e.into());
-        }
-        if let Some(e) = slot.take() {
-            return Err(EngineError::Segment(e));
-        }
+        take_list_errors(&qenv, &slot)?;
         drop(pin);
 
         let io = qenv.with(|e| e.stats()).delta_since(&io_before);
@@ -979,12 +946,7 @@ impl Engine {
             owned.iter_mut().map(|l| l as &mut dyn RankedList).collect();
         let mut lcas = Vec::new();
         let stats = all_lcas(s1.as_mut(), &mut refs, |d, k| lcas.push((d, k)));
-        if let Some(e) = qenv.take_error() {
-            return Err(e.into());
-        }
-        if let Some(e) = slot.take() {
-            return Err(EngineError::Segment(e));
-        }
+        take_list_errors(&qenv, &slot)?;
         drop(pin);
         lcas.sort_by(|a, b| a.0.cmp(&b.0));
         let io = qenv.with(|e| e.stats()).delta_since(&io_before);
@@ -1061,7 +1023,11 @@ impl Engine {
 
     /// Appends an XML fragment as the new last child of `parent` and
     /// indexes it incrementally — the log-structured growth model of a
-    /// bibliography (new papers arrive at the end).
+    /// bibliography (new papers arrive at the end). The new postings go
+    /// to the segment store ([`Engine::seg_apply`]), the only layout
+    /// that accepts writes: an engine over the read-only reference
+    /// layout returns [`EngineError::ReadOnlyLayout`] without touching
+    /// a page.
     ///
     /// The append is **atomic**: it runs as a storage transaction whose
     /// touched pages are undo-logged (and, on a durable engine,
@@ -1075,12 +1041,9 @@ impl Engine {
     ///
     /// * `parent` must be an element on the document's **rightmost
     ///   root-to-leaf path**, so every new node follows every indexed
-    ///   node in document order (keyword lists stay sorted and can be
-    ///   extended in place);
-    /// * the index must embed its document (`store_document = true`);
-    /// * the index must have been built with level-table headroom
-    ///   ([`xk_index::BuildOptions`]) wide enough for the new ordinals —
-    ///   otherwise a codec error is returned and nothing changes.
+    ///   node in document order (each keyword's segment parts stay
+    ///   id-disjoint and time-ordered);
+    /// * the index must embed its document (`store_document = true`).
     ///
     /// On a durable engine the call returns once the commit record is
     /// fsynced (inline under [`CommitMode::SyncEachCommit`], at the next
@@ -1091,6 +1054,9 @@ impl Engine {
     pub fn append_subtree(&self, parent: &Dewey, fragment_xml: &str) -> Result<AppendOutcome> {
         use xk_xmltree::NodeId;
 
+        let Some(seg) = self.segments.as_ref() else {
+            return Err(EngineError::ReadOnlyLayout);
+        };
         let append_guard = lock(&self.append_lock);
         let mut doc_slot = lock(&self.document);
         self.ensure_document(&mut doc_slot)?;
@@ -1143,19 +1109,12 @@ impl Engine {
         // up aborting, it is deleted below rather than lingering as an
         // orphan until the next open.
         let mut orphan: Option<u64> = None;
-        let applied = (|| -> Result<(Vec<String>, Option<SegUpdate>)> {
-            let (touched, seg_update) = match self.segments.as_ref() {
-                Some(seg) => {
-                    let (touched, update) =
-                        self.seg_apply(seg, &mut scratch, &added, &mut orphan)?;
-                    (touched, Some(update))
-                }
-                None => (self.env.with(|e| scratch.append_nodes(e, &added))?, None),
-            };
+        let applied = (|| -> Result<(Vec<String>, SegUpdate)> {
+            let touched_and_update = self.seg_apply(seg, &mut scratch, &added, &mut orphan)?;
             // Keep the embedded document in sync for rendering and
             // reopening.
             self.env.with(|e| scratch.store_document(e, doc))?;
-            Ok((touched, seg_update))
+            Ok(touched_and_update)
         })();
         let abort = |doc_slot: &mut Option<XmlTree>| -> Result<()> {
             // Roll back: the undo log restores every touched page,
@@ -1167,13 +1126,13 @@ impl Engine {
             // open retries orphan cleanup).
             *doc_slot = None;
             self.env.with(|env| env.abort_txn())?;
-            if let (Some(seg), Some(seq)) = (self.segments.as_ref(), orphan) {
+            if let Some(seq) = orphan {
                 // xk-analyze: allow(swallowed_result, reason = "orphan blob cleanup is best-effort; the next open retries it")
                 let _ = seg.io.delete(seq);
             }
             Ok(())
         };
-        let (touched, seg_update) = match applied {
+        let (touched, update) = match applied {
             Ok(v) => v,
             Err(e) => {
                 abort(&mut doc_slot)?;
@@ -1197,36 +1156,25 @@ impl Engine {
             let mut w = self.index.write().unwrap_or_else(|e| e.into_inner());
             *w = scratch;
             self.index_epoch.store(commit.epoch, Ordering::Release);
-            if let (Some(seg), Some(update)) = (self.segments.as_ref(), seg_update) {
-                // Published inside the index write-lock section so a
-                // reader's (index guard, segment snapshot) pair is always
-                // epoch-consistent.
-                // xk-analyze: allow(lock_order, reason = "intentional nesting: index write lock then segment ext/mem/snapshot locks; readers nest index read then snapshot read — same order, no inversion")
-                *lock(&seg.ext) = update.ext;
-                *lock(&seg.mem) = update.mem;
-                *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = update.snapshot;
-            }
+            // Published inside the index write-lock section so a
+            // reader's (index guard, segment snapshot) pair is always
+            // epoch-consistent.
+            // xk-analyze: allow(lock_order, reason = "intentional nesting: index write lock then segment ext/mem/snapshot locks; readers nest index read then snapshot read — same order, no inversion")
+            *lock(&seg.ext) = update.ext;
+            *lock(&seg.mem) = update.mem;
+            *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = update.snapshot;
         }
-        self.version.fetch_add(1, Ordering::Release);
         drop(doc_slot);
         drop(append_guard);
 
-        // Durability wait, outside the append lock: appends that commit
-        // while we wait share the next fsync (group commit).
-        match self.durability.as_ref().map(|d| d.mode) {
-            Some(CommitMode::SyncEachCommit) => {
-                self.env.with(|e| e.sync_wal())?;
-            }
-            Some(CommitMode::GroupCommit) => {
-                self.env.with(|e| e.wait_wal_durable(commit.lsn))?;
-            }
-            None => {}
-        }
+        // Outside the append lock: appends that commit while we wait
+        // share the next fsync (group commit).
+        self.wait_durable(commit.lsn)?;
         Ok(AppendOutcome { root, epoch: commit.epoch, touched })
     }
 
-    /// Applies one append batch to the segment store (instead of the
-    /// B+tree posting trees). The postings are absorbed into a copy of
+    /// Applies one append batch to the segment store — the engine's one
+    /// posting-write path. The postings are absorbed into a copy of
     /// the mem segment and journaled; past the seal threshold the grown
     /// mem segment is instead sealed into the next packed blob and the
     /// manifest rewritten. All storage writes run inside the caller's
@@ -1323,6 +1271,20 @@ impl Engine {
         Ok((touched, SegUpdate { mem, snapshot, ext: ext1 }))
     }
 
+    /// Blocks until the commit record at `lsn` is on stable storage:
+    /// an inline fsync under [`CommitMode::SyncEachCommit`], the next
+    /// group-commit flush otherwise; immediate without a WAL.
+    fn wait_durable(&self, lsn: u64) -> Result<()> {
+        match self.durability.as_ref().map(|d| d.mode) {
+            Some(CommitMode::SyncEachCommit) => {
+                self.env.with(|e| e.sync_wal())?;
+            }
+            Some(CommitMode::GroupCommit) => self.env.with(|e| e.wait_wal_durable(lsn))?,
+            None => {}
+        }
+        Ok(())
+    }
+
     /// Folds the earliest eligible run of small adjacent segments into
     /// one (size-tiered policy, [`xk_segment::plan_merge`]). Returns
     /// `Ok(None)` when no run qualifies or the engine has no segment
@@ -1395,7 +1357,6 @@ impl Engine {
                     *lock(&seg.ext) = ext1;
                     *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
                 }
-                // No data_version bump: a merge changes no answers.
                 // Retired inputs are now unreferenced by the committed
                 // manifest; live readers keep them readable via their
                 // open handles.
@@ -1412,15 +1373,7 @@ impl Engine {
                 return Err(e);
             }
         };
-        match self.durability.as_ref().map(|d| d.mode) {
-            Some(CommitMode::SyncEachCommit) => {
-                self.env.with(|e| e.sync_wal())?;
-            }
-            Some(CommitMode::GroupCommit) => {
-                self.env.with(|e| e.wait_wal_durable(commit.lsn))?;
-            }
-            None => {}
-        }
+        self.wait_durable(commit.lsn)?;
         Ok(Some(CompactOutcome {
             merged: run,
             seq,
@@ -1547,9 +1500,24 @@ fn seal_blob(
     })
 }
 
+/// The list traits are infallible, so adapters report failures out of
+/// band: disk lists poison the query's env fork, segment lists fill its
+/// error slot. Either means the run produced a truncated (wrong) answer
+/// and must error out instead.
+fn take_list_errors(qenv: &SharedEnv, slot: &ErrorSlot) -> Result<()> {
+    if let Some(e) = qenv.take_error() {
+        return Err(e.into());
+    }
+    match slot.take() {
+        Some(e) => Err(EngineError::Segment(e)),
+        None => Ok(()),
+    }
+}
+
 /// Normalizes, validates, and frequency-orders the query keywords
-/// against `index` plus (in segment mode) the segment snapshot. Returns
-/// `None` if any keyword occurs in no source (empty result).
+/// against the layout's frequency source: the segment snapshot when
+/// there is one, else `index`'s vocabulary. Returns `None` if any
+/// keyword has no postings (empty result).
 fn prepare(
     index: &DiskIndex,
     seg: Option<&SegSnapshot>,
@@ -1568,11 +1536,12 @@ fn prepare(
     }
     let mut with_freq = Vec::with_capacity(normalized.len());
     for k in normalized {
-        let mut freq = index.frequency(&k);
-        if let Some(s) = seg {
-            freq += s.sealed.iter().map(|r| r.frequency(&k)).sum::<u64>();
-            freq += s.mem.frequency(&k);
-        }
+        let freq = match seg {
+            Some(s) => {
+                s.sealed.iter().map(|r| r.frequency(&k)).sum::<u64>() + s.mem.frequency(&k)
+            }
+            None => index.frequency(&k),
+        };
         if freq == 0 {
             return Ok(None); // a keyword with no occurrences
         }
@@ -1583,12 +1552,12 @@ fn prepare(
     Ok(Some(with_freq.into_iter().unzip()))
 }
 
-/// Chains every source of `keyword`'s postings — B+tree index, sealed
-/// segments in seal order, then the mem segment — into one
-/// [`RankedList`]. The sources are id-disjoint and time-ordered (the
-/// engine's tail-append invariant), so a probe touches at most one
-/// part; a single-source keyword skips the chain (and its min probe)
-/// entirely. `None` when no source holds the keyword.
+/// `keyword`'s postings as one [`RankedList`]. A keyword has exactly one
+/// kind of source: the anchored B+tree list in the reference layout, or
+/// — with a segment snapshot — the sealed segments in seal order then
+/// the mem segment, chained. Segment parts are id-disjoint and
+/// time-ordered (the engine's tail-append invariant), so a probe touches
+/// at most one. `None` when the keyword has no postings.
 fn ranked_chain(
     index: &DiskIndex,
     qenv: &SharedEnv,
@@ -1596,44 +1565,33 @@ fn ranked_chain(
     keyword: &str,
     slot: &ErrorSlot,
 ) -> Option<Box<dyn RankedList>> {
-    let disk = index.ranked_list(qenv.clone(), keyword).map(|l| l.anchored());
-    let mut seg_parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
-    if let Some(s) = seg {
-        for r in &s.sealed {
-            // The skip table carries each keyword's minimum, so sealed
-            // parts cost no I/O to tag.
-            if let (Some(min), Some(list)) =
-                (r.min_dewey(keyword), r.ranked_list(keyword, slot.clone()))
-            {
-                seg_parts.push((min.clone(), Box::new(list)));
-            }
-        }
-        if let Some(l) = s.mem.list(keyword) {
-            if let Some(min) = l.first() {
-                seg_parts.push((min.clone(), Box::new(ArcList::new(Arc::clone(l)))));
-            }
+    let Some(s) = seg else {
+        let list = index.ranked_list(qenv.clone(), keyword)?.anchored();
+        return Some(Box::new(list));
+    };
+    let mut parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
+    for r in &s.sealed {
+        // The skip table carries each keyword's minimum, so sealed
+        // parts cost no I/O to tag.
+        if let (Some(min), Some(list)) =
+            (r.min_dewey(keyword), r.ranked_list(keyword, slot.clone()))
+        {
+            parts.push((min.clone(), Box::new(list)));
         }
     }
-    match (disk, seg_parts.is_empty()) {
-        (Some(d), true) => Some(Box::new(d)),
-        (None, true) => None,
-        (disk, false) => {
-            let mut parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
-            if let Some(mut d) = disk {
-                // Hybrid only (a B+tree index that later grew segments):
-                // one probe fetches the disk part's minimum.
-                if let Some(min) = d.rm(&Dewey::root()) {
-                    parts.push((min, Box::new(d)));
-                }
-            }
-            parts.extend(seg_parts);
-            Some(Box::new(ChainedRankedList::new(parts)))
+    if let Some(l) = s.mem.list(keyword) {
+        if let Some(min) = l.first() {
+            parts.push((min.clone(), Box::new(ArcList::new(Arc::clone(l)))));
         }
     }
+    if parts.is_empty() {
+        return None;
+    }
+    Some(Box::new(ChainedRankedList::new(parts)))
 }
 
-/// [`ranked_chain`]'s streaming twin: concatenates the same sources
-/// front to back as one [`StreamList`].
+/// [`ranked_chain`]'s streaming twin: the same sources front to back as
+/// one [`StreamList`].
 fn stream_chain(
     index: &DiskIndex,
     qenv: &SharedEnv,
@@ -1641,24 +1599,21 @@ fn stream_chain(
     keyword: &str,
     slot: &ErrorSlot,
 ) -> Option<Box<dyn StreamList>> {
+    let Some(s) = seg else {
+        let list = index.stream_list(qenv.clone(), keyword)?;
+        return (!list.is_empty()).then(|| Box::new(list) as Box<dyn StreamList>);
+    };
     let mut parts: Vec<Box<dyn StreamList>> = Vec::new();
-    if let Some(d) = index.stream_list(qenv.clone(), keyword) {
-        if !d.is_empty() {
-            parts.push(Box::new(d));
+    for r in &s.sealed {
+        if let Some(list) = r.stream_list(keyword, slot.clone()) {
+            if !list.is_empty() {
+                parts.push(Box::new(list));
+            }
         }
     }
-    if let Some(s) = seg {
-        for r in &s.sealed {
-            if let Some(list) = r.stream_list(keyword, slot.clone()) {
-                if !list.is_empty() {
-                    parts.push(Box::new(list));
-                }
-            }
-        }
-        if let Some(l) = s.mem.list(keyword) {
-            if !l.is_empty() {
-                parts.push(Box::new(ArcList::new(Arc::clone(l))));
-            }
+    if let Some(l) = s.mem.list(keyword) {
+        if !l.is_empty() {
+            parts.push(Box::new(ArcList::new(Arc::clone(l))));
         }
     }
     match parts.len() {
@@ -1730,6 +1685,15 @@ mod tests {
 
     fn engine() -> Engine {
         Engine::build_in_memory(
+            &school_example(),
+            EnvOptions { page_size: 512, pool_pages: 256 },
+        )
+        .unwrap()
+    }
+
+    /// The segment layout over the same document — the one that grows.
+    fn seg_engine() -> Engine {
+        Engine::build_in_memory_segmented(
             &school_example(),
             EnvOptions { page_size: 512, pool_pages: 256 },
         )
@@ -1883,7 +1847,7 @@ mod tests {
 
     #[test]
     fn append_subtree_is_searchable_with_every_algorithm() {
-        let e = engine();
+        let e = seg_engine();
         // A new class at the document tail where John and Ben meet again.
         let outcome = e
             .append_subtree(
@@ -1912,13 +1876,14 @@ mod tests {
         let xml = e.render_subtree(&d("4")).unwrap();
         assert!(xml.contains("CS4A"), "{xml}");
         // Frequencies moved.
-        assert_eq!(e.index().frequency("john"), 5);
-        assert_eq!(e.index().frequency("cs4a"), 1);
+        let hit = e.query(&["john", "cs4a"], Algorithm::Auto).unwrap();
+        assert_eq!(hit.keywords, vec!["cs4a", "john"]);
+        assert_eq!(hit.frequencies, vec![1, 5]);
     }
 
     #[test]
     fn append_deeper_on_rightmost_path() {
-        let e = engine();
+        let e = seg_engine();
         // The rightmost path runs through the last class (Dewey 3); its
         // lecturer element is NOT on it, but class 3 itself is.
         let added = e
@@ -1931,7 +1896,7 @@ mod tests {
 
     #[test]
     fn append_rejects_non_tail_positions() {
-        let e = engine();
+        let e = seg_engine();
         // Class 0 is not on the rightmost path.
         let err = e.append_subtree(&d("0"), "<x>y</x>").unwrap_err();
         assert!(err.to_string().contains("rightmost"), "{err}");
@@ -1948,46 +1913,8 @@ mod tests {
     }
 
     #[test]
-    fn repeated_appends_accumulate_until_headroom_runs_out() {
-        let e = engine();
-        // The school root has 4 children (2 bits); the default 2 bits of
-        // headroom allow ordinals up to 15, i.e. 12 appended children.
-        for i in 0..12 {
-            e.append_subtree(
-                &Dewey::root(),
-                &format!("<project><title>p{i}</title><member>John</member><member>Ben</member></project>"),
-            )
-            .unwrap();
-        }
-        let out = e.query(&["John", "Ben"], Algorithm::IndexedLookupEager).unwrap();
-        assert_eq!(out.slcas.len(), 3 + 12);
-        // Results are still in document order.
-        let mut sorted = out.slcas.clone();
-        sorted.sort();
-        assert_eq!(out.slcas, sorted);
-
-        // The 13th append exceeds the level width, fails cleanly, and the
-        // transaction abort leaves the index exactly as committed.
-        let err = e.append_subtree(&Dewey::root(), "<overflow/>").unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
-        let again = e.query(&["John", "Ben"], Algorithm::Stack).unwrap();
-        assert_eq!(again.slcas.len(), 3 + 12, "failed append must not corrupt");
-    }
-
-    #[test]
-    fn data_version_tracks_appends() {
-        let e = engine();
-        assert_eq!(e.data_version(), 0);
-        e.append_subtree(&Dewey::root(), "<memo>hello</memo>").unwrap();
-        assert_eq!(e.data_version(), 1);
-        // Failed appends leave the version alone.
-        assert!(e.append_subtree(&d("0"), "<x/>").is_err());
-        assert_eq!(e.data_version(), 1);
-    }
-
-    #[test]
     fn epochs_advance_with_commits() {
-        let e = engine();
+        let e = seg_engine();
         let before = e.query(&["john"], Algorithm::Auto).unwrap().epoch;
         let out = e.append_subtree(&Dewey::root(), "<memo>john</memo>").unwrap();
         assert!(out.epoch > before, "commit publishes a later epoch");
@@ -1997,7 +1924,7 @@ mod tests {
 
     #[test]
     fn queries_run_concurrently_with_appends() {
-        let e = engine();
+        let e = seg_engine();
         std::thread::scope(|s| {
             let eng = &e;
             s.spawn(move || {
@@ -2029,26 +1956,6 @@ mod tests {
     }
 
     #[test]
-    fn appends_persist_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("xk-engine-app-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grow.db");
-        let opts = EnvOptions { page_size: 512, pool_pages: 64 };
-        {
-            let e = Engine::build(&school_example(), &path, opts.clone(), true).unwrap();
-            e.append_subtree(&Dewey::root(), "<memo>John Ben reunion</memo>").unwrap();
-            e.with_env(|env| env.flush()).unwrap();
-        }
-        {
-            let e = Engine::open(&path, opts).unwrap();
-            let out = e.query(&["reunion"], Algorithm::Auto).unwrap();
-            assert_eq!(out.slcas.len(), 1);
-            assert!(e.render_subtree(&out.slcas[0]).unwrap().contains("reunion"));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn persistent_engine_roundtrip() {
         let dir = std::env::temp_dir().join(format!("xk-engine-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -2069,27 +1976,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segmented school database over in-memory pagers plus the blob
+    /// store it references — both survive a simulated crash and are
+    /// handed to every reopen.
+    fn seeded_pagers() -> (Arc<dyn Pager>, Arc<dyn SegmentIo>) {
+        let db = Arc::new(xk_storage::MemPager::new(512));
+        let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
+        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
+        Engine::build_segment_store_with(&env, &school_example(), io.as_ref(), true).unwrap();
+        env.flush().unwrap();
+        (db, io)
+    }
+
     #[test]
     fn durable_append_survives_a_crash() {
         use xk_storage::MemPager;
-        let db: Arc<MemPager> = Arc::new(MemPager::new(512));
-        {
-            let env =
-                StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-            build_disk_index_with(&env, &school_example(), &xk_index::BuildOptions::default())
-                .unwrap();
-            env.flush().unwrap();
-        }
+        let (db, io) = seeded_pagers();
         let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
         let durability = DurabilityOptions {
             mode: CommitMode::SyncEachCommit,
             ..DurabilityOptions::default()
         };
         let (engine, report) = Engine::open_durable_with_pagers(
-            Arc::clone(&db) as Arc<dyn Pager>,
+            Arc::clone(&db),
             Arc::clone(&wal) as Arc<dyn Pager>,
             128,
             durability.clone(),
+            Arc::clone(&io),
         )
         .unwrap();
         assert!(!report.db_was_dirty);
@@ -2103,7 +2016,7 @@ mod tests {
         // the pre-append state and only the WAL carries the commit.
         std::mem::forget(engine);
         let (engine, report) =
-            Engine::open_durable_with_pagers(db, wal, 128, durability).unwrap();
+            Engine::open_durable_with_pagers(db, wal, 128, durability, io).unwrap();
         assert!(report.db_was_dirty, "crash left the write-ahead dirty flag set");
         assert_eq!(report.replayed_txns, 1, "recovery replays the committed append");
         let hit = engine.query(&["phoenix"], Algorithm::Auto).unwrap();
@@ -2113,14 +2026,7 @@ mod tests {
     #[test]
     fn group_commit_batches_are_durable() {
         use xk_storage::MemPager;
-        let db: Arc<MemPager> = Arc::new(MemPager::new(512));
-        {
-            let env =
-                StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-            build_disk_index_with(&env, &school_example(), &xk_index::BuildOptions::default())
-                .unwrap();
-            env.flush().unwrap();
-        }
+        let (db, io) = seeded_pagers();
         let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
         let durability = DurabilityOptions {
             mode: CommitMode::GroupCommit,
@@ -2128,10 +2034,11 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let (engine, _) = Engine::open_durable_with_pagers(
-            Arc::clone(&db) as Arc<dyn Pager>,
+            Arc::clone(&db),
             Arc::clone(&wal) as Arc<dyn Pager>,
             128,
             durability.clone(),
+            Arc::clone(&io),
         )
         .unwrap();
         for i in 0..4 {
@@ -2153,21 +2060,13 @@ mod tests {
         }
         std::mem::forget(engine);
         let (engine, report) =
-            Engine::open_durable_with_pagers(db, wal, 128, durability).unwrap();
+            Engine::open_durable_with_pagers(db, wal, 128, durability, io).unwrap();
         assert_eq!(report.replayed_txns, 4, "all acknowledged appends recover");
         let hit = engine.query(&["batch"], Algorithm::Auto).unwrap();
         assert_eq!(hit.slcas.len(), 4);
     }
 
     // ---- segment-store mode ----
-
-    fn seg_engine() -> Engine {
-        Engine::build_in_memory_segmented(
-            &school_example(),
-            EnvOptions { page_size: 512, pool_pages: 256 },
-        )
-        .unwrap()
-    }
 
     #[test]
     fn segmented_build_answers_like_btree() {
@@ -2247,6 +2146,9 @@ mod tests {
                 let out = e.query(&[kw], Algorithm::Auto).unwrap();
                 assert_eq!(out.slcas.len(), n, "{kw}");
             }
+            // The stored document grew with the index.
+            let out = e.query(&["gamma"], Algorithm::Auto).unwrap();
+            assert!(e.render_subtree(&out.slcas[0]).unwrap().contains("journaled"));
             let report = e.verify_segments().unwrap().unwrap();
             assert!(report.clean(), "{:?}", report.issues);
             assert!(report.journal_postings > 0, "journaled tail was replayed");
@@ -2260,7 +2162,8 @@ mod tests {
         let opts = EnvOptions { page_size: 512, pool_pages: 256 };
         let env = StorageEnv::in_memory(opts);
         let mem_io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-        Engine::build_segment_store(&env, &school_example(), mem_io.as_ref(), true).unwrap();
+        Engine::build_segment_store_with(&env, &school_example(), mem_io.as_ref(), true)
+            .unwrap();
         let fault = Arc::new(FaultSegmentIo::new(mem_io));
         let e = Engine::from_parts(env, None, Some(Arc::clone(&fault) as Arc<dyn SegmentIo>))
             .unwrap();

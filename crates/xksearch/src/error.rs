@@ -20,6 +20,10 @@ pub enum EngineError {
     /// The index was built without an embedded document, so answer
     /// subtrees cannot be rendered.
     NoDocument,
+    /// An append was sent to the bulk-loaded B+tree posting layout
+    /// (`Engine::build`), which is a read-only reference; only the
+    /// segment layout (`Engine::build_segmented`) accepts writes.
+    ReadOnlyLayout,
 }
 
 impl fmt::Display for EngineError {
@@ -33,6 +37,11 @@ impl fmt::Display for EngineError {
             EngineError::NoDocument => {
                 write!(f, "the index was built without an embedded document")
             }
+            EngineError::ReadOnlyLayout => write!(
+                f,
+                "this database uses the read-only B+tree posting layout; \
+                 rebuild it with `xksearch build` (the segment layout) to append"
+            ),
         }
     }
 }

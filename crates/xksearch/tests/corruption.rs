@@ -89,7 +89,11 @@ fn crashed_build_leaves_an_unopenable_file() {
             FaultConfig { torn_write_at: Some(torn_at), seed: torn_at, ..FaultConfig::none() },
         );
         let env = StorageEnv::create_with_pager(Box::new(fault), 64).unwrap();
-        let result = xk_index::build_disk_index(&env, &school_example(), true);
+        let result = xk_index::build_disk_index(
+            &env,
+            &school_example(),
+            &xk_index::BuildOptions::default(),
+        );
         assert!(result.is_err(), "build over a crashing disk must fail (torn at {torn_at})");
         drop(env);
 

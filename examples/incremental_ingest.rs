@@ -3,10 +3,13 @@
 //!
 //! Bibliographies grow at the tail — new papers are appended, existing
 //! entries never move. `Engine::append_subtree` exploits exactly that:
-//! every new node's Dewey id follows every indexed id, so keyword list
-//! chains are extended in place and the composite-key B+tree absorbs
-//! ordinary inserts. Queries see the new content immediately, with any
-//! of the three algorithms.
+//! every new node's Dewey id follows every indexed id, so the new
+//! postings are journaled into the segment store's in-memory segment
+//! (sealed into a packed blob past a threshold) and each keyword's parts
+//! stay in document order. Queries see the new content immediately, with
+//! any of the three algorithms. The database must use the segment layout
+//! (`Engine::build_segmented`, what `xksearch build` writes); the B+tree
+//! layout of `Engine::build` is a read-only reference.
 //!
 //! Run with: `cargo run --example incremental_ingest`
 
@@ -28,11 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
       </dblp>"#;
     let tree = xk_xmltree::parse(seed)?;
     let db = std::env::temp_dir().join("xksearch-ingest-example.db");
-    let _ = std::fs::remove_file(&db);
-    let engine = Engine::build(&tree, &db, EnvOptions::default(), true)?;
+    let engine = Engine::build_segmented(&tree, &db, EnvOptions::default(), true)?;
     println!(
         "day 0: indexed {} keywords, 'keyword'+'search' has {} answers",
-        engine.index().keyword_count(),
+        engine.vocabulary().len(),
         engine.query(&["keyword", "search"], Algorithm::Auto)?.slcas.len()
     );
 
@@ -76,5 +78,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     std::fs::remove_file(&db).ok();
+    std::fs::remove_dir_all(xksearch::default_segments_dir(&db)).ok();
     Ok(())
 }

@@ -1,13 +1,52 @@
-//! Shared plumbing for the long-running soak tests
-//! (`tests/crash_recovery_soak.rs`, `tests/mixed_soak.rs`): seeded
-//! replay and failure reporting.
+//! Shared plumbing for the crash, fault-injection and soak tests under
+//! `tests/`: seeded replay, failure reporting, the page fingerprint the
+//! byte-identity assertions compare, and the in-memory segmented seed
+//! database they all append to.
 //!
 //! Every soak derives its randomness from one base seed. On failure the
 //! harness prints that seed plus the operation schedule that led up to
 //! the panic, and the run can be replayed exactly by exporting
 //! `XK_SOAK_SEED=<seed>`. `XK_SOAK_SMOKE=1` selects the sampled CI tier.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use xk_segment::MemSegmentIo;
+use xk_storage::{MemPager, PageId, Pager, StorageEnv};
+use xksearch::Engine;
+
+/// Seeds a fresh database for `xml` in the segment layout — the one
+/// that accepts appends — over in-memory storage: the pager holding the
+/// index half and the blob store it references. Both outlive any engine
+/// opened over them (`Engine::open_durable_with_pagers`), so a test can
+/// crash one and reopen the same pair.
+pub fn seed_segmented(xml: &str, page: usize, pool: usize) -> (Arc<MemPager>, Arc<MemSegmentIo>) {
+    let db = Arc::new(MemPager::new(page));
+    let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), pool).expect("seed env");
+    let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
+    let tree = xk_xmltree::parse(xml).expect("seed document parses");
+    Engine::build_segment_store_with(&env, &tree, io.as_ref(), true).expect("seed build");
+    env.flush().expect("seed flush");
+    (db, io)
+}
+
+/// Whether `keyword` has any posting in the served index. Probed through
+/// the posting chain: the segment layout keeps no vocabulary in the
+/// structural index.
+pub fn has_postings(engine: &Engine, keyword: &str) -> bool {
+    engine.posting_dump(keyword).expect("posting probe").is_some_and(|l| !l.is_empty())
+}
+
+/// FNV-1a over every page of `p` — a cheap whole-file fingerprint.
+pub fn fingerprint(p: &dyn Pager) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut buf = vec![0u8; p.page_size()];
+    for id in 0..p.page_count() {
+        p.read_page(PageId(id), &mut buf).expect("fingerprint read");
+        for &b in &buf {
+            hash = (hash ^ b as u64).wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    hash
+}
 
 /// The base seed for a soak run: `XK_SOAK_SEED` when set (decimal or
 /// `0x`-prefixed hex), else `default`.

@@ -7,14 +7,18 @@
 //!
 //! Before the clone-mutate-swap append path, a failure after the index
 //! mutation had begun left the in-memory `DiskIndex` (and the cached
-//! document) half-updated; these tests pin the fix.
+//! document) half-updated; these tests pin the fix. The same bar holds
+//! for an append the engine refuses outright: the read-only reference
+//! layout rejects it before a single page is written.
 
 use std::sync::Arc;
 use xk_index::MemIndex;
+use xk_segment::{MemSegmentIo, SegmentIo};
 use xk_slca::brute_force_slca;
 use xk_storage::{FaultConfig, FaultPager, MemPager, Pager, StorageEnv};
 use xk_xmltree::{Dewey, XmlTree};
-use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine};
+use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine, EngineError};
+use xksearch_repro::soak::{fingerprint, has_postings, seed_segmented};
 
 const PAGE: usize = 512;
 
@@ -23,13 +27,11 @@ const SEED: &str = "<log>\
     <entry><tag>alpha</tag><body>delta</body></entry>\
     </log>";
 
-fn seed_db() -> Arc<MemPager> {
-    let db = Arc::new(MemPager::new(PAGE));
-    let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-    let tree = xk_xmltree::parse(SEED).unwrap();
-    xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
-    env.flush().unwrap();
-    db
+/// A fresh segmented seed database plus the blob store it references
+/// (shared across every reopen of that database).
+fn seed_db() -> (Arc<MemPager>, Arc<dyn SegmentIo>) {
+    let (db, io) = seed_segmented(SEED, PAGE, 128);
+    (db, io)
 }
 
 fn sync_each() -> DurabilityOptions {
@@ -69,13 +71,14 @@ fn assert_matches_oracle(engine: &Engine, expected_doc: &str, ctx: &str) {
     }
 }
 
-/// A one-shot read fault fired inside the append (cold buffer pool
-/// forces the B+tree walk to the pager): the append fails, the abort
+/// A one-shot read fault fired inside the append (a cold buffer pool
+/// sends the journal-tail and document-chain reads to the pager): the
+/// append fails, the abort
 /// rolls everything back, queries still match the pre-append oracle,
 /// and the *next* append — storage healthy again — succeeds.
 #[test]
 fn aborted_append_leaves_no_trace_and_recovers() {
-    let db = seed_db();
+    let (db, io) = seed_db();
     let faulted = FaultPager::new(Box::new(Arc::clone(&db)), FaultConfig::none());
     let probe = faulted.probe();
     let wal = Arc::new(MemPager::new(PAGE));
@@ -84,6 +87,7 @@ fn aborted_append_leaves_no_trace_and_recovers() {
         Arc::clone(&wal) as Arc<dyn Pager>,
         8, // tiny pool: appends and queries must actually hit the pager
         sync_each(),
+        io,
     )
     .unwrap();
 
@@ -115,8 +119,8 @@ fn aborted_append_leaves_no_trace_and_recovers() {
                 "round {round}: the armed fault is what killed the append"
             );
             // The poison fragment must be invisible everywhere: the
-            // vocabulary, the query path, and the rendered document.
-            assert_eq!(engine.index().frequency("poison"), 0);
+            // posting chain, the query path, and the rendered document.
+            assert!(!has_postings(&engine, "poison"));
             assert_matches_oracle(&engine, &with_first, "after aborted append");
             assert!(
                 !engine.render_subtree(&Dewey::root()).unwrap().contains("poison"),
@@ -135,7 +139,7 @@ fn aborted_append_leaves_no_trace_and_recovers() {
         .append_subtree(&Dewey::root(), "<entry><tag>zeta</tag><body>alpha</body></entry>")
         .unwrap();
     assert!(out.touched.iter().any(|k| k == "zeta"));
-    assert!(engine.index().frequency("zeta") == 1);
+    assert_eq!(engine.posting_dump("zeta").unwrap().map(|l| l.len()), Some(1));
     let hit = engine.query(&["zeta", "alpha"], Algorithm::Stack).unwrap();
     assert_eq!(hit.slcas.len(), 1, "the post-abort append is queryable");
 }
@@ -154,13 +158,12 @@ fn marker_doc(j: usize) -> String {
 /// visible set IS a prefix (seeing `m1` without `m0` is a torn append).
 fn visible_prefix(engine: &Engine, total: usize, ctx: &str) -> usize {
     let mut j = 0;
-    while j < total && engine.index().frequency(&format!("m{j}")) > 0 {
+    while j < total && has_postings(engine, &format!("m{j}")) {
         j += 1;
     }
     for i in j..total {
-        assert_eq!(
-            engine.index().frequency(&format!("m{i}")),
-            0,
+        assert!(
+            !has_postings(engine, &format!("m{i}")),
             "{ctx}: append {i} visible without its predecessors"
         );
     }
@@ -178,7 +181,7 @@ fn wal_write_failure_yields_a_consistent_prefix() {
     let mut faulted_sites = 0;
     for k in 0..24 {
         let ctx = format!("WAL write fault at op {k}");
-        let db = seed_db();
+        let (db, io) = seed_db();
         let wal_mem = Arc::new(MemPager::new(PAGE));
         let faulted = FaultPager::new(
             Box::new(Arc::clone(&wal_mem)),
@@ -189,6 +192,7 @@ fn wal_write_failure_yields_a_consistent_prefix() {
             Arc::new(faulted) as Arc<dyn Pager>,
             128,
             sync_each(),
+            Arc::clone(&io),
         ) else {
             continue; // the fault killed the WAL attach — covered by the soak
         };
@@ -218,6 +222,7 @@ fn wal_write_failure_yields_a_consistent_prefix() {
             wal_mem as Arc<dyn Pager>,
             128,
             sync_each(),
+            io,
         )
         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
         let j2 = visible_prefix(&reopened, APPENDS, &ctx);
@@ -225,4 +230,38 @@ fn wal_write_failure_yields_a_consistent_prefix() {
         assert_matches_oracle(&reopened, &marker_doc(j2), &format!("{ctx}, recovered"));
     }
     assert!(faulted_sites > 0, "the sweep never actually hit an append");
+}
+
+/// The bulk-loaded B+tree layout is a read-only reference: an append is
+/// refused with `ReadOnlyLayout` before the transaction opens, so not
+/// one database or WAL page changes — not at the pager, and not pending
+/// in the buffer pool either (a flush afterwards writes nothing).
+#[test]
+fn append_to_the_reference_layout_is_rejected_without_a_write() {
+    let db = Arc::new(MemPager::new(PAGE));
+    let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
+    let tree = xk_xmltree::parse(SEED).unwrap();
+    xk_index::build_disk_index(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
+    env.flush().unwrap();
+    drop(env);
+    let wal = Arc::new(MemPager::new(PAGE));
+    let (engine, _) = Engine::open_durable_with_pagers(
+        Arc::clone(&db) as Arc<dyn Pager>,
+        Arc::clone(&wal) as Arc<dyn Pager>,
+        128,
+        sync_each(),
+        Arc::new(MemSegmentIo::new(PAGE)), // never consulted: no segment store
+    )
+    .unwrap();
+    assert!(!engine.segments_enabled());
+    let before = (fingerprint(&*db), fingerprint(&*wal), engine.current_epoch());
+
+    let err = engine
+        .append_subtree(&Dewey::root(), "<entry><tag>poison</tag></entry>")
+        .unwrap_err();
+    assert!(matches!(err, EngineError::ReadOnlyLayout), "{err}");
+    assert_eq!((fingerprint(&*db), fingerprint(&*wal), engine.current_epoch()), before);
+    engine.with_env(|e| e.flush()).unwrap();
+    assert_eq!(fingerprint(&*db), before.0, "no dirty page was waiting in the pool");
+    assert_matches_oracle(&engine, SEED, "after the refused append");
 }

@@ -146,7 +146,8 @@ fn read_fault_poisons_exactly_one_query_in_a_concurrent_batch() {
     );
     let probe = fault.probe();
     let env = StorageEnv::create_with_pager(Box::new(fault), 128).unwrap();
-    xk_index::build_disk_index(&env, &tree, false).unwrap();
+    let no_doc = xk_index::BuildOptions { store_document: false, ..Default::default() };
+    xk_index::build_disk_index(&env, &tree, &no_doc).unwrap();
     let engine = Engine::from_env(env).unwrap();
 
     // Baseline answers with no fault armed.

@@ -20,11 +20,14 @@
 //! `XK_SOAK_SEED=<seed>` replays the exact run.
 
 use std::sync::Arc;
-use xksearch_repro::soak::{smoke, soak_seed, SoakReporter};
+use xksearch_repro::soak::{
+    fingerprint, has_postings, seed_segmented, smoke, soak_seed, SoakReporter,
+};
 use xk_index::MemIndex;
+use xk_segment::SegmentIo;
 use xk_slca::{brute_force_all_lcas, brute_force_slca};
 use xk_storage::{
-    recover, FaultConfig, FaultPager, FaultProbe, MemPager, Pager, StorageEnv,
+    recover, FaultConfig, FaultPager, FaultProbe, MemPager, Pager,
 };
 use xk_xmltree::{Dewey, XmlTree};
 use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine};
@@ -53,14 +56,14 @@ fn reference_tree(j: usize) -> XmlTree {
     xk_xmltree::parse(&xml).expect("reference document parses")
 }
 
-/// A fresh seed database: the index built cleanly over a `MemPager`.
-fn seed_db() -> Arc<MemPager> {
-    let db = Arc::new(MemPager::new(PAGE));
-    let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
-    let tree = xk_xmltree::parse(SEED).unwrap();
-    xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
-    env.flush().unwrap();
-    db
+/// What a crashed workload leaves behind.
+struct Crashed {
+    db: Arc<MemPager>,
+    wal: Arc<MemPager>,
+    io: Arc<dyn SegmentIo>,
+    /// Appends acknowledged (returned `Ok`) before the kill.
+    acked: usize,
+    probe: FaultProbe,
 }
 
 fn sync_each() -> DurabilityOptions {
@@ -69,24 +72,26 @@ fn sync_each() -> DurabilityOptions {
 
 /// Runs the append workload with `config` injected on the WAL pager,
 /// then simulates a kill (`std::mem::forget`, so no checkpoint and no
-/// clean shutdown ever runs). Returns the raw pagers, how many appends
-/// were *acknowledged* (returned `Ok` to the caller), and the fault
-/// probe for op accounting.
-fn run_workload(config: FaultConfig) -> (Arc<MemPager>, Arc<MemPager>, usize, FaultProbe) {
-    let db = seed_db();
-    let wal_mem = Arc::new(MemPager::new(PAGE));
-    let faulted = FaultPager::new(Box::new(Arc::clone(&wal_mem)), config);
+/// clean shutdown ever runs). Returns the raw pagers and blob store,
+/// how many appends were acknowledged, and the fault probe for op
+/// accounting.
+fn run_workload(config: FaultConfig) -> Crashed {
+    let (db, io) = seed_segmented(SEED, PAGE, POOL);
+    let io: Arc<dyn SegmentIo> = io;
+    let wal = Arc::new(MemPager::new(PAGE));
+    let faulted = FaultPager::new(Box::new(Arc::clone(&wal)), config);
     let probe = faulted.probe();
     let (engine, report) = match Engine::open_durable_with_pagers(
         Arc::clone(&db) as Arc<dyn Pager>,
         Arc::new(faulted) as Arc<dyn Pager>,
         POOL,
         sync_each(),
+        Arc::clone(&io),
     ) {
         Ok(opened) => opened,
         // The crash site can land inside the open itself (writing the
         // fresh WAL header): the process "dies" before any append.
-        Err(_) => return (db, wal_mem, 0, probe),
+        Err(_) => return Crashed { db, wal, io, acked: 0, probe },
     };
     assert!(!report.db_was_dirty, "the seed build shut down cleanly");
     let mut acked = 0;
@@ -97,20 +102,7 @@ fn run_workload(config: FaultConfig) -> (Arc<MemPager>, Arc<MemPager>, usize, Fa
         }
     }
     std::mem::forget(engine);
-    (db, wal_mem, acked, probe)
-}
-
-/// FNV-1a over every page — a cheap whole-file fingerprint.
-fn fingerprint(p: &dyn Pager) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut buf = vec![0u8; p.page_size()];
-    for id in 0..p.page_count() {
-        p.read_page(xk_storage::PageId(id), &mut buf).expect("fingerprint read");
-        for &b in &buf {
-            hash = (hash ^ b as u64).wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    hash
+    Crashed { db, wal, io, acked, probe }
 }
 
 fn oracle_slca(tree: &XmlTree, keywords: &[&str]) -> Vec<Dewey> {
@@ -136,7 +128,8 @@ fn oracle_all_lcas(tree: &XmlTree, keywords: &[&str]) -> Vec<Dewey> {
 /// reopens the engine, determines the recovered append prefix from the
 /// per-append markers, and differentials all four algorithms against
 /// the brute-force oracle over that exact document.
-fn verify_recovered(db: Arc<MemPager>, wal: Arc<MemPager>, acked: usize, ctx: &str) {
+fn verify_recovered(crashed: Crashed, ctx: &str) {
+    let Crashed { db, wal, io, acked, .. } = crashed;
     // Replay, then replay again: the second pass re-applies the same
     // images (replay never reads what it overwrites), must find the
     // dirty flag already cleared, and must not change a single byte.
@@ -153,19 +146,20 @@ fn verify_recovered(db: Arc<MemPager>, wal: Arc<MemPager>, acked: usize, ctx: &s
         wal as Arc<dyn Pager>,
         POOL,
         sync_each(),
+        io,
     )
     .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
 
     // The recovered state must be a strict prefix of the append
     // sequence: markers w0..w{j-1} present, w{j}.. absent.
+    let visible = |i: usize| has_postings(&engine, &format!("w{i}"));
     let mut j = 0;
-    while j < APPENDS && engine.index().frequency(&format!("w{j}")) > 0 {
+    while j < APPENDS && visible(j) {
         j += 1;
     }
     for i in j..APPENDS {
-        assert_eq!(
-            engine.index().frequency(&format!("w{i}")),
-            0,
+        assert!(
+            !visible(i),
             "{ctx}: append {i} visible without its predecessors (torn prefix)"
         );
     }
@@ -214,10 +208,10 @@ fn stride(total: u64) -> u64 {
 
 #[test]
 fn fault_free_baseline_recovers_everything() {
-    let (db, wal, acked, probe) = run_workload(FaultConfig::none());
-    assert_eq!(acked, APPENDS, "no faults: every append is acknowledged");
-    assert!(probe.writes() > 0 && probe.syncs() > 0, "the WAL saw traffic");
-    verify_recovered(db, wal, acked, "fault-free baseline");
+    let crashed = run_workload(FaultConfig::none());
+    assert_eq!(crashed.acked, APPENDS, "no faults: every append is acknowledged");
+    assert!(crashed.probe.writes() > 0 && crashed.probe.syncs() > 0, "the WAL saw traffic");
+    verify_recovered(crashed, "fault-free baseline");
 }
 
 #[test]
@@ -226,18 +220,17 @@ fn crash_at_every_wal_write_recovers_a_consistent_prefix() {
     // Replayable: `XK_SOAK_SEED` overrides the per-site seed base.
     let base = soak_seed(0x50AC);
     let reporter = SoakReporter::new("crash_at_every_wal_write", base);
-    let (_, _, _, probe) = run_workload(FaultConfig::none());
-    let total = probe.writes();
+    let total = run_workload(FaultConfig::none()).probe.writes();
     let mut sites = 0;
     let mut partial = 0;
     let mut k = 0;
     while k < total {
         let ctx = format!("torn WAL write at op {k}");
-        let (db, wal, acked, _) =
-            run_workload(FaultConfig::torn_write(k, base ^ k)); // per-site torn-prefix lengths
+        let crashed = run_workload(FaultConfig::torn_write(k, base ^ k)); // per-site torn-prefix lengths
+        let acked = crashed.acked;
         reporter.log(format!("{ctx}: {acked}/{APPENDS} appends acked before the crash"));
         assert!(acked < APPENDS, "{ctx}: the torn write must kill the workload");
-        verify_recovered(db, wal, acked, &ctx);
+        verify_recovered(crashed, &ctx);
         sites += 1;
         if acked > 0 {
             partial += 1;
@@ -253,17 +246,16 @@ fn crash_at_every_wal_write_recovers_a_consistent_prefix() {
 fn crash_at_every_wal_sync_recovers_every_acknowledged_append() {
     let base = soak_seed(0);
     let reporter = SoakReporter::new("crash_at_every_wal_sync", base);
-    let (_, _, _, probe) = run_workload(FaultConfig::none());
-    let total = probe.syncs();
+    let total = run_workload(FaultConfig::none()).probe.syncs();
     let mut k = 0;
     while k < total {
         let ctx = format!("failed WAL sync at op {k}");
-        let (db, wal, acked, _) = run_workload(FaultConfig::failed_sync(k, base ^ k));
-        reporter.log(format!("{ctx}: {acked}/{APPENDS} appends acked before the crash"));
+        let crashed = run_workload(FaultConfig::failed_sync(k, base ^ k));
+        reporter.log(format!("{ctx}: {}/{APPENDS} appends acked before the crash", crashed.acked));
         // A failed sync means the append was *not* acknowledged — but
         // its commit record may still be replayable. Both outcomes are
         // legal; verify_recovered holds `recovered >= acked` either way.
-        verify_recovered(db, wal, acked, &ctx);
+        verify_recovered(crashed, &ctx);
         k += stride(total);
     }
     reporter.finish();

@@ -17,9 +17,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xk_index::MemIndex;
 use xk_slca::{brute_force_all_lcas, brute_force_slca};
-use xk_storage::{MemPager, Pager, StorageEnv};
+use xk_storage::{MemPager, Pager};
 use xk_xmltree::{Dewey, XmlTree};
 use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine};
+use xksearch_repro::soak::seed_segmented;
 
 const PAGE: usize = 512;
 const POOL: usize = 128;
@@ -106,12 +107,7 @@ fn prefix_for_epoch(epochs: &Mutex<HashMap<u64, usize>>, epoch: u64) -> usize {
 #[test]
 fn racing_queries_observe_whole_snapshots_never_blends() {
     // Clean in-memory pagers; fault injection is the mixed soak's job.
-    let db = Arc::new(MemPager::new(PAGE));
-    let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
-    let tree = xk_xmltree::parse(SEED).unwrap();
-    xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
-    env.flush().unwrap();
-    drop(env);
+    let (db, io) = seed_segmented(SEED, PAGE, POOL);
 
     let wal = Arc::new(MemPager::new(PAGE));
     let (engine, _) = Engine::open_durable_with_pagers(
@@ -119,8 +115,13 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
         wal as Arc<dyn Pager>,
         POOL,
         DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() },
+        io,
     )
     .expect("open durable engine");
+    // Each append carries 8 postings: every second one crosses the
+    // threshold, so the racing snapshots alternate between journal-only
+    // and freshly sealed states.
+    engine.set_seal_threshold(12);
 
     let oracles: Vec<PrefixOracle> = (0..=APPENDS).map(prefix_oracle).collect();
     let epochs: Mutex<HashMap<u64, usize>> = Mutex::new(HashMap::new());

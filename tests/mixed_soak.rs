@@ -21,10 +21,10 @@
 //! `XK_SOAK_SMOKE=1` selects the short CI tier. On failure the harness
 //! prints the seed and the op schedule; `XK_SOAK_SEED=<seed>` replays.
 //!
-//! The soak runs twice: once over the posting-B+tree layout and once
-//! over the segment store (aggressive seal threshold, tiered merges
-//! interleaved with the racing readers), so both write paths face the
-//! same fault schedule and oracle discipline.
+//! The engine runs over the segment store — the one layout that
+//! accepts appends — with an aggressive seal threshold and tiered merges
+//! interleaved with the racing readers, so rounds span journal-only,
+//! freshly sealed, and merged states.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,10 +33,12 @@ use std::time::{Duration, Instant};
 use xk_index::MemIndex;
 use xk_segment::{MemSegmentIo, SegmentIo};
 use xk_slca::{brute_force_all_lcas, brute_force_slca};
-use xk_storage::{recover, FaultConfig, FaultPager, MemPager, Pager, StorageEnv};
+use xk_storage::{recover, FaultConfig, FaultPager, MemPager, Pager};
 use xk_xmltree::{Dewey, XmlTree};
 use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine};
-use xksearch_repro::soak::{smoke, soak_seed, SoakReporter};
+use xksearch_repro::soak::{
+    fingerprint, has_postings, seed_segmented, smoke, soak_seed, SoakReporter,
+};
 
 const PAGE: usize = 512;
 const POOL: usize = 128;
@@ -149,60 +151,35 @@ fn sync_each() -> DurabilityOptions {
     DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() }
 }
 
-/// FNV-1a over every page — a cheap whole-file fingerprint.
-fn fingerprint(p: &dyn Pager) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut buf = vec![0u8; p.page_size()];
-    for id in 0..p.page_count() {
-        p.read_page(xk_storage::PageId(id), &mut buf).expect("fingerprint read");
-        for &b in &buf {
-            hash = (hash ^ b as u64).wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    hash
-}
-
-/// Whether `kw` has any posting in the served index. Probed through the
-/// posting chain rather than the vocabulary so it answers identically
-/// for both layouts (the segment layout keeps no postings in the
-/// structural index).
-fn visible(engine: &Engine, kw: &str) -> bool {
-    engine.posting_dump(kw).expect("posting probe").is_some_and(|l| !l.is_empty())
-}
-
 /// Recovered append prefix: markers `w0..w{j-1}` present, the rest
 /// absent (asserted — a gap would be a torn, non-prefix recovery).
 fn recovered_prefix(engine: &Engine, attempted: usize, ctx: &str) -> usize {
     let mut j = 0;
-    while j < attempted && visible(engine, &format!("w{j}")) {
+    while j < attempted && has_postings(engine, &format!("w{j}")) {
         j += 1;
     }
     for i in j..attempted {
         assert!(
-            !visible(engine, &format!("w{i}")),
+            !has_postings(engine, &format!("w{i}")),
             "{ctx}: append {i} visible without its predecessors (torn prefix)"
         );
     }
     j
 }
 
-/// Opens the round's engine over the persistent pagers; segment-mode
-/// soaks also hand over the shared blob store.
+/// Opens the round's engine over the persistent pagers and blob store.
 fn open_engine(
     db: Arc<dyn Pager>,
     wal: Arc<dyn Pager>,
-    io: Option<&Arc<MemSegmentIo>>,
+    io: &Arc<MemSegmentIo>,
 ) -> xksearch::Result<(Engine, xksearch::RecoveryReport)> {
-    match io {
-        Some(io) => Engine::open_durable_with_pagers_and_io(
-            db,
-            wal,
-            POOL,
-            sync_each(),
-            Arc::clone(io) as Arc<dyn SegmentIo>,
-        ),
-        None => Engine::open_durable_with_pagers(db, wal, POOL, sync_each()),
-    }
+    Engine::open_durable_with_pagers(
+        db,
+        wal,
+        POOL,
+        sync_each(),
+        Arc::clone(io) as Arc<dyn SegmentIo>,
+    )
 }
 
 /// Full four-algorithm differential of `engine` against the oracle for
@@ -223,31 +200,17 @@ fn differential(engine: &Engine, oracle: &PrefixOracle, ctx: &str) {
     }
 }
 
-fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
+#[test]
+fn segmented_mixed_soak_holds_oracle_agreement_at_every_epoch() {
     let (rounds, appends_per_round, readers) = if smoke() { (3, 3, 2) } else { (8, 6, 3) };
-    let base = soak_seed(seed_tag);
-    let reporter = SoakReporter::new(tag, base);
+    let base = soak_seed(0x5E63_0AC7);
+    let reporter = SoakReporter::new("mixed_soak_segments", base);
     let oracles = OracleCache::default();
 
     // One persistent database + WAL across every round — recovery has to
     // carry real history forward, not start from a fresh world each time.
-    // Segment soaks persist their blob store the same way.
-    let db = Arc::new(MemPager::new(PAGE));
-    let io = {
-        let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
-        let tree = xk_xmltree::parse(SEED).unwrap();
-        if segmented {
-            let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-            Engine::build_segment_store_with(&env, &tree, io.as_ref(), true).unwrap();
-            env.flush().unwrap();
-            Some(io)
-        } else {
-            xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default())
-                .unwrap();
-            env.flush().unwrap();
-            None
-        }
-    };
+    // The blob store persists the same way.
+    let (db, io) = seed_segmented(SEED, PAGE, POOL);
     let wal = Arc::new(MemPager::new(PAGE));
 
     // Acknowledged appends so far (durability floor) and appends ever
@@ -276,7 +239,7 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
         let engine = match open_engine(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::new(faulted) as Arc<dyn Pager>,
-            io.as_ref(),
+            &io,
         ) {
             Ok((engine, _)) => engine,
             Err(e) => {
@@ -289,11 +252,9 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
             }
         };
 
-        if segmented {
-            // Seal every couple of postings so rounds span journal-only,
-            // freshly sealed, and merged states.
-            engine.set_seal_threshold(2);
-        }
+        // Seal every couple of postings so rounds span journal-only,
+        // freshly sealed, and merged states.
+        engine.set_seal_threshold(2);
 
         // The state carried into this round must itself be a consistent
         // acknowledged prefix.
@@ -368,7 +329,7 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
                         // Interleave tiered merges with the racing
                         // readers: a merge changes no answers but does
                         // publish a new epoch over the same prefix.
-                        if segmented && g.is_multiple_of(2) {
+                        if g.is_multiple_of(2) {
                             match engine.compact_segments() {
                                 Ok(Some(out)) => {
                                     epochs.lock().unwrap().insert(out.epoch, g);
@@ -402,7 +363,7 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
                             .unwrap()
                             .entry(epoch)
                             .or_insert_with(|| {
-                                if visible(&engine, &format!("w{g}")) { g + 1 } else { g }
+                                if has_postings(&engine, &format!("w{g}")) { g + 1 } else { g }
                             });
                         break; // the injected crash: the writer is dead
                     }
@@ -445,7 +406,7 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
         let (engine, _) = open_engine(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::clone(&wal) as Arc<dyn Pager>,
-            io.as_ref(),
+            &io,
         )
         .unwrap_or_else(|e| panic!("round {round}: reopen after recovery failed: {e}"));
         let j = recovered_prefix(&engine, attempted, &format!("round {round} verify"));
@@ -455,19 +416,17 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
         );
         acked_total = j;
         differential(&engine, &oracles.get(j), &format!("round {round} post-recovery"));
-        if segmented {
-            // The reopen swept orphans, so the recovered blob set must
-            // verify fully clean.
-            let report = engine
-                .verify_segments()
-                .unwrap_or_else(|e| panic!("round {round}: segment verify failed: {e}"))
-                .expect("store is segmented");
-            assert!(
-                report.clean(),
-                "round {round}: recovered segment store has issues: {:?}",
-                report.issues
-            );
-        }
+        // The reopen swept orphans, so the recovered blob set must
+        // verify fully clean.
+        let report = engine
+            .verify_segments()
+            .unwrap_or_else(|e| panic!("round {round}: segment verify failed: {e}"))
+            .expect("store is segmented");
+        assert!(
+            report.clean(),
+            "round {round}: recovered segment store has issues: {:?}",
+            report.issues
+        );
         drop(engine); // clean shutdown so the next round starts checkpointed
     }
 
@@ -479,14 +438,4 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
     );
     reporter.log(format!("done: {acked_total} appends acked, {queries} racing queries"));
     reporter.finish();
-}
-
-#[test]
-fn mixed_read_write_soak_holds_oracle_agreement_at_every_epoch() {
-    run_soak("mixed_soak", 0x3515_0AC7, false);
-}
-
-#[test]
-fn segmented_mixed_soak_holds_oracle_agreement_at_every_epoch() {
-    run_soak("mixed_soak_segments", 0x5E63_0AC7, true);
 }

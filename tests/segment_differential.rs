@@ -1,8 +1,11 @@
-//! Differential property test for the segment layout: the same document
-//! and append history, stored once in posting B+trees and once in packed
-//! XKSEG1 segments, must be indistinguishable through **both** list
-//! traits — identical posting streams, identical `rm`/`lm` probe
-//! answers — and through all four algorithms.
+//! Differential property test for the segment layout: a document grown
+//! through `append_subtree` in packed XKSEG1 segments must be
+//! indistinguishable from the **bulk-built B+tree reference** of the
+//! same final document through **both** list traits — identical posting
+//! streams, identical `rm`/`lm` probe answers — and through all four
+//! algorithms. The reference never appends (its layout is read-only): it
+//! is rebuilt from a test-side graft of the fragments, so it shares no
+//! graft/commit code with the side under test.
 //!
 //! The seal threshold is randomized so runs cover every source mix: all
 //! postings journaled in the mem segment, every append sealed into its
@@ -11,7 +14,7 @@
 
 use proptest::prelude::*;
 use xk_storage::EnvOptions;
-use xk_xmltree::{Dewey, NodeId, XmlTree};
+use xk_xmltree::{Dewey, NodeContent, NodeId, XmlTree};
 use xksearch::{Algorithm, Engine};
 
 static WORDS: [&str; 6] = ["apple", "pear", "fig", "kiwi", "plum", "date"];
@@ -34,6 +37,21 @@ fn random_tree() -> impl Strategy<Value = XmlTree> {
             }
             tree
         })
+}
+
+/// Test-side twin of the engine's graft: deep-copies `src` (a parsed
+/// fragment) as the new last child of `parent`, returning the copy's id.
+fn graft(dst: &mut XmlTree, parent: NodeId, src: &XmlTree, node: NodeId) -> NodeId {
+    let new_id = match src.content(node) {
+        NodeContent::Element { tag, attributes } => {
+            dst.append_element_with_attrs(parent, tag.clone(), attributes.clone())
+        }
+        NodeContent::Text(t) => dst.append_text(parent, t.clone()),
+    };
+    for &c in src.children(node) {
+        graft(dst, new_id, src, c);
+    }
+    new_id
 }
 
 /// Random appendable fragment: an element wrapping 1–3 words.
@@ -59,19 +77,29 @@ proptest! {
             eprintln!("tree: {}", xk_xmltree::to_xml_string(&tree, NodeId::ROOT));
         }
         let opts = EnvOptions { page_size: 256, pool_pages: 128 };
-        let bt = Engine::build_in_memory(&tree, opts.clone()).unwrap();
-        let sg = Engine::build_in_memory_segmented(&tree, opts).unwrap();
+        let sg = Engine::build_in_memory_segmented(&tree, opts.clone()).unwrap();
         sg.set_seal_threshold(threshold);
 
+        let mut grown = tree;
         for f in &frags {
-            let a = bt.append_subtree(&Dewey::root(), f).unwrap();
-            let b = sg.append_subtree(&Dewey::root(), f).unwrap();
-            prop_assert_eq!(&a.root, &b.root, "append landed at different ids");
-            prop_assert_eq!(&a.touched, &b.touched, "append touched different keywords");
+            let got = sg.append_subtree(&Dewey::root(), f).unwrap();
+            let new_root =
+                graft(&mut grown, NodeId::ROOT, &xk_xmltree::parse(f).unwrap(), NodeId::ROOT);
+            prop_assert_eq!(&got.root, &grown.dewey(new_root), "append landed at another id");
+            let mut touched: Vec<String> = Vec::new();
+            for n in grown.preorder_from(new_root) {
+                for tok in xk_index::node_tokens(&grown, n) {
+                    if !touched.contains(&tok) {
+                        touched.push(tok);
+                    }
+                }
+            }
+            prop_assert_eq!(&got.touched, &touched, "append touched other keywords");
         }
         if compact {
             while sg.compact_segments().unwrap().is_some() {}
         }
+        let bt = Engine::build_in_memory(&grown, opts).unwrap();
 
         for kw in WORDS {
             // StreamList: the full drained posting sequence.
@@ -82,9 +110,10 @@ proptest! {
             // RankedList: rm/lm pairs probed at the root, at every
             // posting, and just past every posting (first child), which
             // lands between neighbors and exercises block boundaries.
-            // Probes deeper than the level table are unencodable on the
-            // B+tree side (a real algorithm only probes with ids of
-            // actual nodes), so the child probe stays within the cap.
+            // Probes deeper than the (exact-fit) level table are
+            // unencodable on the B+tree side (a real algorithm only
+            // probes with ids of actual nodes), so the child probe stays
+            // within the cap.
             let depth_cap = bt.index().level_table().depth();
             let Some(list) = a else { continue };
             let mut probes = vec![Dewey::root()];

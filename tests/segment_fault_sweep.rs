@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 use xk_index::MemIndex;
-use xk_segment::{FaultSegmentIo, MemSegmentIo, SegmentIo};
+use xk_segment::{FaultSegmentIo, SegmentIo};
 use xk_slca::brute_force_slca;
-use xk_storage::{MemPager, Pager, StorageEnv};
+use xk_storage::{MemPager, Pager};
 use xk_xmltree::{Dewey, XmlTree};
 use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine};
+use xksearch_repro::soak::seed_segmented;
 
 const PAGE: usize = 512;
 const APPENDS: usize = 4;
@@ -23,18 +24,6 @@ const SEED: &str = "<log>\
     <entry><tag>alpha</tag><body>beta gamma</body></entry>\
     <entry><tag>alpha</tag><body>delta</body></entry>\
     </log>";
-
-/// Seeds a fresh segmented database: a MemPager for the index half and a
-/// MemSegmentIo holding the sealed blobs.
-fn seed_segmented() -> (Arc<MemPager>, Arc<MemSegmentIo>) {
-    let db = Arc::new(MemPager::new(PAGE));
-    let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-    let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-    let tree = xk_xmltree::parse(SEED).unwrap();
-    Engine::build_segment_store_with(&env, &tree, io.as_ref(), true).unwrap();
-    env.flush().unwrap();
-    (db, io)
-}
 
 fn sync_each() -> DurabilityOptions {
     DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() }
@@ -120,11 +109,11 @@ fn assert_consistent(engine: &Engine, j: usize, ctx: &str) {
 /// full compaction pass. Returns whether the armed fault actually fired.
 fn sweep_one(k: u64, torn: bool) -> bool {
     let ctx = format!("segment fault at op {k} (torn={torn})");
-    let (db, inner) = seed_segmented();
+    let (db, inner) = seed_segmented(SEED, PAGE, 128);
     let fault =
         Arc::new(FaultSegmentIo::new(Arc::clone(&inner) as Arc<dyn SegmentIo>));
     let wal = Arc::new(MemPager::new(PAGE));
-    let (engine, _) = Engine::open_durable_with_pagers_and_io(
+    let (engine, _) = Engine::open_durable_with_pagers(
         Arc::clone(&db) as Arc<dyn Pager>,
         Arc::clone(&wal) as Arc<dyn Pager>,
         128,
@@ -196,7 +185,7 @@ fn sweep_one(k: u64, torn: bool) -> bool {
     // Crash (no graceful shutdown) and reopen over the healthy backend:
     // recovery lands on a clean, readable store too.
     std::mem::forget(engine);
-    let (reopened, _) = Engine::open_durable_with_pagers_and_io(
+    let (reopened, _) = Engine::open_durable_with_pagers(
         db as Arc<dyn Pager>,
         wal as Arc<dyn Pager>,
         128,
