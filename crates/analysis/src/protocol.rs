@@ -193,19 +193,18 @@ impl ProtocolPasses<'_> {
             let mut site = self.cg.sites[id].iter().peekable();
             for (ev_idx, ev) in f.events.iter().enumerate() {
                 match ev {
-                    Event::Acquire { class, line, .. } => {
+                    Event::Acquire { class, line, .. }
                         if model.lock_is_contended(*class)
-                            && !file.allowed("reactor_blocking", *line)
-                        {
-                            out.push(Finding {
-                                pass: "reactor_blocking",
-                                file: file.path.clone(),
-                                line: *line,
-                                qname: f.qname.clone(),
-                                kind: "contended_lock".into(),
-                                detail: model.lock_classes[*class].label(),
-                            });
-                        }
+                            && !file.allowed("reactor_blocking", *line) =>
+                    {
+                        out.push(Finding {
+                            pass: "reactor_blocking",
+                            file: file.path.clone(),
+                            line: *line,
+                            qname: f.qname.clone(),
+                            kind: "contended_lock".into(),
+                            detail: model.lock_classes[*class].label(),
+                        });
                     }
                     Event::Call { name, chain, line, .. } => {
                         let callees: &[usize] = match site.peek() {

@@ -11,7 +11,10 @@
 //! extraction). `vendor/` stand-ins are included but marked
 //! [`CrateInfo::vendored`]: only the `unsafe_audit` pass looks at them —
 //! their function bodies stay out of the model so call resolution never
-//! aliases workspace names to stand-in stubs.
+//! aliases workspace names to stand-in stubs. Members under a directory
+//! the root `BENCHMARK.json` lists in `paths` are skipped: that file
+//! declares them the benchmark, which product changes may not edit, so
+//! a finding there is not one the gated change could fix.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -79,6 +82,7 @@ pub fn discover(root: &Path) -> Result<WorkspaceLayout, DiscoverError> {
     let manifest_path = root.join("Cargo.toml");
     let manifest = std::fs::read_to_string(&manifest_path)
         .map_err(|e| DiscoverError(format!("cannot read {}: {e}", manifest_path.display())))?;
+    let benchmark = benchmark_paths(root);
     let mut crate_dirs: Vec<(PathBuf, bool)> = Vec::new();
     if manifest.contains("[workspace]") {
         for member in manifest_members(&manifest) {
@@ -111,17 +115,35 @@ pub fn discover(root: &Path) -> Result<WorkspaceLayout, DiscoverError> {
     }
     let mut crates = Vec::new();
     for (dir, vendored) in crate_dirs {
+        if benchmark.iter().any(|b| dir.starts_with(b)) {
+            continue;
+        }
         crates.push(read_crate(root, &dir, vendored)?);
     }
     Ok(WorkspaceLayout { root: root.to_path_buf(), crates })
 }
 
+/// The directories `root/BENCHMARK.json` names under `"paths"`, joined
+/// onto `root`; empty when the file is absent.
+fn benchmark_paths(root: &Path) -> Vec<PathBuf> {
+    let Ok(text) = std::fs::read_to_string(root.join("BENCHMARK.json")) else {
+        return Vec::new();
+    };
+    string_array(&text, "\"paths\"").iter().map(|p| root.join(p)).collect()
+}
+
 /// Extracts `members = [...]` entries from a manifest.
 fn manifest_members(manifest: &str) -> Vec<String> {
-    let Some(at) = manifest.find("members") else { return Vec::new() };
-    let Some(open) = manifest[at..].find('[') else { return Vec::new() };
-    let Some(close) = manifest[at + open..].find(']') else { return Vec::new() };
-    manifest[at + open + 1..at + open + close]
+    string_array(manifest, "members")
+}
+
+/// The string elements of the first `[...]` after `key` — the whole of
+/// the TOML/JSON array syntax the two scans above need.
+fn string_array(text: &str, key: &str) -> Vec<String> {
+    let Some(at) = text.find(key) else { return Vec::new() };
+    let Some(open) = text[at..].find('[') else { return Vec::new() };
+    let Some(close) = text[at + open..].find(']') else { return Vec::new() };
+    text[at + open + 1..at + open + close]
         .split(',')
         .map(|s| s.trim().trim_matches('"').to_string())
         .filter(|s| !s.is_empty())
@@ -239,6 +261,32 @@ proptest.workspace = true
         assert!(deps.contains(&"xk-xmltree".to_string()));
         assert!(deps.contains(&"xk-rand".to_string()), "rename resolved: {deps:?}");
         assert!(deps.contains(&"proptest".to_string()));
+    }
+
+    /// A member the root `BENCHMARK.json` lists under `paths` is not
+    /// analyzed; its sibling is.
+    #[test]
+    fn benchmark_paths_are_out_of_scope() {
+        let root = std::env::temp_dir().join(format!("xk-analyze-ws-{}", std::process::id()));
+        for member in ["product", "harness"] {
+            let dir = root.join("crates").join(member);
+            std::fs::create_dir_all(dir.join("src")).unwrap();
+            std::fs::write(dir.join("Cargo.toml"), format!("[package]\nname = \"{member}\"\n"))
+                .unwrap();
+            std::fs::write(dir.join("src/lib.rs"), "pub fn f() {}\n").unwrap();
+        }
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n").unwrap();
+        let names = |root: &Path| -> Vec<String> {
+            discover(root).unwrap().crates.into_iter().map(|c| c.name).collect()
+        };
+        assert_eq!(names(&root), ["harness", "product"]);
+        std::fs::write(
+            root.join("BENCHMARK.json"),
+            "{\n  \"command\": [\"cargo\", \"run\"],\n  \"paths\": [\n    \"crates/harness\"\n  ]\n}\n",
+        )
+        .unwrap();
+        assert_eq!(names(&root), ["product"]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -1,39 +1,41 @@
 //! `bench_diff` — validate, compare, and render the `BENCH_<suite>.json`
-//! artifacts every bench suite emits through `xk_bench::trial`.
+//! artifacts `figures` and `lookup_locality` emit through
+//! `xk_bench::trial`.
 //!
 //! Subcommands:
 //!
 //! * `validate <dir>` — load every `BENCH_*.json` and run the schema
-//!   gate; CI runs this against the artifacts a `--smoke` sweep emits.
-//! * `diff <baseline-dir> <fresh-dir>` — compare fresh runs against the
-//!   checked-in baselines, exiting non-zero on any regression past the
-//!   thresholds. Runs the comparator self-test first so a broken diff
-//!   can never report a clean bill of health.
-//! * `self-test` — inject an artificial 2× latency regression into a
-//!   synthetic suite and verify the comparator flags it.
+//!   gate, refusing a `git_rev` of `"unknown"`; CI runs this against
+//!   the artifacts a `--smoke` sweep emits.
+//! * `diff <baseline-dir> <fresh-dir>` — compare the operation counts
+//!   of fresh runs against the checked-in baselines, exiting non-zero
+//!   on any regression past the gate. Runs the comparator self-test
+//!   first so a broken diff can never report a clean bill of health.
+//! * `self-test` — inject an artificial 2× regression of every
+//!   operation count into a synthetic suite and verify the comparator
+//!   flags exactly those.
 //! * `table <dir> [suite...]` — render markdown tables from the JSONs
 //!   (the README bench table is generated this way).
 
 use std::path::Path;
 use std::process::ExitCode;
-use xk_bench::trial::{self, diff, Suite, Thresholds};
+use xk_bench::trial::{self, diff, Suite, COUNT_RATIO};
 
-const USAGE: &str = "usage: bench_diff <validate DIR | diff BASE_DIR FRESH_DIR [--max-worse R] [--min-keep R] [--abs-floor V] [--count-worse R] | self-test | table DIR [SUITE...]>";
+const USAGE: &str = "usage: bench_diff <validate DIR | diff BASE_DIR FRESH_DIR [--count-worse R] | self-test | table DIR [SUITE...]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     match strs.split_first() {
         Some((&"validate", [dir])) => validate(Path::new(dir)),
-        Some((&"diff", rest)) if rest.len() >= 2 => {
-            match parse_thresholds(&rest[2..]) {
-                Ok(t) => run_diff(Path::new(rest[0]), Path::new(rest[1]), &t),
-                Err(e) => {
-                    eprintln!("{e}\n{USAGE}");
-                    ExitCode::from(2)
-                }
+        Some((&"diff", [base, fresh])) => run_diff(Path::new(base), Path::new(fresh), COUNT_RATIO),
+        Some((&"diff", [base, fresh, "--count-worse", ratio])) => match ratio.parse() {
+            Ok(ratio) => run_diff(Path::new(base), Path::new(fresh), ratio),
+            Err(_) => {
+                eprintln!("--count-worse needs a numeric value\n{USAGE}");
+                ExitCode::from(2)
             }
-        }
+        },
         Some((&"self-test", [])) => self_test(),
         Some((&"table", [dir, suites @ ..])) => table(Path::new(dir), suites),
         _ => {
@@ -41,26 +43,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn parse_thresholds(flags: &[&str]) -> Result<Thresholds, String> {
-    let mut t = Thresholds::default();
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse::<f64>()
-            .map_err(|_| format!("{flag} needs a numeric value"))?;
-        match *flag {
-            "--max-worse" => t.max_worse_ratio = value,
-            "--min-keep" => t.min_keep_ratio = value,
-            "--abs-floor" => t.abs_floor = value,
-            "--count-worse" => t.count_ratio = value,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(t)
 }
 
 fn validate(dir: &Path) -> ExitCode {
@@ -77,7 +59,10 @@ fn validate(dir: &Path) -> ExitCode {
     }
     let mut bad = 0;
     for suite in &suites {
-        let errs = suite.validate();
+        let mut errs = suite.validate();
+        if suite.git_rev == "unknown" {
+            errs.push("git_rev is \"unknown\": a baseline names the revision it ran at".into());
+        }
         if errs.is_empty() {
             println!(
                 "ok   {} ({} cases, scale={}, seed={:#x})",
@@ -101,7 +86,7 @@ fn validate(dir: &Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_diff(base_dir: &Path, fresh_dir: &Path, t: &Thresholds) -> ExitCode {
+fn run_diff(base_dir: &Path, fresh_dir: &Path, count_ratio: f64) -> ExitCode {
     // A comparator that cannot see a planted regression must never be
     // trusted to clear a real one.
     if self_test() != ExitCode::SUCCESS {
@@ -118,17 +103,14 @@ fn run_diff(base_dir: &Path, fresh_dir: &Path, t: &Thresholds) -> ExitCode {
         eprintln!("bench_diff diff: no baselines under {}", base_dir.display());
         return ExitCode::FAILURE;
     }
-    println!(
-        "thresholds: regress if worse than {:.2}x (or below {:.2}x for throughput); noise floor {}",
-        t.max_worse_ratio, t.min_keep_ratio, t.abs_floor
-    );
+    println!("gate: an operation count regresses past {count_ratio:.2}x its baseline");
     let mut failed = false;
     for baseline in &baselines {
         let Some(fresh) = freshes.iter().find(|f| f.suite == baseline.suite) else {
             println!("~ {}: no fresh run (skipped)", baseline.suite);
             continue;
         };
-        let report = diff(baseline, fresh, t);
+        let report = diff(baseline, fresh, count_ratio);
         if let Some(why) = &report.skipped {
             println!("! {}: not comparable — {why}", report.suite);
             failed = true;
@@ -172,33 +154,31 @@ fn run_diff(base_dir: &Path, fresh_dir: &Path, t: &Thresholds) -> ExitCode {
     }
 }
 
-/// Builds a synthetic baseline, injects a 2× regression into every
-/// latency metric, and verifies the comparator reports exactly those.
+/// Builds a synthetic baseline, doubles every metric, and verifies the
+/// comparator reports exactly the operation counts.
 fn self_test() -> ExitCode {
     let mut baseline = Suite::new("self_test", "smoke", 0x5E1F);
     baseline.config("synthetic", 1.0);
     baseline
         .case("query/hot")
-        .metric("queries_per_sec", 50_000.0)
-        .metric("p50_us", 120.0)
-        .metric("p99_us", 950.0);
-    baseline.case("append/sync").metric("appends_per_sec", 800.0).metric("p99_us", 2_400.0);
+        .metric("match_lookups", 50_000.0)
+        .metric("nodes_scanned", 120.0)
+        .metric("mean_ms", 0.95);
+    baseline.case("query/cold").metric("disk_reads", 800.0).metric("elapsed_us", 2_400.0);
     let mut fresh = baseline.clone();
     for case in &mut fresh.cases {
-        for (key, value) in &mut case.metrics {
-            if key.ends_with("_us") {
-                *value *= 2.0;
-            }
+        for (_, value) in &mut case.metrics {
+            *value *= 2.0;
         }
     }
-    let report = diff(&baseline, &fresh, &Thresholds::default());
-    let latencies = 3;
+    let report = diff(&baseline, &fresh, COUNT_RATIO);
+    let counts = 3;
     let ok = report.skipped.is_none()
-        && report.regressions.len() == latencies
-        && report.regressions.iter().all(|f| f.metric.ends_with("_us") && f.ratio == 2.0)
+        && report.regressions.len() == counts
+        && report.regressions.iter().all(|f| trial::is_count(&f.metric) && f.ratio == 2.0)
         && report.improvements.is_empty();
     if ok {
-        println!("self-test: injected 2x latency regression detected ({latencies} findings)");
+        println!("self-test: injected 2x operation-count regression detected ({counts} findings)");
         ExitCode::SUCCESS
     } else {
         eprintln!("self-test FAILED: comparator missed the injected regression: {report:?}");

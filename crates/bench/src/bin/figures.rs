@@ -13,9 +13,8 @@
 //!
 //! Every figure series lands in one `results/BENCH_figures.json`
 //! artifact through the shared `xk_bench::trial` envelope (one case per
-//! figure/x/algorithm point; the plottable CSV is derived from it).
-//! `table1` and the β-ablation stay as aligned text files — they are
-//! narrative tables, not regression-tracked series.
+//! figure/x/algorithm point). `table1` and the β-ablation are printed
+//! only — they are narrative tables, not regression-tracked series.
 
 use std::path::PathBuf;
 use xk_bench::trial::Suite;
@@ -71,15 +70,7 @@ fn main() {
     for experiment in &selected {
         let tables: Vec<Table> = match experiment.as_str() {
             "table1" => {
-                let text = figures::table1(&corpus);
-                print!("{text}");
-                // The text artifacts are full-scale paper outputs;
-                // smoke/quick runs (CI, bench-all) must not clobber
-                // the committed full-scale versions in results/.
-                if matches!(scale, Scale::Full) {
-                    std::fs::create_dir_all(&results_dir).expect("results dir");
-                    std::fs::write(results_dir.join("table1.txt"), &text).expect("write table1");
-                }
+                print!("{}", figures::table1(&corpus));
                 continue;
             }
             "fig8" => figures::fig8(&corpus, Cache::Hot),
@@ -89,13 +80,7 @@ fn main() {
             "fig12" => figures::fig9(&corpus, Cache::Cold),
             "fig13" => figures::fig10(&corpus, Cache::Cold),
             "ablation" => {
-                let text = figures::ablation_beta(&corpus);
-                print!("{text}");
-                if matches!(scale, Scale::Full) {
-                    std::fs::create_dir_all(&results_dir).expect("results dir");
-                    std::fs::write(results_dir.join("ablation_beta.txt"), &text)
-                        .expect("write ablation_beta");
-                }
+                print!("{}", figures::ablation_beta(&corpus));
                 vec![figures::ablation_pool(&corpus)]
             }
             other => {

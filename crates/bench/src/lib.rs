@@ -5,12 +5,13 @@
 //! cache), and the Criterion benches under `benches/` microbenchmark the
 //! algorithms, match operations, storage, and parser.
 //!
-//! Every suite binary (`figures`, `lookup_locality`,
-//! `concurrency_scaling`, `server_loadgen`, `writepath`,
-//! `checksum_overhead`) emits one machine-readable
-//! `results/BENCH_<suite>.json` through the shared [`trial`] envelope;
-//! the `bench_diff` binary validates those artifacts and compares fresh
-//! runs against the checked-in baselines (`just bench-diff`).
+//! The two suite binaries (`figures`, `lookup_locality`) each emit one
+//! machine-readable `results/BENCH_<suite>.json` through the shared
+//! [`trial`] envelope; the `bench_diff` binary validates those artifacts
+//! and compares fresh runs against the checked-in baselines (`just
+//! bench-diff`). What they gate is the paper's deterministic operation
+//! counts. Wall-clock and footprint numbers come from `crates/xkbench`
+//! (`BENCHMARK.json`), the repository's benchmark.
 
 pub mod corpus;
 pub mod figures;
@@ -21,4 +22,4 @@ pub mod trial;
 pub use corpus::{corpus, Corpus, Scale};
 pub use measure::{algorithms, run_point, Cache, Measurement};
 pub use report::{Row, Table};
-pub use trial::{Latency, Suite, Thresholds};
+pub use trial::Suite;

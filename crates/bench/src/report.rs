@@ -1,7 +1,6 @@
 //! Result reporting: aligned text tables on stdout, plus conversion of
 //! each subfigure into `xk_bench::trial` cases so every series lands in
-//! the one `results/BENCH_figures.json` artifact (the plottable CSV is
-//! derived from that JSON by the trial writer).
+//! the one `results/BENCH_figures.json` artifact.
 
 use crate::measure::Measurement;
 use crate::trial::Suite;

@@ -1,35 +1,28 @@
-//! **xk-trial** — the shared bench-harness envelope every suite emits
-//! through (ISSUE 7).
+//! **xk-trial** — the envelope both remaining suites emit through.
 //!
-//! One `results/BENCH_<suite>.json` per suite, all carrying the same
-//! envelope — schema version, suite name, corpus scale, RNG seed, the
-//! suite's wall configuration, and a git-revision placeholder — plus a
-//! flat list of measured cases, each a bag of named numeric metrics
-//! (throughput, p50/p99 latency, page reads, bytes/posting where
-//! applicable). Because the envelope is uniform, `bench_diff` can
-//! compare any fresh run against the checked-in baseline and turn a
-//! perf delta into a reviewable failure.
+//! One `results/BENCH_<suite>.json` per suite (`figures`,
+//! `lookup_locality`), each carrying the same envelope — schema version,
+//! suite name, corpus scale, RNG seed, the suite's wall configuration,
+//! and the git revision it ran at — plus a flat list of measured cases,
+//! each a bag of named numeric metrics. The metrics that matter are the
+//! paper's deterministic operation counts (disk accesses, `lm`/`rm`
+//! match lookups); every wall-clock or footprint claim belongs to
+//! `xkbench` (`BENCHMARK.json`), not here. Because the envelope is
+//! uniform, `bench_diff` can compare a fresh run against the checked-in
+//! baseline and turn a delta into a reviewable failure.
 //!
 //! The pieces:
 //!
 //! * [`Suite`]/[`Case`] — the builder the bench bins populate;
-//! * [`Suite::to_json`]/[`Suite::from_json`] — serialization over the
-//!   server's hand-rolled [`JsonBuf`] writer and a minimal JSON reader
-//!   (the workspace is std-only by design);
+//! * [`Suite::to_json`]/[`Suite::from_json`] — a fixed-layout writer and
+//!   a minimal JSON reader (the workspace is std-only by design);
 //! * [`Suite::validate`] — the schema gate CI runs on every emitted
 //!   artifact;
-//! * [`Latency`] — per-case latency aggregation through the *same*
-//!   log₂ histogram the server's `/metrics` endpoint uses, so p50/p99
-//!   extraction has one implementation (property-tested against exact
-//!   quantiles in `crates/server/tests/proptest_metrics.rs`);
 //! * [`diff`] — the regression comparison behind `just bench-diff`.
-//!
-//! [`JsonBuf`]: xk_server::json::JsonBuf
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-use xk_server::json::JsonBuf;
-use xk_server::metrics::{Histogram, HistogramSnapshot};
+use std::process::Command;
 
 /// The envelope schema this library reads and writes. Bump only with a
 /// migration story for the checked-in baselines.
@@ -42,20 +35,17 @@ pub const SCALES: [&str; 3] = ["smoke", "quick", "full"];
 /// One benchmark suite's run: the envelope plus its measured cases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
-    /// Suite name (`figures`, `writepath`, ...); also the artifact
+    /// Suite name (`figures`, `lookup_locality`); also the artifact
     /// filename: `BENCH_<suite>.json`.
     pub suite: String,
     /// Corpus scale: one of [`SCALES`].
     pub scale: String,
     /// The RNG seed the run used (replay handle).
     pub seed: u64,
-    /// Git revision placeholder: `XK_GIT_REV` env when set (CI passes
-    /// the commit SHA), `"unknown"` otherwise — the file itself is
-    /// checked in, so the reviewing diff supplies the revision either
-    /// way.
+    /// The revision the run was built from, resolved by [`git_rev`].
     pub git_rev: String,
     /// The wall configuration of the run (page size, pool pages, paper
-    /// counts, request budgets, ...), in insertion order.
+    /// counts, ...), in insertion order.
     pub config: Vec<(String, f64)>,
     pub cases: Vec<Case>,
 }
@@ -64,11 +54,10 @@ pub struct Suite {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Case {
     /// Stable identifier, `/`-separated by convention
-    /// (`append/group_commit/writers=4`). Diffs match cases by id.
+    /// (`fig8b_hot/x=10/il`). Diffs match cases by id.
     pub id: String,
     /// Metrics in insertion order. Keys are snake_case; the suffix
-    /// conventions in [`direction`] give each key a regression
-    /// direction.
+    /// conventions in [`is_count`] decide which ones a diff gates.
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -84,14 +73,6 @@ impl Case {
         self
     }
 
-    /// Adds the standard latency metrics from a [`Latency`] recorder.
-    pub fn latency(&mut self, lat: &Latency) -> &mut Case {
-        for (k, v) in lat.metrics() {
-            self.metric(k, v);
-        }
-        self
-    }
-
     /// Reads one metric back (tests, README table generation).
     pub fn get(&self, key: &str) -> Option<f64> {
         self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
@@ -99,13 +80,13 @@ impl Case {
 }
 
 impl Suite {
-    /// A new suite envelope. `git_rev` is resolved from `XK_GIT_REV`.
+    /// A new suite envelope, stamped with the current [`git_rev`].
     pub fn new(suite: impl Into<String>, scale: impl Into<String>, seed: u64) -> Suite {
         Suite {
             suite: suite.into(),
             scale: scale.into(),
             seed,
-            git_rev: std::env::var("XK_GIT_REV").unwrap_or_else(|_| "unknown".into()),
+            git_rev: git_rev(),
             config: Vec::new(),
             cases: Vec::new(),
         }
@@ -137,37 +118,26 @@ impl Suite {
     }
 
     /// Renders the envelope as pretty-stable JSON (2-space indent, keys
-    /// in fixed order) so checked-in baselines produce reviewable
-    /// diffs.
+    /// in fixed order, one line per scalar) so checked-in baselines
+    /// produce reviewable diffs.
     pub fn to_json(&self) -> String {
-        let mut j = JsonBuf::new();
-        j.begin_object();
-        j.field_str("schema", SCHEMA);
-        j.field_str("suite", &self.suite);
-        j.field_str("scale", &self.scale);
-        j.field_u64("seed", self.seed);
-        j.field_str("git_rev", &self.git_rev);
-        j.key("config").begin_object();
-        for (k, v) in &self.config {
-            j.field_f64(k, *v);
+        let mut out = String::new();
+        let _ = writeln!(out, "{{\n  \"schema\": {},", quote(SCHEMA));
+        let _ = writeln!(out, "  \"suite\": {},", quote(&self.suite));
+        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
+        let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        let _ = writeln!(out, "  \"git_rev\": {},", quote(&self.git_rev));
+        out.push_str("  \"config\": ");
+        number_object(&mut out, &self.config, "  ");
+        out.push_str(",\n  \"cases\": [");
+        for (i, case) in self.cases.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            let _ = write!(out, "    {{\n      \"id\": {},\n      \"metrics\": ", quote(&case.id));
+            number_object(&mut out, &case.metrics, "      ");
+            out.push_str("\n    }");
         }
-        j.end_object();
-        j.key("cases").begin_array();
-        for case in &self.cases {
-            j.begin_object();
-            j.field_str("id", &case.id);
-            j.key("metrics").begin_object();
-            for (k, v) in &case.metrics {
-                j.field_f64(k, *v);
-            }
-            j.end_object();
-            j.end_object();
-        }
-        j.end_array();
-        j.end_object();
-        // Re-indent: JsonBuf writes compact JSON; the checked-in
-        // baselines want line-per-case diffs.
-        indent_json(j.as_str())
+        out.push_str("\n  ]\n}\n");
+        out
     }
 
     /// Parses an envelope, reporting the first structural error. Schema
@@ -278,21 +248,8 @@ impl Suite {
         errs
     }
 
-    /// The derived long-format CSV (`case,metric,value`) — the one
-    /// plot-friendly view, generated from the JSON so `results/` holds
-    /// a single canonical format per suite.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("case,metric,value\n");
-        for case in &self.cases {
-            for (k, v) in &case.metrics {
-                out.push_str(&format!("{},{},{}\n", case.id, k, v));
-            }
-        }
-        out
-    }
-
-    /// Writes `BENCH_<suite>.json` plus the derived `<suite>.csv` into
-    /// [`results_dir`] and returns the JSON path.
+    /// Writes `BENCH_<suite>.json` into [`results_dir`] and returns its
+    /// path.
     pub fn write(&self) -> std::io::Result<PathBuf> {
         let errs = self.validate();
         assert!(errs.is_empty(), "refusing to write an invalid suite: {errs:?}");
@@ -300,9 +257,29 @@ impl Suite {
         std::fs::create_dir_all(&dir)?;
         let json_path = dir.join(self.filename());
         std::fs::write(&json_path, self.to_json())?;
-        std::fs::write(dir.join(format!("{}.csv", self.suite)), self.to_csv())?;
         eprintln!("[trial] wrote {}", json_path.display());
         Ok(json_path)
+    }
+}
+
+/// The revision a run is stamped with: `git rev-parse --short=12 HEAD`,
+/// plus `-dirty` when `git status --porcelain` reports anything.
+/// `"unknown"` only when `git` cannot be run (no binary, not a
+/// repository); `bench_diff validate` refuses that in a baseline.
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match (git(&["rev-parse", "--short=12", "HEAD"]), git(&["status", "--porcelain"])) {
+        (Some(rev), Some(changes)) if !rev.is_empty() => {
+            if changes.is_empty() {
+                rev
+            } else {
+                format!("{rev}-dirty")
+            }
+        }
+        _ => "unknown".into(),
     }
 }
 
@@ -336,140 +313,24 @@ pub fn load_dir(dir: &Path) -> Result<Vec<Suite>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Latency aggregation through the server's histogram.
-
-/// A concurrent latency recorder for bench cases, backed by the same
-/// log₂ [`Histogram`] that serves `/metrics` — one quantile
-/// implementation across the server and the harness.
-#[derive(Debug)]
-pub struct Latency {
-    hist: Histogram,
-}
-
-impl Default for Latency {
-    fn default() -> Latency {
-        Latency::new()
-    }
-}
-
-impl Latency {
-    pub fn new() -> Latency {
-        // `Histogram::new()`, not `::default()`: only the former seeds
-        // `min_us` to `u64::MAX` so the running minimum is correct.
-        Latency { hist: Histogram::new() }
-    }
-
-    /// Records one sample; callable from any thread.
-    pub fn record(&self, elapsed: Duration) {
-        self.hist.record_us(elapsed.as_micros() as u64);
-    }
-
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.hist.snapshot()
-    }
-
-    /// The standard latency metric set: count, mean, p50/p90/p99, max.
-    /// Quantiles are the histogram's conservative upper-bound estimates
-    /// (within one power-of-two bucket of the exact rank value).
-    pub fn metrics(&self) -> Vec<(String, f64)> {
-        let s = self.hist.snapshot();
-        vec![
-            ("samples".into(), s.count as f64),
-            ("mean_us".into(), s.mean_us()),
-            ("p50_us".into(), s.quantile_us(0.50) as f64),
-            ("p90_us".into(), s.quantile_us(0.90) as f64),
-            ("p99_us".into(), s.quantile_us(0.99) as f64),
-            ("max_us".into(), s.max_us as f64),
-        ]
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Regression diffing.
 
-/// What a metric key means for regressions, derived from the key's
-/// suffix conventions so every suite gets diffing without per-suite
-/// tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Latency / I/O / footprint: a higher fresh value is a regression.
-    LowerIsBetter,
-    /// Throughput / hit rates: a lower fresh value is a regression.
-    HigherIsBetter,
-    /// Descriptive (sample counts, totals): never a regression.
-    Informational,
-}
-
-/// Classifies a metric key. Unknown keys are informational — a diff
-/// never fails on a metric it does not understand.
-pub fn direction(key: &str) -> Direction {
-    let higher = ["_per_sec", "_per_fsync", "hit_rate", "mib_per_sec"];
-    if higher.iter().any(|s| key.ends_with(s)) || key.starts_with("speedup") {
-        return Direction::HigherIsBetter;
-    }
-    let lower_suffix = [
-        "_us",
-        "_ms",
-        "_ns",
-        "_reads",
-        "_writes",
-        "_evictions",
-        "_per_page",
-        "_per_lookup",
-        "_lookups",
-        "_scanned",
-        "_computations",
-    ];
-    let lower_exact = ["bytes_per_posting", "overhead_pct"];
-    if lower_suffix.iter().any(|s| key.ends_with(s))
-        || lower_exact.contains(&key)
-        || key.contains("latency")
-        || key.contains("elapsed")
-    {
-        return Direction::LowerIsBetter;
-    }
-    Direction::Informational
-}
-
 /// True for exact operation counts (page reads, match lookups, nodes
-/// scanned, ...): deterministic given the same corpus and seed, so a
-/// diff can hold them to a much tighter ratio than wall-clock numbers,
-/// which jitter by whole multiples at smoke scale.
+/// scanned, ...), recognised by suffix so neither suite needs a table.
+/// They are deterministic given the same corpus and seed, lower is
+/// better for every one of them, and they are the only metrics a diff
+/// gates: the suites' timings (`mean_ms`, `elapsed_us`) jitter by whole
+/// multiples at smoke scale and stay in the envelope as description —
+/// a wall-clock claim is `xkbench`'s to make.
 pub fn is_count(key: &str) -> bool {
-    let suffixes =
-        ["_reads", "_writes", "_evictions", "_per_lookup", "_lookups", "_scanned", "_computations"];
-    suffixes.iter().any(|s| key.ends_with(s)) || key == "bytes_per_posting"
+    ["_reads", "_per_lookup", "_lookups", "_scanned", "_computations"]
+        .iter()
+        .any(|s| key.ends_with(s))
 }
 
-/// Regression thresholds for [`diff`], all ratios of fresh to baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// A lower-is-better metric regresses when
-    /// `fresh > baseline * max_worse_ratio`.
-    pub max_worse_ratio: f64,
-    /// A higher-is-better metric regresses when
-    /// `fresh < baseline * min_keep_ratio`.
-    pub min_keep_ratio: f64,
-    /// Values (both sides) at or below this are noise and never
-    /// compared — sub-floor latencies jitter by whole multiples.
-    pub abs_floor: f64,
-    /// The gate for deterministic count metrics ([`is_count`]), applied
-    /// symmetrically in place of `max_worse_ratio`/`min_keep_ratio`.
-    /// Counts do not jitter, so this stays tight even when the
-    /// wall-clock gate is widened for a noisy host.
-    pub count_ratio: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Thresholds {
-        Thresholds {
-            max_worse_ratio: 1.5,
-            min_keep_ratio: 1.0 / 1.5,
-            abs_floor: 0.0,
-            count_ratio: 1.25,
-        }
-    }
-}
+/// The default gate of [`diff`]: a count regresses past `1.25x` its
+/// baseline (and is reported as an improvement below the reciprocal).
+pub const COUNT_RATIO: f64 = 1.25;
 
 /// One metric that crossed a threshold.
 #[derive(Debug, Clone)]
@@ -498,10 +359,10 @@ pub struct DiffReport {
     pub improvements: Vec<Finding>,
 }
 
-/// Compares `fresh` against `baseline` case by case. Only directional
-/// metrics present on both sides are compared; a scale or suite
-/// mismatch yields a skipped report rather than garbage ratios.
-pub fn diff(baseline: &Suite, fresh: &Suite, t: &Thresholds) -> DiffReport {
+/// Compares `fresh` against `baseline` case by case, holding every
+/// [`is_count`] metric present on both sides to `count_ratio`; a scale
+/// or suite mismatch yields a skipped report rather than garbage ratios.
+pub fn diff(baseline: &Suite, fresh: &Suite, count_ratio: f64) -> DiffReport {
     let mut report = DiffReport { suite: baseline.suite.clone(), ..DiffReport::default() };
     if baseline.suite != fresh.suite {
         report.skipped = Some(format!(
@@ -523,14 +384,10 @@ pub fn diff(baseline: &Suite, fresh: &Suite, t: &Thresholds) -> DiffReport {
             continue;
         };
         for (key, base_v) in &base_case.metrics {
-            let dir = direction(key);
-            if dir == Direction::Informational {
+            if !is_count(key) {
                 continue;
             }
             let Some(fresh_v) = fresh_case.get(key) else { continue };
-            if base_v.max(fresh_v) <= t.abs_floor {
-                continue;
-            }
             report.checked += 1;
             let ratio = if *base_v > 0.0 {
                 fresh_v / base_v
@@ -539,34 +396,17 @@ pub fn diff(baseline: &Suite, fresh: &Suite, t: &Thresholds) -> DiffReport {
             } else {
                 1.0
             };
-            let finding = || Finding {
+            let finding = Finding {
                 case: base_case.id.clone(),
                 metric: key.clone(),
                 baseline: *base_v,
                 fresh: fresh_v,
                 ratio,
             };
-            let (worse, keep) = if is_count(key) {
-                (t.count_ratio, 1.0 / t.count_ratio)
-            } else {
-                (t.max_worse_ratio, t.min_keep_ratio)
-            };
-            match dir {
-                Direction::LowerIsBetter => {
-                    if ratio > worse {
-                        report.regressions.push(finding());
-                    } else if ratio < keep {
-                        report.improvements.push(finding());
-                    }
-                }
-                Direction::HigherIsBetter => {
-                    if ratio < keep {
-                        report.regressions.push(finding());
-                    } else if ratio > worse {
-                        report.improvements.push(finding());
-                    }
-                }
-                Direction::Informational => unreachable!("filtered above"),
+            if ratio > count_ratio {
+                report.regressions.push(finding);
+            } else if ratio < 1.0 / count_ratio {
+                report.improvements.push(finding);
             }
         }
     }
@@ -785,57 +625,32 @@ fn text_from(b: &[u8]) -> &str {
     std::str::from_utf8(b).expect("parse_json input is a &str")
 }
 
-/// Two-space pretty-printing for the checked-in artifacts: one line per
-/// scalar member, nested containers indented. Operates on writer output
-/// (trusted JSON), not arbitrary text.
-fn indent_json(compact: &str) -> String {
-    let mut out = String::with_capacity(compact.len() * 2);
-    let mut depth: usize = 0;
-    let mut in_str = false;
-    let mut escaped = false;
-    let newline = |out: &mut String, depth: usize| {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-    };
-    for c in compact.chars() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
         match c {
-            '"' => {
-                in_str = true;
-                out.push(c);
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            '{' | '[' => {
-                out.push(c);
-                depth += 1;
-                newline(&mut out, depth);
-            }
-            '}' | ']' => {
-                depth = depth.saturating_sub(1);
-                newline(&mut out, depth);
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                newline(&mut out, depth);
-            }
-            ':' => out.push_str(": "),
-            _ => out.push(c),
+            c => out.push(c),
         }
     }
-    out.push('\n');
+    out.push('"');
     out
+}
+
+/// Appends `members` as a JSON object, one member per line, the closing
+/// brace at `indent`. Numbers print with Rust's shortest round-trip
+/// formatting ([`Suite::validate`] has already refused non-finite ones).
+fn number_object(out: &mut String, members: &[(String, f64)], indent: &str) {
+    out.push('{');
+    for (i, (k, v)) in members.iter().enumerate() {
+        let _ = write!(out, "{}\n{indent}  {}: {v}", if i == 0 { "" } else { "," }, quote(k));
+    }
+    let _ = write!(out, "\n{indent}}}");
 }
 
 #[cfg(test)]
@@ -843,14 +658,15 @@ mod tests {
     use super::*;
 
     fn sample() -> Suite {
-        let mut s = Suite::new("writepath", "smoke", 0xD07A);
+        let mut s = Suite::new("lookup_locality", "smoke", 0x10CA);
         s.config("page_size", 4096.0);
-        s.config("appends", 64.0);
-        s.case("append/group_commit/writers=4")
-            .metric("appends_per_sec", 900.0)
-            .metric("commits_per_fsync", 7.5)
-            .metric("wal_commits", 64.0);
-        s.case("read_latency/idle").metric("p50_us", 120.0).metric("p99_us", 900.0);
+        s.config("papers", 2500.0);
+        s.case("s1=10/fresh")
+            .metric("probes", 10.0)
+            .metric("logical_reads", 30.0)
+            .metric("reads_per_lookup", 1.5)
+            .metric("elapsed_us", 120.0);
+        s.case("fig8b_hot/x=10/il").metric("mean_ms", 0.25).metric("match_lookups", 99.0);
         s
     }
 
@@ -861,6 +677,22 @@ mod tests {
         assert_eq!(parsed, s);
         // And stable: render → parse → render is byte-identical.
         assert_eq!(parsed.to_json(), s.to_json());
+        // Ids and keys are escaped, not trusted.
+        let mut odd = sample();
+        odd.case("quote\"back\\slash\nline").metric("mean_ms", 1.0);
+        assert_eq!(Suite::from_json(&odd.to_json()).expect("escaped round trip"), odd);
+    }
+
+    /// The stamp is a revision, never a placeholder the caller supplies:
+    /// inside a work tree it is twelve hex digits (plus `-dirty`).
+    #[test]
+    fn git_rev_is_resolved_from_the_work_tree() {
+        let rev = git_rev();
+        assert_eq!(Suite::new("x", "smoke", 1).git_rev, rev);
+        if rev != "unknown" {
+            let hex = rev.strip_suffix("-dirty").unwrap_or(&rev);
+            assert!(hex.len() == 12 && hex.chars().all(|c| c.is_ascii_hexdigit()), "{rev:?}");
+        }
     }
 
     #[test]
@@ -868,8 +700,8 @@ mod tests {
         let mut s = sample();
         assert!(s.validate().is_empty(), "{:?}", s.validate());
         s.scale = "huge".into();
-        s.case("read_latency/idle").metric("p50_us", f64::NAN);
-        s.cases.push(Case { id: "read_latency/idle".into(), metrics: vec![] });
+        s.case("s1=10/fresh").metric("elapsed_us", f64::NAN);
+        s.cases.push(Case { id: "s1=10/fresh".into(), metrics: vec![] });
         let errs = s.validate();
         assert!(errs.iter().any(|e| e.contains("scale")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("not finite")), "{errs:?}");
@@ -884,84 +716,62 @@ mod tests {
             .unwrap_err()
             .contains("xk-trial/v1"));
         let mut s = sample().to_json();
-        s = s.replace("\"seed\": 53370", "\"seed\": \"x\"");
+        s = s.replace("\"seed\": 4298", "\"seed\": \"x\"");
         assert!(Suite::from_json(&s).is_err());
     }
 
     #[test]
-    fn direction_classification() {
-        assert_eq!(direction("appends_per_sec"), Direction::HigherIsBetter);
-        assert_eq!(direction("hit_rate"), Direction::HigherIsBetter);
-        assert_eq!(direction("speedup_vs_1"), Direction::HigherIsBetter);
-        assert_eq!(direction("commits_per_fsync"), Direction::HigherIsBetter);
-        assert_eq!(direction("p99_us"), Direction::LowerIsBetter);
-        assert_eq!(direction("mean_ms"), Direction::LowerIsBetter);
-        assert_eq!(direction("disk_reads"), Direction::LowerIsBetter);
-        assert_eq!(direction("logical_reads"), Direction::LowerIsBetter);
-        assert_eq!(direction("bytes_per_posting"), Direction::LowerIsBetter);
-        assert_eq!(direction("ns_per_page"), Direction::LowerIsBetter);
-        assert_eq!(direction("reads_per_lookup"), Direction::LowerIsBetter);
-        assert_eq!(direction("match_lookups"), Direction::LowerIsBetter);
-        assert_eq!(direction("nodes_scanned"), Direction::LowerIsBetter);
-        assert_eq!(direction("lca_computations"), Direction::LowerIsBetter);
-        assert_eq!(direction("wal_commits"), Direction::Informational);
-        assert_eq!(direction("samples"), Direction::Informational);
-
-        // Operation counts are deterministic; wall-clock numbers are not.
-        assert!(is_count("disk_reads") && is_count("match_lookups") && is_count("reads_per_lookup"));
-        assert!(!is_count("p99_us") && !is_count("mean_ms") && !is_count("appends_per_sec"));
-        assert!(!is_count("ns_per_page"), "ns_per_page is a timing, not a count");
+    fn only_operation_counts_are_gated() {
+        for count in [
+            "disk_reads",
+            "logical_reads",
+            "mean_disk_reads",
+            "reads_per_lookup",
+            "match_lookups",
+            "nodes_scanned",
+            "lca_computations",
+        ] {
+            assert!(is_count(count), "{count}");
+        }
+        for descriptive in ["mean_ms", "elapsed_us", "queries", "results", "probes"] {
+            assert!(!is_count(descriptive), "{descriptive}");
+        }
     }
 
-    /// Counts get the tight symmetric gate even when the wall-clock gate
-    /// is widened for a noisy host.
+    /// The acceptance self-test: an artificially injected 2× regression
+    /// of every operation count must be detected at the default gate,
+    /// and a timing that moved with it must not.
     #[test]
-    fn count_metrics_keep_the_tight_gate_under_wide_thresholds() {
-        let mut baseline = Suite::new("x", "smoke", 1);
-        baseline.case("a").metric("disk_reads", 100.0).metric("mean_ms", 1.0);
-        let mut fresh = baseline.clone();
-        fresh.case("a").metric("disk_reads", 140.0).metric("mean_ms", 1.4);
-        let wide = Thresholds { max_worse_ratio: 4.0, min_keep_ratio: 0.25, ..Thresholds::default() };
-        let report = diff(&baseline, &fresh, &wide);
-        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
-        assert_eq!(report.regressions[0].metric, "disk_reads"); // 1.4x > 1.25x count gate
-    }
-
-    /// The acceptance self-test: an artificially injected 2× latency
-    /// regression must be detected at the default thresholds.
-    #[test]
-    fn diff_detects_injected_2x_latency_regression() {
+    fn diff_detects_injected_2x_count_regression() {
         let baseline = sample();
         let mut fresh = baseline.clone();
         for case in &mut fresh.cases {
-            for (k, v) in &mut case.metrics {
-                if direction(k) == Direction::LowerIsBetter && (k.ends_with("_us")) {
-                    *v *= 2.0;
-                }
+            for (_, v) in &mut case.metrics {
+                *v *= 2.0;
             }
         }
-        let report = diff(&baseline, &fresh, &Thresholds::default());
+        let report = diff(&baseline, &fresh, COUNT_RATIO);
         assert!(report.skipped.is_none());
-        assert_eq!(report.regressions.len(), 2, "{:?}", report.regressions);
-        assert!(report
-            .regressions
-            .iter()
-            .all(|f| f.metric.ends_with("_us") && (f.ratio - 2.0).abs() < 1e-9));
-        // The unchanged throughput metrics did not fire.
+        assert_eq!(report.checked, 3);
+        assert_eq!(report.regressions.len(), 3, "{:?}", report.regressions);
+        assert!(report.regressions.iter().all(|f| is_count(&f.metric) && f.ratio == 2.0));
         assert!(report.improvements.is_empty());
+        // 1.4x is past the default gate, inside a widened one.
+        let mut fresh = baseline.clone();
+        fresh.case("s1=10/fresh").metric("logical_reads", 42.0);
+        assert_eq!(diff(&baseline, &fresh, COUNT_RATIO).regressions.len(), 1);
+        assert!(diff(&baseline, &fresh, 1.5).regressions.is_empty());
     }
 
     #[test]
-    fn diff_detects_throughput_loss_and_reports_improvements() {
+    fn diff_reports_improvements() {
         let baseline = sample();
         let mut fresh = baseline.clone();
-        fresh.case("append/group_commit/writers=4").metric("appends_per_sec", 300.0);
-        fresh.case("read_latency/idle").metric("p99_us", 90.0); // 10× better
-        let report = diff(&baseline, &fresh, &Thresholds::default());
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].metric, "appends_per_sec");
+        fresh.case("s1=10/fresh").metric("logical_reads", 10.0);
+        let report = diff(&baseline, &fresh, COUNT_RATIO);
+        assert!(report.regressions.is_empty(), "{:?}", report.regressions);
         assert_eq!(report.improvements.len(), 1);
-        assert_eq!(report.improvements[0].metric, "p99_us");
+        assert_eq!(report.improvements[0].metric, "logical_reads");
     }
 
     #[test]
@@ -969,33 +779,14 @@ mod tests {
         let baseline = sample();
         let mut fresh = baseline.clone();
         fresh.scale = "full".into();
-        assert!(diff(&baseline, &fresh, &Thresholds::default()).skipped.is_some());
+        assert!(diff(&baseline, &fresh, COUNT_RATIO).skipped.is_some());
 
         let mut fresh = baseline.clone();
         fresh.cases.remove(0);
-        fresh.case("new_case").metric("p50_us", 1.0);
-        let report = diff(&baseline, &fresh, &Thresholds::default());
+        fresh.case("new_case").metric("disk_reads", 1.0);
+        let report = diff(&baseline, &fresh, COUNT_RATIO);
         assert!(report.skipped.is_none());
         assert_eq!(report.unmatched.len(), 2, "{:?}", report.unmatched);
-    }
-
-    #[test]
-    fn abs_floor_suppresses_noise() {
-        let mut baseline = Suite::new("x", "smoke", 1);
-        baseline.case("a").metric("p50_us", 2.0);
-        let mut fresh = baseline.clone();
-        fresh.case("a").metric("p50_us", 6.0); // 3×, but tiny
-        let t = Thresholds { abs_floor: 10.0, ..Thresholds::default() };
-        assert!(diff(&baseline, &fresh, &t).regressions.is_empty());
-        assert!(!diff(&baseline, &fresh, &Thresholds::default()).regressions.is_empty());
-    }
-
-    #[test]
-    fn csv_is_derived_from_cases() {
-        let csv = sample().to_csv();
-        assert!(csv.starts_with("case,metric,value\n"));
-        assert!(csv.contains("append/group_commit/writers=4,appends_per_sec,900"));
-        assert!(csv.contains("read_latency/idle,p99_us,900"));
     }
 
     #[test]

@@ -464,7 +464,8 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     // Claim the port first: while the (possibly long) WAL replay runs,
     // clients get 503 + Retry-After instead of connection refused.
     let server = xk_server::Server::start_loading(config.clone())?;
-    // The exact line the loadgen and the CLI tests parse for the port.
+    // The exact line the benchmark (crates/xkbench) and the CLI tests
+    // parse for the port.
     println!("listening on http://{}", server.local_addr());
     use std::io::Write;
     // xk-analyze: allow(swallowed_result, reason = "if stdout is gone there is no reader waiting for the port line")

@@ -275,17 +275,6 @@ impl Server {
         metrics_json(&self.shared)
     }
 
-    /// Typed result-cache counters — what `/metrics` renders under
-    /// `"cache"`, for harnesses that would otherwise grep the JSON.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.shared.cache.stats()
-    }
-
-    /// `/query` requests answered 200 so far.
-    pub fn queries_ok(&self) -> u64 {
-        self.shared.metrics.queries_ok.load(Ordering::Relaxed)
-    }
-
     /// Requests refused with 503 for load (connection cap or job queue).
     pub fn shed_count(&self) -> u64 {
         self.shared.metrics.shed.load(Ordering::Relaxed)
@@ -304,12 +293,6 @@ impl Server {
     /// Requests that timed out mid-read and were answered `408`.
     pub fn read_timeouts(&self) -> u64 {
         self.shared.metrics.read_timeouts.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the end-to-end `/query` latency histogram — the
-    /// same one `/metrics` serves quantiles from.
-    pub fn query_latency(&self) -> crate::metrics::HistogramSnapshot {
-        self.shared.metrics.query_latency.snapshot()
     }
 }
 

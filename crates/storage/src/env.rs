@@ -62,7 +62,7 @@ use crate::wal::Wal;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 const MAGIC: &[u8; 8] = b"XKSTORE2";
@@ -306,9 +306,6 @@ pub struct StorageEnv {
     /// Frame capacity *per shard*.
     shard_capacity: usize,
     stats: AtomicIoStats,
-    /// Verify page checksums on buffer-pool misses (on by default; the
-    /// bench harness turns it off to measure the overhead).
-    verify_checksums: AtomicBool,
     /// Serializes every mutating operation; see the module docs. A
     /// writer can hold it across WAL appends and page I/O, so it is
     /// declared contended: the reactor thread must never block on it.
@@ -387,7 +384,6 @@ impl StorageEnv {
             shards: (0..nshards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity: capacity.div_ceil(nshards),
             stats: AtomicIoStats::default(),
-            verify_checksums: AtomicBool::new(true),
             write_state: Mutex::new(WriteState { clean_on_disk: false, txn: None }),
             data_version: AtomicU64::new(0),
             committed_epoch: AtomicU64::new(1),
@@ -528,13 +524,6 @@ impl StorageEnv {
         self.stats.reset();
     }
 
-    /// Enables or disables CRC verification on buffer-pool misses.
-    /// On by default; the checksum-overhead bench flips it off to measure
-    /// the cost. Writes are stamped either way.
-    pub fn set_verify_checksums(&self, on: bool) {
-        self.verify_checksums.store(on, Ordering::Relaxed);
-    }
-
     /// Number of buffer-pool shards (derived from the pool size).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -604,11 +593,9 @@ impl StorageEnv {
             shard.free_frames.push(idx);
             return Err(e);
         }
-        if self.verify_checksums.load(Ordering::Relaxed) {
-            if let Err(e) = Self::verify_page(&shard.frames[idx].data, id) {
-                shard.free_frames.push(idx);
-                return Err(e);
-            }
+        if let Err(e) = Self::verify_page(&shard.frames[idx].data, id) {
+            shard.free_frames.push(idx);
+            return Err(e);
         }
         shard.frames[idx].dirty = false;
         shard.frames[idx].logged = true;
@@ -1630,16 +1617,19 @@ mod tests {
         bytes[offset] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         let env = StorageEnv::open(&path, opts).unwrap(); // meta page intact
-        match env.with_page(page, |_| ()) {
+        let read_corrupt = || match env.with_page(page, |_| ()) {
             Err(StorageError::ChecksumMismatch { page: p, stored, computed }) => {
                 assert_eq!(p, page.0);
                 assert_ne!(stored, computed);
             }
             other => panic!("expected ChecksumMismatch, got {other:?}"),
-        }
-        // Verification off: the flip sails through (bench mode).
-        env.set_verify_checksums(false);
-        env.with_page(page, |_| ()).unwrap();
+        };
+        read_corrupt();
+        // The page was not admitted: a second read misses again, fails
+        // the same way, and reuses the frame the first one handed back.
+        let resident = env.resident_frames();
+        read_corrupt();
+        assert_eq!(env.resident_frames(), resident, "failed verification leaked a frame");
         drop(env);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1403,7 +1403,8 @@ impl Engine {
     }
 
     /// Blob blocks read (pager cache misses) across all currently open
-    /// sealed segments — the bench suites' cold-read probe counter.
+    /// sealed segments — the benchmark's cold-read probe counter
+    /// (`segment.block_reads_per_probe`).
     pub fn segment_block_reads(&self) -> u64 {
         self.segments
             .as_ref()

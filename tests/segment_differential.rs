@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 use xk_storage::EnvOptions;
+use xk_workload::{generate, DblpSpec, Planted};
 use xk_xmltree::{Dewey, NodeContent, NodeId, XmlTree};
 use xksearch::{Algorithm, Engine};
 
@@ -66,7 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn segment_layout_matches_btree_layout(
+    fn segments_match_the_btree_reference(
         tree in random_tree(),
         frags in proptest::collection::vec(fragment(), 0..6),
         threshold in prop::sample::select(&[1u64, 2, 8, u64::MAX][..]),
@@ -141,6 +142,7 @@ proptest! {
                 let oa = bt.query(q, algo).unwrap();
                 let ob = sg.query(q, algo).unwrap();
                 prop_assert_eq!(&oa.slcas, &ob.slcas, "query {:?} algo {}", q, algo);
+                prop_assert_eq!(&oa.stats, &ob.stats, "operation counts {:?} algo {}", q, algo);
             }
             let la = bt.query_all_lcas(q).unwrap();
             let lb = sg.query_all_lcas(q).unwrap();
@@ -151,4 +153,48 @@ proptest! {
         let report = sg.verify_segments().unwrap().unwrap();
         prop_assert!(report.clean(), "verify issues: {:?}", report.issues);
     }
+}
+
+/// The footprint bound of the segment layout, on a corpus large enough
+/// for it to be a property of the encoding rather than of per-blob fixed
+/// overhead (the random trees above have at most 50 nodes, where a
+/// blob's header, dictionary and trailer blocks dominate). Both engines
+/// embed the document, so the difference between their page counts is
+/// exactly the posting B+trees; the segment side's counterpart is its
+/// blob blocks. Segments must pack the same postings into at most half
+/// the bytes.
+#[test]
+fn segments_use_at_most_half_the_btree_bytes_per_posting() {
+    let spec = DblpSpec {
+        papers: 600,
+        planted: vec![
+            Planted { keyword: "s1a".into(), frequency: 20 },
+            Planted { keyword: "s2".into(), frequency: 500 },
+        ],
+        ..DblpSpec::default()
+    };
+    let tree = generate(&spec);
+    let opts = EnvOptions { page_size: 4096, pool_pages: 4096 };
+    let bt = Engine::build_in_memory(&tree, opts.clone()).unwrap();
+    let sg = Engine::build_in_memory_segmented(&tree, opts).unwrap();
+
+    // The skewed pair that drives IL's probe loop: same answer, same
+    // number of `lm`/`rm` lookups, whichever layout serves them.
+    let a = bt.query(&["s1a", "s2"], Algorithm::IndexedLookupEager).unwrap();
+    let b = sg.query(&["s1a", "s2"], Algorithm::IndexedLookupEager).unwrap();
+    assert!(!a.slcas.is_empty());
+    assert_eq!(a.slcas, b.slcas, "layouts disagreed on the SLCA set");
+    assert_eq!(a.stats.match_lookups, b.stats.match_lookups, "layouts disagreed on probe count");
+
+    let pages = |e: &Engine| e.with_env(|env| u64::from(env.page_count()));
+    let metas = sg.segment_metas();
+    let postings: u64 = metas.iter().map(|m| m.postings).sum();
+    let blob_blocks: u64 = metas.iter().map(|m| u64::from(m.blocks)).sum();
+    let btree_pages = pages(&bt) - pages(&sg);
+    assert!(postings > 0 && blob_blocks > 0, "segment build left no postings");
+    assert!(
+        blob_blocks * 2 <= btree_pages,
+        "segments must use at most half the bytes per posting: {blob_blocks} blob blocks vs \
+         {btree_pages} B+tree pages for {postings} postings"
+    );
 }
