@@ -1,9 +1,7 @@
 //! # xk-bench
 //!
-//! The benchmark harness that regenerates the paper's evaluation: the
-//! `figures` binary reproduces Table 1 and Figures 8–13 (hot and cold
-//! cache), and the Criterion benches under `benches/` microbenchmark the
-//! algorithms, match operations, storage, and parser.
+//! The harness that regenerates the paper's evaluation: the `figures`
+//! binary reproduces Table 1 and Figures 8–13 (hot and cold cache).
 //!
 //! The two suite binaries (`figures`, `lookup_locality`) each emit one
 //! machine-readable `results/BENCH_<suite>.json` through the shared

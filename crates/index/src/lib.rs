@@ -10,9 +10,10 @@
 //!   encoding for positions beyond the document shape (the Section 5
 //!   "uncle node");
 //! * [`MemIndex`] — in-memory keyword → sorted Dewey lists;
-//! * [`DiskIndex`] / [`build_disk_index`] — the on-disk layout, bulk
-//!   loaded once and read-only afterwards: a vocabulary B+tree (the frequency table), the composite-key B+tree
-//!   for Indexed Lookup matches, and sequential list chains for scanning,
+//! * [`DiskIndex`] / [`build_disk_index`] — the on-disk layout,
+//!   immutable after `bulk_load`: a vocabulary B+tree (the frequency
+//!   table), the composite-key B+tree for Indexed Lookup matches, and
+//!   sequential list chains for scanning,
 //!   with [`DiskRankedList`] / [`DiskStreamList`] adapters implementing
 //!   the `xk-slca` list traits (storage failures poison the [`SharedEnv`]
 //!   instead of panicking);

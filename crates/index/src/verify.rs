@@ -391,14 +391,21 @@ mod tests {
     #[test]
     fn lying_vocabulary_count_is_reported() {
         let env = built_env(false);
-        // Rewrite one vocabulary entry with an inflated frequency but the
-        // original (honest) list handle.
+        // Rebuild the vocabulary with one entry's frequency inflated but
+        // its original (honest) list handle.
         let vocab = BTree::open(&env, SLOT_VOCAB).unwrap();
-        let value = vocab.get(&env, b"john").unwrap().unwrap();
-        let mut meta = KeywordMeta::decode(&value).unwrap();
-        meta.count += 7;
-        let patched = meta.encode();
-        vocab.insert(&env, b"john", &patched).unwrap();
+        let mut entries = Vec::new();
+        let mut c = vocab.cursor_first(&env).unwrap();
+        while let Some((key, mut value)) = c.read(&env).unwrap() {
+            if key == b"john" {
+                let mut meta = KeywordMeta::decode(&value).unwrap();
+                meta.count += 7;
+                value = meta.encode().to_vec();
+            }
+            entries.push((key, value));
+            c.advance(&env).unwrap();
+        }
+        BTree::bulk_load(&env, SLOT_VOCAB, entries).unwrap();
 
         let report = verify_index(&env);
         assert!(!report.is_ok());

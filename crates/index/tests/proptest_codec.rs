@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use xk_index::{decode_dewey, encode_dewey, encode_probe, encode_upper_bound, LevelTable, Probe};
-use xk_xmltree::Dewey;
+use xk_xmltree::{Dewey, NodeId, XmlTree};
 
 /// A pair of (table, Dewey numbers valid for that table).
 fn table_with_deweys() -> impl Strategy<Value = (LevelTable, Vec<Dewey>)> {
@@ -25,8 +25,51 @@ fn table_with_deweys() -> impl Strategy<Value = (LevelTable, Vec<Dewey>)> {
     })
 }
 
+/// A document with DBLP's grouping: `dblp / venue / year / paper /
+/// {title, author*, pages}`, each field holding one text node.
+fn dblp_shaped(venues: u32, years: u32, papers: u32, authors: u32) -> XmlTree {
+    let mut t = XmlTree::new("dblp");
+    for _ in 0..venues {
+        let venue = t.append_element(NodeId::ROOT, "venue");
+        for _ in 0..years {
+            let year = t.append_element(venue, "year");
+            for _ in 0..papers {
+                let paper = t.append_element(year, "paper");
+                let fields = ["title", "pages"].into_iter().chain((0..authors).map(|_| "author"));
+                for field in fields {
+                    let e = t.append_element(paper, field);
+                    t.append_text(e, "text");
+                }
+            }
+        }
+    }
+    t
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The storage claim DESIGN.md §5 rests on: over a DBLP-shaped
+    /// document the packed ids take at most a third of the bytes raw
+    /// `u32` components would, which divides the scanners' `Σ|Sᵢ|/B`
+    /// disk term by the same factor.
+    #[test]
+    fn packed_deweys_are_at_most_a_third_of_raw_u32_components(
+        venues in 2u32..20,
+        years in 1u32..8,
+        papers in 1u32..16,
+        authors in 1u32..4,
+    ) {
+        let tree = dblp_shaped(venues, years, papers, authors);
+        let table = LevelTable::build(&tree);
+        let (mut packed, mut raw) = (0usize, 0usize);
+        for n in tree.preorder() {
+            let d = tree.dewey(n);
+            packed += encode_dewey(&d, &table).unwrap().len();
+            raw += 4 * d.depth();
+        }
+        prop_assert!(3 * packed <= raw, "packed {packed} B vs raw {raw} B");
+    }
 
     #[test]
     fn roundtrip((table, deweys) in table_with_deweys()) {

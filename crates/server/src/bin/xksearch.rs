@@ -29,7 +29,6 @@ fn main() -> ExitCode {
         Some("recover") => cmd_recover(&args[1..]),
         Some("append") => cmd_append(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench-concurrent") => cmd_bench_concurrent(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
         _ => {
             eprint!("{USAGE}");
@@ -58,8 +57,6 @@ USAGE:
   xksearch append <index.db> <parent-dewey|/> <fragment.xml> [--wal PATH]
   xksearch serve <index.db> [--addr HOST:PORT] [--workers N] [--cache-entries C]
                  [--queue-cap Q] [--page-size N] [--pool-pages N] [--wal PATH]
-  xksearch bench-concurrent <index.db> <keyword>... [--threads N] [--repeat R]
-                 [--algo auto|il|scan|stack] [--cold]
   xksearch demo  [<keyword>...]     (defaults to: John Ben)
 ";
 
@@ -499,76 +496,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     merger.stop();
     eprintln!("drained; final metrics:");
     println!("{final_metrics}");
-    Ok(())
-}
-
-/// `bench-concurrent`: replicate one query `--repeat` times and fan the
-/// batch across `--threads` worker threads, reporting throughput. With
-/// `--cold` the cache is dropped before the batch (one cold batch; the
-/// per-query cache state then depends on what its siblings already
-/// faulted in, exactly like production concurrency).
-fn cmd_bench_concurrent(args: &[String]) -> Result<(), AnyError> {
-    let options = parse_env_options(args)?;
-    let mut threads = 4usize;
-    let mut repeat = 64usize;
-    let mut algorithm = Algorithm::Auto;
-    let mut cold = false;
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => threads = next_value(args, &mut i)?.parse()?,
-            "--repeat" => repeat = next_value(args, &mut i)?.parse()?,
-            "--algo" => algorithm = parse_algo(next_value(args, &mut i)?)?,
-            "--cold" => cold = true,
-            "--page-size" | "--pool-pages" => i += 1,
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            a => positional.push(a.to_string()),
-        }
-        i += 1;
-    }
-    let [db, keywords @ ..] = positional.as_slice() else {
-        return Err("bench-concurrent needs <index.db> and at least one keyword".into());
-    };
-    if keywords.is_empty() {
-        return Err("bench-concurrent needs at least one keyword".into());
-    }
-    if threads == 0 || repeat == 0 {
-        return Err("--threads and --repeat must be positive".into());
-    }
-    let engine = Engine::open(db, options)?;
-    let queries: Vec<Vec<String>> = (0..repeat).map(|_| keywords.to_vec()).collect();
-    if cold {
-        engine.clear_cache()?;
-    } else {
-        // Warm-up pass so the hot numbers measure a steady state.
-        let kw: Vec<&str> = keywords.iter().map(|s| s.as_str()).collect();
-        engine.query(&kw, algorithm)?;
-    }
-    let started = std::time::Instant::now();
-    let results = engine.query_batch(&queries, algorithm, threads);
-    let elapsed = started.elapsed();
-    let mut slcas = None;
-    for r in &results {
-        let out = r.as_ref().map_err(|e| e.to_string())?;
-        match &slcas {
-            None => slcas = Some(out.slcas.clone()),
-            Some(first) => {
-                if &out.slcas != first {
-                    return Err("concurrent runs disagreed on the SLCA set".into());
-                }
-            }
-        }
-    }
-    let qps = repeat as f64 / elapsed.as_secs_f64();
-    println!(
-        "{repeat} queries x {threads} threads ({} cache): {elapsed:.2?} total, {qps:.1} queries/s",
-        if cold { "cold" } else { "hot" },
-    );
-    println!(
-        "every run returned the same {} SLCAs",
-        slcas.map(|s| s.len()).unwrap_or(0)
-    );
     Ok(())
 }
 

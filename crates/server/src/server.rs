@@ -248,11 +248,6 @@ impl Server {
         self.shared.request_shutdown();
     }
 
-    /// True once shutdown has been requested (drain may still be going).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Waits for the reactor and every worker to finish — i.e. for the
     /// drain after a shutdown request. Returns the final metrics
     /// document (the same JSON `/metrics` serves).

@@ -10,10 +10,10 @@
 //! * `rm(v, S)` — right match, the smallest key `>= v` — is [`BTree::seek_ge`];
 //! * `lm(v, S)` — left match, the largest key `<= v` — is [`BTree::seek_le`].
 //!
-//! The tree supports bulk loading, insert, point get, and ordered
-//! cursors in both directions, and persists its root in a named root
-//! slot of the [`StorageEnv`] meta page. There is no delete: the index
-//! built on it is loaded once and read-only afterwards.
+//! A tree comes to exist through [`BTree::bulk_load`] and is **immutable**
+//! from then on: there is no insert and no delete, only point gets,
+//! match seeks and forward cursors. Its root lives in a named root slot
+//! of the [`StorageEnv`] meta page, so [`BTree::open`] reaches it again.
 
 use crate::env::StorageEnv;
 use crate::error::{Result, StorageError};
@@ -306,23 +306,7 @@ pub struct BTree {
     slot: usize,
 }
 
-/// Outcome of inserting into a subtree: the replaced value (if the key
-/// existed) and a split (separator, new right sibling) to propagate.
-struct InsertOutcome {
-    old_value: Option<Vec<u8>>,
-    split: Option<(Vec<u8>, PageId)>,
-}
-
 impl BTree {
-    /// Creates an empty tree whose root is stored in meta slot `slot`.
-    pub fn create(env: &StorageEnv, slot: usize) -> Result<BTree> {
-        let root = env.allocate_page()?;
-        let node = Node::Leaf { prev: None, next: None, entries: Vec::new() };
-        write_node(env, root, &node)?;
-        env.set_root_slot(slot, Some(root))?;
-        Ok(BTree { slot })
-    }
-
     /// Opens the tree stored in meta slot `slot`.
     pub fn open(env: &StorageEnv, slot: usize) -> Result<BTree> {
         match env.root_slot(slot)? {
@@ -342,124 +326,12 @@ impl BTree {
         (env.page_size() - LEAF_HDR) / 4 - 4
     }
 
-    /// Inserts `key -> value`, returning the previous value if the key was
-    /// already present.
-    pub fn insert(&self, env: &StorageEnv, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        let max = Self::max_entry_size(env);
-        if key.len() + value.len() > max {
-            return Err(StorageError::EntryTooLarge {
-                entry_bytes: key.len() + value.len(),
-                max_bytes: max,
-            });
-        }
-        let root = self.root(env)?;
-        let outcome = self.insert_rec(env, root, key, value)?;
-        if let Some((sep, right)) = outcome.split {
-            let new_root_page = env.allocate_page()?;
-            let new_root = Node::Internal { keys: vec![sep], children: vec![root, right] };
-            write_node(env, new_root_page, &new_root)?;
-            env.set_root_slot(self.slot, Some(new_root_page))?;
-        }
-        Ok(outcome.old_value)
-    }
-
-    // xk-analyze: allow(panic_path, reason = "binary-search/upper_bound indices and split midpoints are in bounds for a just-overflowed node; the unreachable arms destructure variants constructed lines above")
-    fn insert_rec(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<InsertOutcome> {
-        let node = read_node(env, page)?;
-        match node {
-            Node::Leaf { prev, next, mut entries } => {
-                let old_value = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => Some(std::mem::replace(&mut entries[i].1, value.to_vec())),
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        None
-                    }
-                };
-                let candidate = Node::Leaf { prev, next, entries };
-                if candidate.serialized_size() <= env.page_size() {
-                    write_node(env, page, &candidate)?;
-                    return Ok(InsertOutcome { old_value, split: None });
-                }
-                // Split the leaf at the byte midpoint.
-                let (prev, old_next, entries) = match candidate {
-                    Node::Leaf { prev, next, entries } => (prev, next, entries),
-                    _ => unreachable!(),
-                };
-                let mid = split_point_leaf(&entries);
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let sep = right_entries[0].0.clone();
-                let right_page = env.allocate_page()?;
-                // Relink siblings: left <-> right <-> old-next.
-                let left_node = Node::Leaf {
-                    prev,
-                    next: Some(right_page),
-                    entries: left_entries,
-                };
-                let right_node = Node::Leaf {
-                    prev: Some(page),
-                    next: old_next,
-                    entries: right_entries,
-                };
-                write_node(env, page, &left_node)?;
-                write_node(env, right_page, &right_node)?;
-                if let Some(n) = old_next {
-                    update_leaf_prev(env, n, Some(right_page))?;
-                }
-                Ok(InsertOutcome { old_value, split: Some((sep, right_page)) })
-            }
-            Node::Internal { mut keys, mut children } => {
-                let idx = upper_bound(&keys, key);
-                let child = children[idx];
-                let outcome = self.insert_rec(env, child, key, value)?;
-                let Some((sep, right)) = outcome.split else {
-                    return Ok(outcome);
-                };
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right);
-                let candidate = Node::Internal { keys, children };
-                if candidate.serialized_size() <= env.page_size() {
-                    write_node(env, page, &candidate)?;
-                    return Ok(InsertOutcome { old_value: outcome.old_value, split: None });
-                }
-                // Split the internal node; the middle key moves up.
-                let (keys, children) = match candidate {
-                    Node::Internal { keys, children } => (keys, children),
-                    _ => unreachable!(),
-                };
-                let mid = keys.len() / 2;
-                let promoted = keys[mid].clone();
-                let left_node = Node::Internal {
-                    keys: keys[..mid].to_vec(),
-                    children: children[..=mid].to_vec(),
-                };
-                let right_node = Node::Internal {
-                    keys: keys[mid + 1..].to_vec(),
-                    children: children[mid + 1..].to_vec(),
-                };
-                let right_page = env.allocate_page()?;
-                write_node(env, page, &left_node)?;
-                write_node(env, right_page, &right_node)?;
-                Ok(InsertOutcome {
-                    old_value: outcome.old_value,
-                    split: Some((promoted, right_page)),
-                })
-            }
-        }
-    }
-
     /// Bulk-loads a tree from **strictly ascending** `(key, value)` pairs,
     /// replacing whatever the slot held. Leaves are packed left to right
     /// to a ~90% fill target and internal levels are stacked bottom-up —
-    /// far cheaper than repeated [`BTree::insert`] descents, and exactly
-    /// the pattern the index builder needs (its composite keys are
-    /// generated in sorted order).
+    /// exactly the pattern the index builder needs (its composite keys
+    /// are generated in sorted order). This is the only way a tree is
+    /// written; nothing modifies it afterwards.
     pub fn bulk_load(
         env: &StorageEnv,
         slot: usize,
@@ -1071,24 +943,6 @@ impl Cursor {
         *self = chain_forward(env, next)?;
         Ok(())
     }
-
-    /// Moves to the previous entry in key order.
-    pub fn retreat(&mut self, env: &StorageEnv) -> Result<()> {
-        let Some(page) = self.page else { return Ok(()) };
-        if self.idx > 0 {
-            self.idx -= 1;
-            return Ok(());
-        }
-        let prev = env.with_page(page, |p| {
-            if raw::is_leaf(p) {
-                Ok(raw::leaf_prev(p)?)
-            } else {
-                Err(StorageError::Corrupt("cursor points at an internal node".into()))
-            }
-        })??;
-        *self = chain_backward(env, prev)?;
-        Ok(())
-    }
 }
 
 /// One descent step, computed inside a page closure.
@@ -1149,41 +1003,17 @@ fn write_node(env: &StorageEnv, page: PageId, node: &Node) -> Result<()> {
     env.with_page_mut(page, |p| node.write(p))
 }
 
-fn update_leaf_prev(env: &StorageEnv, page: PageId, prev: Option<PageId>) -> Result<()> {
-    env.with_page_mut(page, |p| {
-        p[3..7].copy_from_slice(&PageId::encode_opt(prev).to_le_bytes());
-    })
-}
-
 fn update_leaf_next(env: &StorageEnv, page: PageId, next: Option<PageId>) -> Result<()> {
     env.with_page_mut(page, |p| {
         p[7..11].copy_from_slice(&PageId::encode_opt(next).to_le_bytes());
     })
 }
 
-/// First index `i` with `keys[i] > key` (boundary keys descend right).
-fn upper_bound(keys: &[Vec<u8>], key: &[u8]) -> usize {
-    keys.partition_point(|k| k.as_slice() <= key)
-}
-
-/// Split index for an over-full leaf: balances serialized bytes, while
-/// guaranteeing both sides are non-empty.
-fn split_point_leaf(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
-    let total: usize = entries.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
-    let mut acc = 0;
-    for (i, (k, v)) in entries.iter().enumerate() {
-        acc += 6 + k.len() + v.len();
-        if acc >= total / 2 {
-            return (i + 1).min(entries.len() - 1).max(1);
-        }
-    }
-    entries.len() / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::EnvOptions;
+    use crate::liststore::ListWriter;
 
     fn mem_env() -> StorageEnv {
         StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 64 })
@@ -1193,43 +1023,32 @@ mod tests {
         i.to_be_bytes().to_vec()
     }
 
-    #[test]
-    fn insert_get_small() {
-        let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        assert_eq!(t.get(&env, b"a").unwrap(), None);
-        assert_eq!(t.insert(&env, b"a", b"1").unwrap(), None);
-        assert_eq!(t.insert(&env, b"b", b"2").unwrap(), None);
-        assert_eq!(t.get(&env, b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(t.insert(&env, b"a", b"9").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(t.get(&env, b"a").unwrap(), Some(b"9".to_vec()));
-        t.check_invariants(&env).unwrap();
+    /// Bulk-loads `keys` (ascending) with `value` under each into `slot`.
+    fn load(env: &StorageEnv, slot: usize, keys: impl Iterator<Item = u32>, value: &[u8]) -> BTree {
+        BTree::bulk_load(env, slot, keys.map(|i| (key(i), value.to_vec()))).unwrap()
     }
 
     #[test]
-    fn insert_many_splits() {
+    fn bulk_load_round_trips() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let n = 2000u32;
+        let n = 3000u32;
+        let bulk = BTree::bulk_load(&env, 0, (0..n).map(|i| (key(i * 2), key(i)))).unwrap();
+        bulk.check_invariants(&env).unwrap();
+        assert_eq!(bulk.len(&env).unwrap(), n as u64);
         for i in 0..n {
-            // Insert in a scrambled order to exercise splits everywhere.
-            let k = (i * 7919) % n;
-            t.insert(&env, &key(k), &key(k * 2)).unwrap();
+            assert_eq!(bulk.get(&env, &key(i * 2)).unwrap(), Some(key(i)));
+            assert_eq!(bulk.get(&env, &key(i * 2 + 1)).unwrap(), None);
         }
-        t.check_invariants(&env).unwrap();
-        assert_eq!(t.len(&env).unwrap(), n as u64);
-        for i in 0..n {
-            assert_eq!(t.get(&env, &key(i)).unwrap(), Some(key(i * 2)));
-        }
+        let c = bulk.seek_ge(&env, &key(1500)).unwrap();
+        assert_eq!(c.read(&env).unwrap().unwrap().0, key(1500));
+        let c = bulk.seek_le(&env, &key(u32::MAX)).unwrap();
+        assert_eq!(c.read(&env).unwrap().unwrap().0, key((n - 1) * 2));
     }
 
     #[test]
     fn seek_ge_and_le() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in (0..500u32).map(|i| i * 10) {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, (0..500u32).map(|i| i * 10), b"");
         // Exact hit.
         let c = t.seek_ge(&env, &key(100)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(100));
@@ -1250,22 +1069,13 @@ mod tests {
     }
 
     #[test]
-    fn cursor_walks_in_both_directions() {
+    fn cursor_walks_the_leaf_chain() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..300u32 {
-            t.insert(&env, &key(i), b"v").unwrap();
-        }
+        let t = load(&env, 0, 0..300u32, b"v");
         let mut c = t.cursor_first(&env).unwrap();
         for i in 0..300u32 {
             assert_eq!(c.read(&env).unwrap().unwrap().0, key(i));
             c.advance(&env).unwrap();
-        }
-        assert!(c.read(&env).unwrap().is_none());
-        let mut c = t.seek_le(&env, &key(u32::MAX)).unwrap();
-        for i in (0..300u32).rev() {
-            assert_eq!(c.read(&env).unwrap().unwrap().0, key(i));
-            c.retreat(&env).unwrap();
         }
         assert!(c.read(&env).unwrap().is_none());
     }
@@ -1273,17 +1083,15 @@ mod tests {
     #[test]
     fn variable_length_keys() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let keys: Vec<Vec<u8>> = (0..300)
+        let mut keys: Vec<Vec<u8>> = (0..300)
             .map(|i| {
                 let mut k = vec![b'k'; i % 23 + 1];
                 k.extend_from_slice(&(i as u32).to_be_bytes());
                 k
             })
             .collect();
-        for k in &keys {
-            t.insert(&env, k, b"x").unwrap();
-        }
+        keys.sort();
+        let t = BTree::bulk_load(&env, 0, keys.iter().map(|k| (k.clone(), b"x".to_vec()))).unwrap();
         t.check_invariants(&env).unwrap();
         for k in &keys {
             assert!(t.contains(&env, k).unwrap());
@@ -1294,10 +1102,9 @@ mod tests {
     #[test]
     fn entry_too_large_is_rejected() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
         let huge = vec![0u8; 300];
         assert!(matches!(
-            t.insert(&env, &huge, b""),
+            BTree::bulk_load(&env, 0, vec![(huge, Vec::new())]),
             Err(StorageError::EntryTooLarge { .. })
         ));
     }
@@ -1305,12 +1112,8 @@ mod tests {
     #[test]
     fn two_trees_in_one_env() {
         let env = mem_env();
-        let a = BTree::create(&env, 0).unwrap();
-        let b = BTree::create(&env, 1).unwrap();
-        for i in 0..200u32 {
-            a.insert(&env, &key(i), b"a").unwrap();
-            b.insert(&env, &key(i), b"b").unwrap();
-        }
+        let a = load(&env, 0, 0..200u32, b"a");
+        let b = load(&env, 1, 0..200u32, b"b");
         assert_eq!(a.get(&env, &key(5)).unwrap(), Some(b"a".to_vec()));
         assert_eq!(b.get(&env, &key(5)).unwrap(), Some(b"b".to_vec()));
         a.check_invariants(&env).unwrap();
@@ -1325,10 +1128,7 @@ mod tests {
         let opts = EnvOptions { page_size: 512, pool_pages: 32 };
         {
             let env = StorageEnv::create(&path, opts.clone()).unwrap();
-            let t = BTree::create(&env, 0).unwrap();
-            for i in 0..500u32 {
-                t.insert(&env, &key(i), &key(i + 1)).unwrap();
-            }
+            BTree::bulk_load(&env, 0, (0..500u32).map(|i| (key(i), key(i + 1)))).unwrap();
             env.flush().unwrap();
         }
         {
@@ -1338,30 +1138,9 @@ mod tests {
                 assert_eq!(t.get(&env, &key(i)).unwrap(), Some(key(i + 1)));
             }
             t.check_invariants(&env).unwrap();
+            assert!(BTree::open(&env, 1).is_err(), "slot 1 never held a tree");
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bulk_load_matches_incremental_inserts() {
-        let env = mem_env();
-        let n = 3000u32;
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            (0..n).map(|i| (key(i), key(i * 2))).collect();
-        let bulk = BTree::bulk_load(&env, 0, entries.clone()).unwrap();
-        bulk.check_invariants(&env).unwrap();
-        assert_eq!(bulk.len(&env).unwrap(), n as u64);
-        for i in 0..n {
-            assert_eq!(bulk.get(&env, &key(i)).unwrap(), Some(key(i * 2)));
-        }
-        // Seeks behave identically to an insert-built tree.
-        let c = bulk.seek_ge(&env, &key(1500)).unwrap();
-        assert_eq!(c.read(&env).unwrap().unwrap().0, key(1500));
-        let c = bulk.seek_le(&env, &key(u32::MAX)).unwrap();
-        assert_eq!(c.read(&env).unwrap().unwrap().0, key(n - 1));
-        // And the tree stays mutable afterwards.
-        bulk.insert(&env, &key(n + 5), b"later").unwrap();
-        bulk.check_invariants(&env).unwrap();
     }
 
     #[test]
@@ -1390,27 +1169,16 @@ mod tests {
     #[test]
     fn verify_leaf_links_accepts_built_trees() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..2000u32 {
-            t.insert(&env, &key((i * 7919) % 2000), b"v").unwrap();
-        }
-        t.verify_leaf_links(&env).unwrap();
-        // Bulk-loaded trees too.
-        let entries: Vec<_> = (0..2000u32).map(|i| (key(i), vec![])).collect();
-        let b = BTree::bulk_load(&env, 1, entries).unwrap();
-        b.verify_leaf_links(&env).unwrap();
+        load(&env, 0, 0..2000u32, b"").verify_leaf_links(&env).unwrap();
+        BTree::bulk_load(&env, 1, Vec::new()).unwrap().verify_leaf_links(&env).unwrap();
     }
 
     #[test]
     fn verify_leaf_links_detects_broken_prev() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..500u32 {
-            t.insert(&env, &key(i), b"v").unwrap();
-        }
+        let t = load(&env, 0, 0..500u32, b"v");
         // Find the second leaf and point its prev somewhere wrong.
-        let first = t.cursor_first(&env).unwrap();
-        let mut c = first;
+        let mut c = t.cursor_first(&env).unwrap();
         let second_leaf = loop {
             let page_before = c.page;
             c.advance(&env).unwrap();
@@ -1418,7 +1186,10 @@ mod tests {
                 break c.page.unwrap();
             }
         };
-        update_leaf_prev(&env, second_leaf, None).unwrap();
+        env.with_page_mut(second_leaf, |p| {
+            p[3..7].copy_from_slice(&PageId::encode_opt(None).to_le_bytes());
+        })
+        .unwrap();
         match t.verify_leaf_links(&env) {
             Err(StorageError::Corrupt(msg)) => assert!(msg.contains("asymmetric"), "{msg}"),
             other => panic!("expected asymmetric-link error, got {other:?}"),
@@ -1428,10 +1199,7 @@ mod tests {
     #[test]
     fn node_read_rejects_mangled_pages() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..50u32 {
-            t.insert(&env, &key(i), b"v").unwrap();
-        }
+        let t = load(&env, 0, 0..50u32, b"v");
         let root = t.root(&env).unwrap();
         // Claim far more entries than the page holds: offsets run off the end.
         env.with_page_mut(root, |p| p[1..3].copy_from_slice(&5000u16.to_le_bytes())).unwrap();
@@ -1441,10 +1209,7 @@ mod tests {
     #[test]
     fn anchored_seeks_match_fresh_seeks() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..3000u32 {
-            t.insert(&env, &key((i * 7919) % 3000), &key(i)).unwrap();
-        }
+        let t = BTree::bulk_load(&env, 0, (0..3000u32).map(|i| (key(i), key(i * 3)))).unwrap();
         let mut anchor = BTreeCursor::new();
         // Mixed probe order: monotone runs, backsteps, jumps, misses.
         let probes: Vec<u32> = (0..200u32)
@@ -1465,30 +1230,24 @@ mod tests {
     #[test]
     fn anchored_probe_in_pinned_leaf_reads_one_page() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..5000u32 {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, 0..5000u32, b"");
         let mut anchor = BTreeCursor::new();
         // First probe pins the path (full descent).
         t.seek_ge_anchored(&env, &mut anchor, &key(2500)).unwrap();
         assert!(anchor.is_pinned());
         assert!(anchor.pinned_depth() >= 2, "tree of 5000 keys has internal levels");
-        // A re-probe of a neighboring key stays inside the pinned leaf:
+        // A re-probe of the same key stays inside the pinned leaf:
         // exactly one page access, no meta-page root lookup, no descent.
         env.reset_stats();
-        let c = t.seek_ge_anchored(&env, &mut anchor, &key(2501)).unwrap();
-        assert_eq!(c.read(&env).unwrap().unwrap().0, key(2501));
+        let c = t.seek_ge_anchored(&env, &mut anchor, &key(2500)).unwrap();
+        assert_eq!(c.read(&env).unwrap().unwrap().0, key(2500));
         assert_eq!(env.stats().logical_reads, 2, "leaf probe + cursor read only");
     }
 
     #[test]
     fn anchored_gallop_crosses_leaves_without_full_descent() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..5000u32 {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, 0..5000u32, b"");
         let mut anchor = BTreeCursor::new();
         let mut fresh_reads = 0u64;
         let mut anchored_reads = 0u64;
@@ -1511,18 +1270,20 @@ mod tests {
     #[test]
     fn anchored_cursor_invalidates_on_mutation() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in (0..500u32).map(|i| i * 2) {
-            t.insert(&env, &key(i), b"old").unwrap();
-        }
+        let t = load(&env, 0, (0..500u32).map(|i| i * 2), b"");
         let mut anchor = BTreeCursor::new();
         let c = t.seek_ge_anchored(&env, &mut anchor, &key(100)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(100));
-        // Mutate: insert the odd key right where the anchor is pinned.
-        t.insert(&env, &key(101), b"new").unwrap();
+        assert_eq!(anchor.version, env.data_version());
+        // The tree itself never changes, but any page write in the env
+        // moves the data version and must unpin every anchored cursor.
+        let mut w = ListWriter::new(&env);
+        w.append(&env, b"elsewhere").unwrap();
+        w.finish(&env).unwrap();
+        assert_ne!(anchor.version, env.data_version(), "a list write moved the version");
         let c = t.seek_ge_anchored(&env, &mut anchor, &key(101)).unwrap();
-        let (k, v) = c.read(&env).unwrap().unwrap();
-        assert_eq!((k, v), (key(101), b"new".to_vec()), "post-insert probe sees the insert");
+        assert_eq!(c.read(&env).unwrap().unwrap().0, key(102));
+        assert_eq!(anchor.version, env.data_version(), "the stale path was re-pinned");
         // Manual invalidation also forces a re-pin.
         anchor.invalidate();
         assert!(!anchor.is_pinned());
@@ -1534,10 +1295,7 @@ mod tests {
     #[test]
     fn anchored_seeks_handle_chain_hops_and_ends() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 1..=300u32 {
-            t.insert(&env, &key(i * 10), b"").unwrap();
-        }
+        let t = load(&env, 0, (1..=300u32).map(|i| i * 10), b"");
         let mut anchor = BTreeCursor::new();
         // Below every key: seek_le chains off the left end.
         let c = t.seek_le_anchored(&env, &mut anchor, &key(5)).unwrap();
@@ -1551,7 +1309,7 @@ mod tests {
         let c = t.seek_le_anchored(&env, &mut anchor, &key(1999)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(1990));
         // Empty tree: anchored seeks are exhausted, not erroneous.
-        let empty = BTree::create(&env, 1).unwrap();
+        let empty = BTree::bulk_load(&env, 1, Vec::new()).unwrap();
         let mut a2 = BTreeCursor::new();
         assert!(empty.seek_ge_anchored(&env, &mut a2, &key(1)).unwrap().read(&env).unwrap().is_none());
         assert!(empty.seek_le_anchored(&env, &mut a2, &key(1)).unwrap().read(&env).unwrap().is_none());
@@ -1560,10 +1318,7 @@ mod tests {
     #[test]
     fn cold_cache_seeks_touch_one_path() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..5000u32 {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, 0..5000u32, b"");
         env.clear_cache().unwrap();
         env.reset_stats();
         let c = t.seek_ge(&env, &key(2500)).unwrap();

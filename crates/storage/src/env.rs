@@ -889,14 +889,6 @@ impl StorageEnv {
         Ok(())
     }
 
-    /// Number of pages currently cached (across all shards).
-    pub fn cached_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
-    }
-
     /// Number of pool frames currently allocated (across all shards);
     /// bounded by the pool capacity even under failing reads.
     pub fn resident_frames(&self) -> usize {
@@ -1064,11 +1056,6 @@ impl StorageEnv {
         }
         self.wal = Some(wal);
         Ok(())
-    }
-
-    /// True when a write-ahead log is attached.
-    pub fn has_wal(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// Transactions committed to the WAL since attach (for batch-size

@@ -11,7 +11,7 @@
 //!   cache control for the hot/cold-cache experiments;
 //! * [`btree`] — a disk B+tree with doubly-linked leaves whose
 //!   [`BTree::seek_ge`]/[`BTree::seek_le`] realize the paper's right/left
-//!   match primitives;
+//!   match primitives; immutable after [`BTree::bulk_load`];
 //! * [`liststore`] — sequential page chains for the Scan/Stack keyword-
 //!   list layout;
 //! * [`checksum`] — the CRC-32 stamped into every page's trailer and
@@ -26,9 +26,9 @@
 //!
 //! ```
 //! use xk_storage::{StorageEnv, EnvOptions, BTree};
-//! let mut env = StorageEnv::in_memory(EnvOptions::default());
-//! let tree = BTree::create(&env, 0).unwrap();
-//! tree.insert(&env, b"key", b"value").unwrap();
+//! let env = StorageEnv::in_memory(EnvOptions::default());
+//! let entries = vec![(b"key".to_vec(), b"value".to_vec())];
+//! let tree = BTree::bulk_load(&env, 0, entries).unwrap();
 //! assert_eq!(tree.get(&env, b"key").unwrap(), Some(b"value".to_vec()));
 //! ```
 

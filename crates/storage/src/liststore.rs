@@ -229,11 +229,6 @@ impl ListReader {
         }
     }
 
-    /// Number of entries not yet returned.
-    pub fn remaining(&self) -> u64 {
-        self.remaining_entries
-    }
-
     /// Reads the next record, or `None` at the end of the list.
     // xk-analyze: allow(panic_path, reason = "record ranges are validated against page_len (itself checked against the page) before slicing; length fields are fixed-width")
     pub fn next_record(&mut self, env: &StorageEnv) -> Result<Option<Vec<u8>>> {

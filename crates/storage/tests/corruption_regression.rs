@@ -16,10 +16,8 @@ fn mem_env() -> StorageEnv {
 }
 
 fn small_tree(env: &StorageEnv) -> (BTree, PageId) {
-    let tree = BTree::create(env, 0).unwrap();
-    for i in 0..8u8 {
-        tree.insert(env, format!("key-{i}").as_bytes(), &[i; 8]).unwrap();
-    }
+    let entries = (0..8u8).map(|i| (format!("key-{i}").into_bytes(), vec![i; 8]));
+    let tree = BTree::bulk_load(env, 0, entries).unwrap();
     let root = env.root_slot(0).unwrap().expect("tree has a root");
     (tree, root)
 }

@@ -20,14 +20,14 @@ fn faulty_file_env(path: &std::path::Path, config: FaultConfig) -> StorageEnv {
         .unwrap()
 }
 
-/// Inserts `n` keys, returning the first error (the workload a crash
-/// interrupts).
-fn insert_workload(env: &StorageEnv, n: usize) -> xk_storage::Result<()> {
-    let tree = BTree::create(env, 0)?;
-    for i in 0..n {
-        let key = format!("key-{i:05}");
-        tree.insert(env, key.as_bytes(), &[i as u8; 24])?;
-    }
+fn entries(n: usize) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> {
+    (0..n).map(|i| (format!("key-{i:05}").into_bytes(), vec![i as u8; 24]))
+}
+
+/// Bulk-loads `n` keys and flushes, returning the first error (the
+/// workload a crash interrupts).
+fn load_workload(env: &StorageEnv, n: usize) -> xk_storage::Result<()> {
+    BTree::bulk_load(env, 0, entries(n))?;
     env.flush()
 }
 
@@ -41,7 +41,7 @@ fn torn_write_mid_flush_is_rejected_on_reopen() {
             &path,
             FaultConfig { torn_write_at: Some(torn_at), seed: torn_at, ..FaultConfig::none() },
         );
-        let result = insert_workload(&env, 300);
+        let result = load_workload(&env, 300);
         assert!(result.is_err(), "torn write at op {torn_at} must surface");
         drop(env); // drop-flush also fails; must not panic
 
@@ -66,7 +66,7 @@ fn write_and_sync_failures_propagate_without_panicking() {
     ] {
         let path = dir.join(format!("{kind}.db"));
         let env = faulty_file_env(&path, config);
-        let err = insert_workload(&env, 300).unwrap_err();
+        let err = load_workload(&env, 300).unwrap_err();
         assert!(err.to_string().contains("injected"), "{kind}: {err}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -83,22 +83,16 @@ fn read_failures_surface_as_errors_never_panics() {
         FaultConfig { fail_read_at: Some(1), ..FaultConfig::none() },
     );
     let env = StorageEnv::create_with_pager(Box::new(fault), 4).unwrap();
-    if let Ok(tree) = BTree::create(&env, 0) {
-        let mut saw_error = false;
-        for i in 0..300 {
-            // Ascending inserts ride the hot rightmost spine, so they may
-            // well succeed from the pool alone; either way, no panics.
-            let key = format!("key-{i:05}");
-            saw_error |= tree.insert(&env, key.as_bytes(), &[7u8; 24]).is_err();
-        }
+    // The load writes left to right and only revisits the leaf it just
+    // filled, so it may well succeed from the pool alone; either way, no
+    // panics.
+    let saw_error = match BTree::bulk_load(&env, 0, entries(300)) {
+        Err(_) => true,
         // Probing the *early* keys descends into long-evicted leaves,
         // which need the dead disk — these must error, not panic.
-        for i in 0..300 {
-            let key = format!("key-{i:05}");
-            saw_error |= tree.get(&env, key.as_bytes()).is_err();
-        }
-        assert!(saw_error, "a dead disk must surface read errors");
-    }
+        Ok(tree) => entries(300).any(|(key, _)| tree.get(&env, &key).is_err()),
+    };
+    assert!(saw_error, "a dead disk must surface read errors");
 }
 
 #[test]
@@ -112,7 +106,7 @@ fn identical_seeds_crash_identically() {
             FaultConfig { torn_write_at: Some(5), seed: 42, ..FaultConfig::none() },
         );
         let env = StorageEnv::create_with_pager(Box::new(fault), 16).unwrap();
-        let err = insert_workload(&env, 300).unwrap_err().to_string();
+        let err = load_workload(&env, 300).unwrap_err().to_string();
         drop(env);
         let len = std::fs::metadata(&path).unwrap().len();
         (err, len)
@@ -130,7 +124,7 @@ fn clean_shutdown_through_fault_pager_reopens_fine() {
     let path = dir.join("clean.db");
     {
         let env = faulty_file_env(&path, FaultConfig::none());
-        insert_workload(&env, 300).unwrap();
+        load_workload(&env, 300).unwrap();
     }
     let env = StorageEnv::open(&path, EnvOptions { page_size: 512, pool_pages: 16 })
         .expect("cleanly flushed file reopens");

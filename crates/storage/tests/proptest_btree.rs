@@ -1,69 +1,51 @@
-//! Property tests: the disk B+tree must behave exactly like
-//! `std::collections::BTreeMap` under arbitrary interleavings of inserts
-//! (fresh keys and overwrites), point gets, and left/right-match seeks,
-//! and must keep its structural invariants at every step.
+//! Property tests: a tree bulk-loaded from a strictly ascending map must
+//! answer exactly like that `std::collections::BTreeMap` — point gets,
+//! `contains`, left/right-match seeks and the full cursor walk — and pass
+//! both structural checks, at every page size the engine is built with.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use xk_storage::{BTree, EnvOptions, StorageEnv};
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<u8>, Vec<u8>),
-    Get(Vec<u8>),
-    SeekGe(Vec<u8>),
-    SeekLe(Vec<u8>),
-}
-
 fn small_key() -> impl Strategy<Value = Vec<u8>> {
-    // Short keys from a small alphabet maximize collisions and ordering
-    // edge cases (prefix keys, equal keys, empty key).
-    proptest::collection::vec(0u8..4, 0..5)
+    // Short keys from a small alphabet maximize ordering edge cases
+    // (prefix keys, the empty key) and probes that hit stored keys.
+    proptest::collection::vec(0u8..4, 0..6)
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (small_key(), proptest::collection::vec(any::<u8>(), 0..12))
-            .prop_map(|(k, v)| Op::Insert(k, v)),
-        small_key().prop_map(Op::Get),
-        small_key().prop_map(Op::SeekGe),
-        small_key().prop_map(Op::SeekLe),
-    ]
+fn entry() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (small_key(), proptest::collection::vec(any::<u8>(), 0..12))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn btree_matches_std_btreemap(ops in proptest::collection::vec(op(), 1..300)) {
-        let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 32 });
-        let tree = BTree::create(&env, 0).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-
-        for op in &ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let old = tree.insert(&env, k, v).unwrap();
-                    prop_assert_eq!(old, model.insert(k.clone(), v.clone()));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(tree.get(&env, k).unwrap(), model.get(k).cloned());
-                }
-                Op::SeekGe(k) => {
-                    let got = tree.seek_ge(&env, k).unwrap().read(&env).unwrap();
-                    let want = model.range::<Vec<u8>, _>(k.clone()..).next()
-                        .map(|(k, v)| (k.clone(), v.clone()));
-                    prop_assert_eq!(got, want);
-                }
-                Op::SeekLe(k) => {
-                    let got = tree.seek_le(&env, k).unwrap().read(&env).unwrap();
-                    let want = model.range::<Vec<u8>, _>(..=k.clone()).next_back()
-                        .map(|(k, v)| (k.clone(), v.clone()));
-                    prop_assert_eq!(got, want);
-                }
-            }
-        }
+    fn bulk_loaded_btree_matches_std_btreemap(
+        entries in proptest::collection::vec(entry(), 0..600),
+        probes in proptest::collection::vec(small_key(), 1..200),
+        page_shift in 8u32..13,
+    ) {
+        let model: BTreeMap<Vec<u8>, Vec<u8>> = entries.into_iter().collect();
+        let env = StorageEnv::in_memory(EnvOptions { page_size: 1 << page_shift, pool_pages: 32 });
+        let tree = BTree::bulk_load(&env, 0, model.clone()).unwrap();
         tree.check_invariants(&env).unwrap();
+        tree.verify_leaf_links(&env).unwrap();
+        prop_assert_eq!(tree.len(&env).unwrap(), model.len() as u64);
+        prop_assert_eq!(tree.is_empty(&env).unwrap(), model.is_empty());
+
+        for k in model.keys().chain(&probes) {
+            prop_assert_eq!(tree.get(&env, k).unwrap(), model.get(k).cloned());
+            prop_assert_eq!(tree.contains(&env, k).unwrap(), model.contains_key(k));
+            let got = tree.seek_ge(&env, k).unwrap().read(&env).unwrap();
+            let want = model.range::<Vec<u8>, _>(k.clone()..).next()
+                .map(|(k, v)| (k.clone(), v.clone()));
+            prop_assert_eq!(got, want);
+            let got = tree.seek_le(&env, k).unwrap().read(&env).unwrap();
+            let want = model.range::<Vec<u8>, _>(..=k.clone()).next_back()
+                .map(|(k, v)| (k.clone(), v.clone()));
+            prop_assert_eq!(got, want);
+        }
 
         // Full forward scan equals the model's ordered contents.
         let mut c = tree.cursor_first(&env).unwrap();
@@ -72,23 +54,7 @@ proptest! {
             scanned.push(e);
             c.advance(&env).unwrap();
         }
-        let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let expected: Vec<_> = model.into_iter().collect();
         prop_assert_eq!(scanned, expected);
-    }
-
-    #[test]
-    fn btree_holds_every_inserted_key(keys in proptest::collection::btree_set(
-        proptest::collection::vec(any::<u8>(), 0..10), 1..400))
-    {
-        let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 16 });
-        let tree = BTree::create(&env, 0).unwrap();
-        for k in &keys {
-            tree.insert(&env, k, b"v").unwrap();
-        }
-        tree.check_invariants(&env).unwrap();
-        prop_assert_eq!(tree.len(&env).unwrap(), keys.len() as u64);
-        for k in &keys {
-            prop_assert_eq!(tree.get(&env, k).unwrap(), Some(b"v".to_vec()));
-        }
     }
 }

@@ -1,0 +1,234 @@
+//! Background maintenance of the segment store: the size-tiered merge,
+//! the thread that drives it, and the deep verify sweep — everything
+//! that takes the writer lock without being an append.
+
+use super::{lock, seal_blob, CompactOutcome, Engine, SegSnapshot};
+use crate::error::{EngineError, Result};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+use xk_segment::{
+    merged_lists, plan_merge, verify_store, write_manifest, SealedMeta, SegExt, SegmentReader,
+    SegmentVerifyReport,
+};
+use xk_storage::free_list;
+
+/// Handle to the background merge thread ([`spawn_merger`]).
+pub struct MergerCtl {
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl MergerCtl {
+    /// Signals the merger to stop and waits for it to finish its
+    /// current compaction (if any).
+    pub fn stop(mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.handle.take() {
+            h.thread().unpark();
+            // xk-analyze: allow(swallowed_result, reason = "a panicked merger left the store consistent (compaction publishes transactionally); nothing to report at stop time")
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for MergerCtl {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.handle.take() {
+            h.thread().unpark();
+            // xk-analyze: allow(swallowed_result, reason = "same as MergerCtl::stop — the store is consistent regardless of how the thread ended")
+            let _ = h.join();
+        }
+    }
+}
+
+/// Spawns a background thread that folds small adjacent segments
+/// together ([`Engine::compact_segments`]) whenever the tiered policy
+/// finds an eligible run, checking every `interval`. A no-op thread for
+/// engines without a segment store. Merge failures stop the thread (the
+/// store stays fully queryable; compaction is an optimization).
+pub fn spawn_merger(engine: Arc<Engine>, interval: Duration) -> Result<MergerCtl> {
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread_stop = Arc::clone(&stop);
+    let handle = std::thread::Builder::new()
+        .name("xk-seg-merge".into())
+        .spawn(move || {
+            while !thread_stop.load(Ordering::Acquire) {
+                match engine.compact_segments() {
+                    // A merge happened: immediately look for the next
+                    // eligible run (seals can cascade into classes).
+                    Ok(Some(_)) => continue,
+                    Ok(None) => {}
+                    Err(e) => {
+                        eprintln!("segment merger stopped: {e}");
+                        break;
+                    }
+                }
+                std::thread::park_timeout(interval);
+            }
+        })
+        .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))?;
+    Ok(MergerCtl { stop, handle: Some(handle) })
+}
+
+impl Engine {
+    /// Folds the earliest eligible run of small adjacent segments into
+    /// one (size-tiered policy, [`xk_segment::plan_merge`]). Returns
+    /// `Ok(None)` when no run qualifies or the engine has no segment
+    /// store. Serialized with appends via the writer lock; queries are
+    /// never blocked (they keep reading the pre-merge snapshot until the
+    /// new one is published). Retired input blobs are deleted only after
+    /// the merged manifest commits — live readers keep them open through
+    /// their `Arc`s.
+    pub fn compact_segments(&self) -> Result<Option<CompactOutcome>> {
+        let Some(seg) = self.segments.as_ref() else {
+            return Ok(None);
+        };
+        let mut writer = lock(&seg.writer);
+        let ext0 = writer.ext;
+        let snap0 = seg.snapshot();
+        let counts: Vec<u64> = snap0.metas.iter().map(|m| m.postings).collect();
+        let Some(run) = plan_merge(&counts) else {
+            return Ok(None);
+        };
+        // Read the inputs and write the merged blob entirely outside the
+        // transaction: reads are immutable, and the blob (like a sealed
+        // append) must be durable before the manifest swap commits.
+        let lists = merged_lists(&snap0.sealed[run.clone()]).map_err(EngineError::Segment)?;
+        let seq = ext0.next_seq;
+        let epoch = self.env.with(|e| e.current_epoch());
+        let header = seal_blob(seg.io.as_ref(), seq, epoch, &lists)?;
+        let meta = SealedMeta::of(&header);
+        // Open the merged reader *before* the transaction: if the open
+        // failed after commit, the published snapshot could never be
+        // built and `pin_index` would spin on a stale index epoch.
+        let reader = match seg
+            .io
+            .open(seq)
+            .and_then(|p| SegmentReader::open(p, Some(&meta.fence())))
+        {
+            Ok(r) => r,
+            Err(e) => {
+                // xk-analyze: allow(swallowed_result, reason = "orphan blob cleanup is best-effort; the next open retries it")
+                let _ = seg.io.delete(seq);
+                return Err(EngineError::Segment(e));
+            }
+        };
+        let mut metas = snap0.metas.clone();
+        metas.splice(run.clone(), [meta]);
+
+        self.env.with(|e| e.begin_txn())?;
+        let mut scratch = self.scratch_index();
+        let applied = (|| -> Result<SegExt> {
+            let manifest = self.env.with(|e| write_manifest(e, &metas))?;
+            if let Some(h) = &ext0.manifest {
+                self.env.with(|e| free_list(e, h))?;
+            }
+            let ext1 = SegExt { manifest, next_seq: seq + 1, ..ext0 };
+            self.env.with(|e| scratch.set_extension(e, ext1.encode()))?;
+            Ok(ext1)
+        })();
+        let committed = applied.and_then(|ext1| Ok((ext1, self.env.with(|e| e.commit_txn())?)));
+        let (ext1, commit) = match committed {
+            Ok(v) => v,
+            Err(e) => {
+                self.abort(seg, Some(seq))?;
+                return Err(e);
+            }
+        };
+        let mut sealed = snap0.sealed.clone();
+        sealed.splice(run.clone(), [reader]);
+        let snapshot = Arc::new(SegSnapshot { metas, sealed, mem: snap0.mem.clone() });
+        self.publish(seg, scratch, commit.epoch, snapshot);
+        writer.ext = ext1;
+        // Retired inputs are now unreferenced by the committed manifest;
+        // live readers keep them readable via their open handles.
+        for m in &snap0.metas[run.clone()] {
+            // xk-analyze: allow(swallowed_result, reason = "retired blob deletion is best-effort; the next open removes leftovers as orphans")
+            let _ = seg.io.delete(m.seq);
+        }
+        self.wait_durable(commit.lsn)?;
+        Ok(Some(CompactOutcome {
+            merged: run,
+            seq,
+            postings: header.posting_count,
+            epoch: commit.epoch,
+        }))
+    }
+
+    /// Deep-checks the segment store — manifest against blobs, every
+    /// block CRC, skip-entry monotonicity, dictionary/postings
+    /// reconciliation, journal replayability. `Ok(None)` when the engine
+    /// has no segment store. Runs against the committed state under the
+    /// writer lock, so a concurrent seal cannot tear the sweep.
+    pub fn verify_segments(&self) -> Result<Option<SegmentVerifyReport>> {
+        let Some(seg) = self.segments.as_ref() else {
+            return Ok(None);
+        };
+        let writer = lock(&seg.writer);
+        let report = self
+            .env
+            .with(|e| verify_store(e, &writer.ext, seg.io.as_ref()))
+            .map_err(EngineError::Segment)?;
+        Ok(Some(report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixtures::*;
+    use super::super::Algorithm;
+    use super::*;
+    use std::time::Instant;
+    use xk_xmltree::Dewey;
+
+    #[test]
+    fn compaction_folds_small_segments() {
+        let e = seg_engine();
+        e.set_seal_threshold(1);
+        for i in 0..8 {
+            e.append_subtree(&Dewey::root(), &format!("<p>John Ben c{i}</p>")).unwrap();
+        }
+        let before = e.segment_metas();
+        assert!(before.len() >= 5, "seals accumulated: {}", before.len());
+        let want = e.query(&["John", "Ben"], Algorithm::Auto).unwrap();
+        let mut merges = 0;
+        while let Some(outcome) = e.compact_segments().unwrap() {
+            merges += 1;
+            assert!(outcome.postings > 0);
+        }
+        assert!(merges > 0, "tiered policy found at least one run");
+        let after = e.segment_metas();
+        assert!(after.len() < before.len(), "{} -> {}", before.len(), after.len());
+        let postings_before: u64 = before.iter().map(|m| m.postings).sum();
+        let postings_after: u64 = after.iter().map(|m| m.postings).sum();
+        assert_eq!(postings_before, postings_after, "merge loses nothing");
+        for algo in [Algorithm::IndexedLookupEager, Algorithm::ScanEager, Algorithm::Stack] {
+            let got = e.query(&["John", "Ben"], algo).unwrap();
+            assert_eq!(got.slcas, want.slcas, "{algo}");
+        }
+        let report = e.verify_segments().unwrap().unwrap();
+        assert!(report.clean(), "{:?}", report.issues);
+    }
+
+    #[test]
+    fn merger_thread_compacts_in_background() {
+        let e = Arc::new(seg_engine());
+        e.set_seal_threshold(1);
+        for i in 0..8 {
+            e.append_subtree(&Dewey::root(), &format!("<p>John m{i}</p>")).unwrap();
+        }
+        let before = e.segment_metas().len();
+        let ctl = spawn_merger(Arc::clone(&e), Duration::from_millis(5)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while e.segment_metas().len() >= before && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        ctl.stop();
+        assert!(e.segment_metas().len() < before, "background merge ran");
+        let out = e.query(&["John"], Algorithm::Auto).unwrap();
+        assert_eq!(out.slcas.len(), 4 + 8);
+    }
+
+}
