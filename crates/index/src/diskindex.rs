@@ -337,19 +337,9 @@ impl DiskIndex {
         while let Some(chunk) = reader.next_record(env)? {
             bytes.extend_from_slice(&chunk);
         }
-        // Structural encoding (lossless — XML text merges adjacent text
-        // siblings, which would shift Dewey ordinals under appends); the
-        // XML fallback reads documents stored by earlier versions.
-        if bytes.starts_with(&xk_xmltree::TREE_MAGIC[..]) {
-            return xk_xmltree::decode_tree(&bytes)
-                .map(Some)
-                .map_err(|e| IndexError::Corrupt(format!("stored document: {e}")));
-        }
-        let text = String::from_utf8(bytes)
-            .map_err(|_| IndexError::Corrupt("stored document is not UTF-8".into()))?;
-        xk_xmltree::parse(&text)
+        xk_xmltree::decode_tree(&bytes)
             .map(Some)
-            .map_err(|e| IndexError::Corrupt(format!("stored document does not parse: {e}")))
+            .map_err(|e| IndexError::Corrupt(format!("stored document: {e}")))
     }
 
     /// Indexed (`lm`/`rm`) access to a keyword's list, for the Indexed
@@ -428,12 +418,7 @@ pub struct SharedEnv {
 impl SharedEnv {
     /// Wraps an environment for shared cursor access.
     pub fn new(env: StorageEnv) -> SharedEnv {
-        SharedEnv::from_arc(Arc::new(env))
-    }
-
-    /// Wraps an already-shared environment.
-    pub fn from_arc(env: Arc<StorageEnv>) -> SharedEnv {
-        SharedEnv { env, poison: Arc::new(Mutex::new(None)) }
+        SharedEnv { env: Arc::new(env), poison: Arc::new(Mutex::new(None)) }
     }
 
     /// A handle to the same environment with a **fresh, independent**
@@ -445,14 +430,6 @@ impl SharedEnv {
     /// Direct access to the environment.
     pub fn env(&self) -> &StorageEnv {
         &self.env
-    }
-
-    /// Pins the current committed epoch for this thread: all page reads
-    /// until the guard drops observe the store as of this moment, even
-    /// while an append commits concurrently (see
-    /// [`xk_storage::StorageEnv::pin_snapshot`]).
-    pub fn pin_snapshot(&self) -> xk_storage::ReadPin<'_> {
-        self.env.pin_snapshot()
     }
 
     /// Runs `f` with access to the environment. (Retained from the
@@ -475,21 +452,6 @@ impl SharedEnv {
     /// result is untrustworthy and must be discarded.
     pub fn take_error(&self) -> Option<IndexError> {
         self.poison.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// True if an adapter has recorded an error since the last
-    /// [`SharedEnv::take_error`].
-    pub fn is_poisoned(&self) -> bool {
-        self.poison.lock().unwrap_or_else(|e| e.into_inner()).is_some()
-    }
-
-    /// Unwraps the environment if this is the only handle.
-    pub fn try_unwrap(self) -> std::result::Result<StorageEnv, SharedEnv> {
-        let SharedEnv { env, poison } = self;
-        match Arc::try_unwrap(env) {
-            Ok(env) => Ok(env),
-            Err(env) => Err(SharedEnv { env, poison }),
-        }
     }
 }
 
@@ -766,6 +728,30 @@ mod tests {
     }
 
     #[test]
+    fn document_chain_holding_xml_text_is_rejected() {
+        // XML text re-parses with adjacent text siblings merged, shifting
+        // the ordinals appends are allocated from; no builder writes it.
+        let (env, index) = build_school();
+        let env = env.env();
+        let mut writer = ListWriter::new(env);
+        let text = xk_xmltree::to_xml_string(&school_example(), xk_xmltree::NodeId::ROOT);
+        for part in text.as_bytes().chunks(env.page_size() / 2) {
+            writer.append(env, part).unwrap();
+        }
+        let handle = writer.finish(env).unwrap();
+        env.set_user_blob(&encode_blob(index.level_table(), Some(handle), &[])).unwrap();
+
+        let err = DiskIndex::open(env).unwrap().load_document(env).err();
+        assert!(matches!(&err, Some(IndexError::Corrupt(m)) if m.contains("XKDOC1")), "{err:?}");
+        let report = crate::verify::verify_index(env);
+        assert!(
+            report.issues.iter().any(|i| i.contains("stored document does not decode")),
+            "issues: {:?}",
+            report.issues
+        );
+    }
+
+    #[test]
     fn adapter_errors_poison_instead_of_panicking() {
         let (env, index) = build_school();
         // Scribble over the head page of john's chain: the record framing
@@ -775,7 +761,6 @@ mod tests {
 
         let mut stream = index.stream_list(env.clone(), "john").unwrap();
         assert_eq!(stream.next_node(), None);
-        assert!(env.is_poisoned());
         let err = env.take_error().expect("poison recorded");
         assert!(matches!(err, IndexError::Storage(_)), "{err:?}");
         assert!(env.take_error().is_none(), "slot cleared after take");

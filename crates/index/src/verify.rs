@@ -17,7 +17,7 @@
 //! 5. **IL B+tree** — invariants, leaf links, every composite key splits
 //!    and decodes, and per-keyword entry counts match the vocabulary;
 //! 6. **stored document** — the chain walks and the payload decodes back
-//!    into a tree (structural `XKDOC1` records, or legacy UTF-8 XML text).
+//!    into a tree (structural `XKDOC1` records).
 
 use crate::codec::decode_dewey;
 use crate::diskindex::{decode_blob, split_il_key, KeywordMeta, SLOT_IL, SLOT_VOCAB};
@@ -309,7 +309,7 @@ fn scan_il(
 }
 
 /// Verifies the embedded document chain: structure, page ownership, and
-/// that the concatenated bytes parse back into an XML tree.
+/// that the concatenated bytes decode back into a tree.
 fn verify_document(
     env: &StorageEnv,
     handle: &ListHandle,
@@ -333,10 +333,10 @@ fn verify_document(
         }
     }
     let mut reader = ListReader::new(handle);
-    let mut xml = Vec::new();
+    let mut bytes = Vec::new();
     loop {
         match reader.next_record(env) {
-            Ok(Some(chunk)) => xml.extend_from_slice(&chunk),
+            Ok(Some(chunk)) => bytes.extend_from_slice(&chunk),
             Ok(None) => break,
             Err(e) => {
                 report.issue(format!("stored document read failed: {e}"));
@@ -344,20 +344,8 @@ fn verify_document(
             }
         }
     }
-    if xml.starts_with(&xk_xmltree::TREE_MAGIC[..]) {
-        if let Err(e) = xk_xmltree::decode_tree(&xml) {
-            report.issue(format!("stored document does not decode: {e}"));
-        }
-        return;
-    }
-    // Legacy databases stored the document as XML text.
-    match String::from_utf8(xml) {
-        Ok(text) => {
-            if let Err(e) = xk_xmltree::parse(&text) {
-                report.issue(format!("stored document does not parse: {e}"));
-            }
-        }
-        Err(_) => report.issue("stored document is not UTF-8".to_string()),
+    if let Err(e) = xk_xmltree::decode_tree(&bytes) {
+        report.issue(format!("stored document does not decode: {e}"));
     }
 }
 

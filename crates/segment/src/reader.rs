@@ -215,19 +215,14 @@ impl SegmentReader {
         self.block_reads.load(Ordering::Relaxed)
     }
 
-    /// Reads and unframes one data/dict block, counting the read.
-    fn read_payload(&self, block_no: u32) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; self.header.block_size as usize];
-        read_block(self.pager.as_ref(), block_no, &mut buf)?;
-        self.block_reads.fetch_add(1, Ordering::Relaxed);
-        let payload = unframe_block(&buf, block_no)?;
-        Ok(payload.to_vec())
-    }
-
     /// Decodes every entry of one skip chunk, validating monotonicity and
-    /// the advertised minimum.
+    /// the advertised minimum. Reads (and counts) the chunk's block and
+    /// decodes straight out of its CRC-checked payload.
     pub fn decode_chunk(&self, chunk: &Chunk) -> Result<Vec<Dewey>> {
-        let payload = self.read_payload(chunk.block)?;
+        let mut buf = vec![0u8; self.header.block_size as usize];
+        read_block(self.pager.as_ref(), chunk.block, &mut buf)?;
+        self.block_reads.fetch_add(1, Ordering::Relaxed);
+        let payload = unframe_block(&buf, chunk.block)?;
         let mut pos = chunk.offset as usize;
         if pos > payload.len() {
             return Err(SegmentError::Corrupt(format!(
@@ -236,11 +231,10 @@ impl SegmentReader {
                 payload.len()
             )));
         }
-        let mut out = Vec::with_capacity(chunk.entries as usize);
-        let mut prev: Option<Dewey> = None;
+        let mut out: Vec<Dewey> = Vec::with_capacity(chunk.entries as usize);
         for _ in 0..chunk.entries {
-            let d = decode_entry(&payload, &mut pos, prev.as_ref())?;
-            if let Some(p) = &prev {
+            let d = decode_entry(payload, &mut pos, out.last())?;
+            if let Some(p) = out.last() {
                 if *p >= d {
                     return Err(SegmentError::Corrupt(format!(
                         "decoded postings not ascending in block {} ({p} then {d})",
@@ -248,8 +242,7 @@ impl SegmentReader {
                     )));
                 }
             }
-            out.push(d.clone());
-            prev = Some(d);
+            out.push(d);
         }
         if out.first() != Some(&chunk.min) {
             return Err(SegmentError::Corrupt(format!(

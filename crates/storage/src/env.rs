@@ -16,8 +16,9 @@
 //!   to shard `p % N`, each shard a `Mutex` around its own frame table,
 //!   page map, and intrusive LRU list. Readers of different pages contend
 //!   only when the pages share a shard; a page's bytes are only ever
-//!   touched under its shard lock, so closures passed to `with_page` see
-//!   a stable snapshot. N is derived from the pool size
+//!   touched under its shard lock, so a closure passed to `with_page`
+//!   never sees a torn page — and is promised no more than that (see
+//!   [`StorageEnv::with_page`]). N is derived from the pool size
 //!   (`clamp(pool_pages / 8, 1, 8)`) so tiny test pools keep exact
 //!   single-LRU eviction semantics while production-sized pools spread
 //!   across 8 shards.
@@ -59,11 +60,10 @@ use crate::error::{Result, StorageError};
 use crate::pager::{FilePager, MemPager, PageId, Pager};
 use crate::stats::{AtomicIoStats, IoStats};
 use crate::wal::Wal;
-use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 const MAGIC: &[u8; 8] = b"XKSTORE2";
 const MAGIC_V1: &[u8; 8] = b"XKSTORE1";
@@ -204,8 +204,8 @@ struct WriteState {
 
 /// Per-page rollback record captured at a transaction's first touch.
 struct UndoEntry {
-    /// Full physical pre-image — shared with the snapshot version table.
-    image: Arc<[u8]>,
+    /// Full physical pre-image.
+    image: Box<[u8]>,
     /// The frame's `logged`/`log_stamp` before this transaction touched
     /// it, restored on abort (the prior state may itself be a
     /// committed-but-unsynced transaction's).
@@ -217,36 +217,11 @@ struct UndoEntry {
 /// and the pages grown from the file tail (freed on rollback only by
 /// abandonment — see `abort_txn`).
 struct TxnState {
-    /// The committed epoch when the transaction began. Pre-images are
-    /// filed in the snapshot table under this tag ("content as of the
-    /// end of epoch `tag`").
-    tag: u64,
     /// Unique stamp marking the frames this transaction un-logged.
     stamp: u64,
     undo: HashMap<PageId, UndoEntry>,
     order: Vec<PageId>,
     grown: Vec<PageId>,
-}
-
-/// Snapshot-read state: per-page pre-image versions and reader pins.
-///
-/// `versions[p]` holds `(tag, image)` pairs in ascending tag order, where
-/// `image` is the content of `p` as of the end of epoch `tag`. A reader
-/// pinned at epoch `P` is served the image with the *smallest tag ≥ P*
-/// (content only changes at epoch boundaries, so that image equals the
-/// page's content at every epoch from its previous change through `tag`);
-/// absent such a version, the live frame is current enough. Versions are
-/// pruned at commit: once no pin is ≤ a tag, no reader can ever need it.
-/// `(tag, image)` pairs in ascending tag order (see [`SnapTable`]).
-type PageVersions = Vec<(u64, Arc<[u8]>)>;
-
-struct SnapTable {
-    versions: HashMap<PageId, PageVersions>,
-    /// Pinned epoch → number of pins. The smallest key bounds pruning.
-    pins: BTreeMap<u64, usize>,
-    /// Tag under which the in-flight transaction files pre-images (0 =
-    /// no transaction); never pruned.
-    active_tag: u64,
 }
 
 /// A committed transaction whose WAL records are not yet fsynced; the
@@ -259,43 +234,12 @@ struct UnsyncedTxn {
 /// The result of a successful [`StorageEnv::commit_txn`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnCommit {
-    /// The epoch this commit established; readers pinned at it (or later)
-    /// observe the transaction's writes.
+    /// The epoch this commit established ([`StorageEnv::current_epoch`]
+    /// from now until the next commit).
     pub epoch: u64,
     /// LSN of the commit record, for [`StorageEnv::wait_wal_durable`].
     /// Zero on a WAL-less env (nothing to wait for).
     pub lsn: u64,
-}
-
-thread_local! {
-    /// The epoch pinned by a [`ReadPin`] on this thread (0 = unpinned).
-    /// Thread-local so the read path needs no per-call handle threading:
-    /// every `with_page` under the pin transparently resolves snapshot
-    /// versions.
-    static PINNED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// An RAII snapshot pin: while alive, every page read *on this thread*
-/// observes the database as of the pinned epoch, no matter what commits
-/// concurrently. Obtained from [`StorageEnv::pin_snapshot`].
-pub struct ReadPin<'a> {
-    env: &'a StorageEnv,
-    tag: u64,
-    prev: u64,
-}
-
-impl ReadPin<'_> {
-    /// The epoch this pin holds stable.
-    pub fn epoch(&self) -> u64 {
-        self.tag
-    }
-}
-
-impl Drop for ReadPin<'_> {
-    fn drop(&mut self) {
-        PINNED.with(|c| c.set(self.prev));
-        self.env.unpin(self.tag);
-    }
 }
 
 /// A pager fronted by a sharded LRU buffer pool with I/O accounting.
@@ -316,14 +260,9 @@ pub struct StorageEnv {
     /// treat any later bump as an invalidation signal (conservative: any
     /// write anywhere in the env discards pinned paths).
     data_version: AtomicU64,
-    /// Last committed epoch (starts at 1). Bumped by `commit_txn` inside
-    /// the snapshot-table critical section, so pin registration and
-    /// version pruning are atomic with respect to it.
+    /// Last committed epoch (starts at 1), stored by `commit_txn` under
+    /// the write lock.
     committed_epoch: AtomicU64,
-    /// Snapshot versions and reader pins. Lock order: `write_state` →
-    /// shard → `snap`; both the read and write paths take a shard lock
-    /// before this one, and nothing is acquired while holding it.
-    snap: Mutex<SnapTable>,
     /// Committed transactions whose WAL records await an fsync.
     unsynced: Mutex<Vec<UnsyncedTxn>>,
     /// Source of per-transaction `log_stamp`s.
@@ -387,11 +326,6 @@ impl StorageEnv {
             write_state: Mutex::new(WriteState { clean_on_disk: false, txn: None }),
             data_version: AtomicU64::new(0),
             committed_epoch: AtomicU64::new(1),
-            snap: Mutex::new(SnapTable {
-                versions: HashMap::new(),
-                pins: BTreeMap::new(),
-                active_tag: 0,
-            }),
             unsynced: Mutex::new(Vec::new()),
             txn_stamps: AtomicU64::new(0),
             wal: None,
@@ -689,30 +623,14 @@ impl StorageEnv {
     /// Runs `f` with read access to the payload of page `id`. The shard
     /// lock is held while `f` runs: `f` must not call back into the env.
     ///
-    /// Under a [`ReadPin`] (this thread pinned an epoch), the snapshot
-    /// version table is consulted first — still under the page's shard
-    /// lock, so the transition from "no version" to "version captured"
-    /// cannot tear: the writer captures a page's pre-image under the same
-    /// shard lock it mutates the frame under.
+    /// The pool keeps no page versions: a read racing an open transaction
+    /// sees its uncommitted bytes. A caller that must not serializes with
+    /// the writer on its own lock.
     // xk-analyze: allow(panic_path, reason = "frame indices are intrusive-LRU links maintained under this shard guard")
     // xk-analyze: allow(io_under_lock, reason = "the read fixes the frame this guard pins; see module docs on the pool design")
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let usable = self.page_size();
-        let pin = PINNED.with(|c| c.get());
         let shard = &mut *self.shard(id);
-        if pin != 0 {
-            let version = {
-                let snap = self.snap.lock().unwrap_or_else(|e| e.into_inner());
-                snap.versions.get(&id).and_then(|vers| {
-                    // Ascending tags: `find` yields the smallest tag ≥ pin.
-                    vers.iter().find(|(t, _)| *t >= pin).map(|(_, img)| Arc::clone(img))
-                })
-            };
-            if let Some(img) = version {
-                self.stats.record_logical_read();
-                return Ok(f(&img[..usable]));
-            }
-        }
         let idx = self.fetch(shard, id)?;
         Ok(f(&shard.frames[idx].data[..usable]))
     }
@@ -728,10 +646,9 @@ impl StorageEnv {
 
     /// `with_page_mut` body, for callers already holding the write lock
     /// with the dirty mark ensured. Inside a transaction, the first touch
-    /// of each page captures its pre-image — once for rollback (undo) and
-    /// once for snapshot readers (filed under the transaction's tag) —
-    /// and un-logs the frame so it cannot reach the database file before
-    /// the transaction's WAL record does.
+    /// of each page captures its pre-image for rollback and un-logs the
+    /// frame so it cannot reach the database file before the
+    /// transaction's WAL record does.
     // xk-analyze: allow(panic_path, reason = "frame indices are intrusive-LRU links maintained under this shard guard")
     // xk-analyze: allow(io_under_lock, reason = "the write path pins the frame under its shard guard by design")
     fn page_mut_locked<R>(
@@ -745,15 +662,12 @@ impl StorageEnv {
         let idx = self.fetch(shard, id)?;
         if let Some(txn) = ws.txn.as_mut() {
             if let std::collections::hash_map::Entry::Vacant(slot) = txn.undo.entry(id) {
-                let image: Arc<[u8]> = Arc::from(&*shard.frames[idx].data);
                 slot.insert(UndoEntry {
-                    image: Arc::clone(&image),
+                    image: shard.frames[idx].data.clone(),
                     prior_logged: shard.frames[idx].logged,
                     prior_stamp: shard.frames[idx].log_stamp,
                 });
                 txn.order.push(id);
-                let mut snap = self.snap.lock().unwrap_or_else(|e| e.into_inner());
-                snap.versions.entry(id).or_default().push((txn.tag, image));
             }
             if self.wal.is_some() {
                 shard.frames[idx].logged = false;
@@ -1039,7 +953,7 @@ impl StorageEnv {
         })
     }
 
-    // ---- durability: WAL, transactions, snapshot reads ----
+    // ---- durability: WAL, transactions ----
 
     /// Attaches a write-ahead log. Must happen before the env is shared
     /// (hence `&mut self`); typically right after [`crate::recover`] has
@@ -1070,59 +984,9 @@ impl StorageEnv {
     }
 
     /// The last committed epoch. Starts at 1 on a fresh env; bumped by
-    /// every `commit_txn`. Relaxed is enough: callers that need an epoch
-    /// consistent with the version table use [`Self::pin_snapshot`],
-    /// which reads it under the snapshot lock.
+    /// every `commit_txn`.
     pub fn current_epoch(&self) -> u64 {
         self.committed_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Pins the current epoch for this thread: until the returned guard
-    /// drops, every `with_page` on this thread sees the database as of
-    /// this moment, regardless of concurrent commits. Pins nest (the
-    /// guard restores the outer pin on drop).
-    ///
-    /// Reading the epoch *inside* the snapshot critical section makes
-    /// registration race-free: `commit_txn` publishes the new epoch and
-    /// prunes old versions under the same lock, so a pin can never
-    /// register an epoch whose versions were already pruned.
-    pub fn pin_snapshot(&self) -> ReadPin<'_> {
-        let tag = {
-            let mut snap = lock(&self.snap);
-            let tag = self.committed_epoch.load(Ordering::Relaxed);
-            *snap.pins.entry(tag).or_insert(0) += 1;
-            tag
-        };
-        let prev = PINNED.with(|c| c.replace(tag));
-        ReadPin { env: self, tag, prev }
-    }
-
-    /// Drops one pin on `tag`, pruning versions that no reader can need
-    /// any more. Called from [`ReadPin`]'s destructor.
-    fn unpin(&self, tag: u64) {
-        let mut snap = lock(&self.snap);
-        if let Some(n) = snap.pins.get_mut(&tag) {
-            *n -= 1;
-            if *n == 0 {
-                snap.pins.remove(&tag);
-                Self::prune_versions_locked(&mut snap);
-            }
-        }
-    }
-
-    /// Drops versions no pinned reader can ever select. A reader pinned
-    /// at `P` selects the smallest tag ≥ `P`, so a version older than
-    /// every pin is unreachable. The in-flight transaction's tag is
-    /// always kept: a pin registered *now* would resolve to it.
-    fn prune_versions_locked(snap: &mut SnapTable) {
-        let min_pin = snap.pins.keys().next().copied();
-        let active = snap.active_tag;
-        snap.versions.retain(|_, vers| {
-            vers.retain(|(t, _)| {
-                (active != 0 && *t == active) || min_pin.is_some_and(|m| *t >= m)
-            });
-            !vers.is_empty()
-        });
     }
 
     /// Opens a transaction. All writes until `commit_txn` / `abort_txn`
@@ -1136,11 +1000,8 @@ impl StorageEnv {
             return Err(StorageError::TxnMisuse("begin_txn inside an open transaction"));
         }
         self.ensure_dirty_marked(&mut ws)?;
-        let tag = self.committed_epoch.load(Ordering::Relaxed);
         let stamp = self.txn_stamps.fetch_add(1, Ordering::Relaxed) + 1;
-        lock(&self.snap).active_tag = tag;
         ws.txn = Some(TxnState {
-            tag,
             stamp,
             undo: HashMap::new(),
             order: Vec::new(),
@@ -1151,10 +1012,10 @@ impl StorageEnv {
 
     /// Commits the open transaction: logs every touched page to the WAL
     /// (Begin, images, Commit — the commit record is the atomicity
-    /// point), publishes the new epoch to readers, and prunes snapshot
-    /// versions nobody can need. Durability is *not* waited for here —
-    /// call [`Self::sync_wal`] / [`Self::wait_wal_durable`] (the group
-    /// commit machinery batches that fsync across transactions).
+    /// point) and publishes the new epoch. Durability is *not* waited
+    /// for here — call [`Self::sync_wal`] / [`Self::wait_wal_durable`]
+    /// (the group commit machinery batches that fsync across
+    /// transactions).
     ///
     /// On a WAL append failure the transaction is left open so the
     /// caller can [`Self::abort_txn`] it.
@@ -1165,7 +1026,8 @@ impl StorageEnv {
             .txn
             .take()
             .ok_or(StorageError::TxnMisuse("commit_txn without an open transaction"))?;
-        let epoch = txn.tag + 1;
+        // Only this function stores the epoch, and it holds the write lock.
+        let epoch = self.committed_epoch.load(Ordering::Relaxed) + 1;
         let mut lsn = 0u64;
         if let Some(wal) = &self.wal {
             let mut seen = HashSet::new();
@@ -1194,24 +1056,15 @@ impl StorageEnv {
             let pages: Vec<(PageId, u64)> = pages.into_iter().map(|id| (id, txn.stamp)).collect();
             lock(&self.unsynced).push(UnsyncedTxn { lsn, pages });
         }
-        {
-            // Epoch publication, active-tag clearing, and pruning are one
-            // critical section so pin registration can never observe a
-            // half-applied commit.
-            let mut snap = lock(&self.snap);
-            self.committed_epoch.store(epoch, Ordering::Relaxed);
-            snap.active_tag = 0;
-            Self::prune_versions_locked(&mut snap);
-        }
+        self.committed_epoch.store(epoch, Ordering::Relaxed);
         self.bump_data_version();
         Ok(TxnCommit { epoch, lsn })
     }
 
     /// Rolls back the open transaction: every touched page is restored
     /// to its pre-image (with its prior WAL-pinning state — the prior
-    /// bytes may belong to a committed-but-unsynced transaction), pages
-    /// grown by the transaction are abandoned, and the transaction's
-    /// snapshot versions are withdrawn.
+    /// bytes may belong to a committed-but-unsynced transaction) and
+    /// pages grown by the transaction are abandoned.
     ///
     /// Grown pages are deliberately *not* linked into the free list:
     /// free-list surgery outside a transaction could be half-persisted
@@ -1255,15 +1108,6 @@ impl StorageEnv {
                 shard.frames[idx].page = PageId(u32::MAX);
                 shard.free_frames.push(idx);
             }
-        }
-        {
-            let mut snap = lock(&self.snap);
-            let tag = txn.tag;
-            snap.versions.retain(|_, vers| {
-                vers.retain(|(t, _)| *t != tag);
-                !vers.is_empty()
-            });
-            snap.active_tag = 0;
         }
         self.bump_data_version();
         match first_err {
@@ -1365,6 +1209,7 @@ impl Drop for StorageEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn mem(pool_pages: usize) -> StorageEnv {
         StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages })
@@ -1692,41 +1537,6 @@ mod tests {
         env.wait_wal_durable(commit.lsn).unwrap();
         assert_eq!(env.wal_commit_count(), 1);
         assert_eq!(env.wal_sync_count(), 1);
-    }
-
-    #[test]
-    fn pinned_reader_ignores_concurrent_commit() {
-        let (_db, _walp, env) = durable_mem(16);
-        let p = env.allocate_page().unwrap();
-        env.with_page_mut(p, |d| d[0] = 10).unwrap();
-
-        let pin = env.pin_snapshot();
-        env.begin_txn().unwrap();
-        env.with_page_mut(p, |d| d[0] = 20).unwrap();
-        assert_eq!(env.with_page(p, |d| d[0]).unwrap(), 10, "mid-txn: pre-image");
-        env.commit_txn().unwrap();
-        assert_eq!(env.with_page(p, |d| d[0]).unwrap(), 10, "post-commit: pin holds");
-        let epoch = pin.epoch();
-        drop(pin);
-        assert_eq!(env.with_page(p, |d| d[0]).unwrap(), 20, "unpinned: live state");
-        assert!(env.current_epoch() > epoch);
-    }
-
-    #[test]
-    fn new_pin_during_open_txn_sees_pre_images() {
-        let (_db, _walp, env) = durable_mem(16);
-        let p = env.allocate_page().unwrap();
-        env.with_page_mut(p, |d| d[0] = 10).unwrap();
-        env.begin_txn().unwrap();
-        env.with_page_mut(p, |d| d[0] = 20).unwrap();
-        // Pin taken *while* the transaction is open: must resolve to the
-        // transaction's pre-image (its tag equals the pinned epoch).
-        let pin = env.pin_snapshot();
-        assert_eq!(env.with_page(p, |d| d[0]).unwrap(), 10);
-        env.commit_txn().unwrap();
-        assert_eq!(env.with_page(p, |d| d[0]).unwrap(), 10);
-        drop(pin);
-        assert_eq!(env.with_page(p, |d| d[0]).unwrap(), 20);
     }
 
     #[test]

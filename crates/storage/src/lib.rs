@@ -45,9 +45,7 @@ pub mod wal;
 
 pub use btree::{BTree, BTreeCursor, Cursor};
 pub use checksum::crc32;
-pub use env::{
-    EnvOptions, ReadPin, StorageEnv, TxnCommit, FORMAT_VERSION, PAGE_TRAILER, ROOT_SLOTS,
-};
+pub use env::{EnvOptions, StorageEnv, TxnCommit, FORMAT_VERSION, PAGE_TRAILER, ROOT_SLOTS};
 pub use error::{Result, StorageError};
 pub use recovery::{recover, recover_files, RecoveryReport};
 pub use fault::{FaultConfig, FaultPager, FaultProbe};

@@ -12,10 +12,14 @@ use xk_storage::{free_list, ListAppender, ListHandle, ListWriter};
 use xk_xmltree::{Dewey, XmlTree};
 
 /// What the writer computed for the segment store during one append,
-/// published only after the commit record makes the append real.
+/// published only after the commit record makes the append real (and
+/// says at which epoch): the next writer state and the next snapshot's
+/// contents.
 struct SegUpdate {
     writer: SegWriter,
-    snapshot: Arc<SegSnapshot>,
+    metas: Vec<SealedMeta>,
+    sealed: Vec<Arc<SegmentReader>>,
+    mem: MemView,
 }
 
 impl Engine {
@@ -32,8 +36,8 @@ impl Engine {
     /// WAL-logged before the commit record). Any failure — codec error,
     /// I/O fault mid-way — aborts the transaction and restores every
     /// page, so concurrent and subsequent queries behave as if the
-    /// append never started. Queries running concurrently read their
-    /// pinned snapshot and are never blocked or torn by the append.
+    /// append never started. Queries running concurrently read the
+    /// snapshot they cloned and are never blocked or torn by the append.
     ///
     /// Constraints:
     ///
@@ -130,8 +134,9 @@ impl Engine {
             }
         };
         let root = doc.dewey(new_root);
-        self.publish(seg, scratch, commit.epoch, update.snapshot);
-        *writer = update.writer;
+        let SegUpdate { writer: next, metas, sealed, mem } = update;
+        self.publish(seg, scratch, SegSnapshot { epoch: commit.epoch, metas, sealed, mem });
+        *writer = next;
         drop(doc_slot);
         drop(writer);
 
@@ -147,21 +152,15 @@ impl Engine {
         self.index().clone()
     }
 
-    /// Makes a committed transaction visible: the scratch index, its
-    /// epoch and the segment snapshot are swapped inside one index
-    /// write-lock section, so a reader's (index guard, segment
-    /// snapshot) pair is always epoch-consistent.
-    pub(super) fn publish(
-        &self,
-        seg: &SegState,
-        scratch: DiskIndex,
-        epoch: u64,
-        snapshot: Arc<SegSnapshot>,
-    ) {
-        let mut index = self.index.write().unwrap_or_else(|e| e.into_inner());
-        *index = scratch;
-        self.index_epoch.store(epoch, Ordering::Release);
-        *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
+    /// Makes a committed transaction visible. Storing `snapshot` is the
+    /// one step queries can observe, and it carries its own epoch, so an
+    /// answer and the epoch it reports always come from the same place.
+    /// The index (document handle + extension) is swapped first; its
+    /// readers are the writer and [`Engine::ensure_document`], which
+    /// serialize with the caller on the writer / `document` mutexes.
+    pub(super) fn publish(&self, seg: &SegState, scratch: DiskIndex, snapshot: SegSnapshot) {
+        *self.index.write().unwrap_or_else(|e| e.into_inner()) = scratch;
+        *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snapshot);
     }
 
     /// Rolls a failed transaction back: the undo log restores every
@@ -213,13 +212,14 @@ impl Engine {
             }
         }
         let threshold = seg.seal_threshold.load(Ordering::Relaxed);
-        let (ext1, snapshot) = if mem.posting_count() > 0 && mem.posting_count() >= threshold {
+        let mut metas = snap0.metas.clone();
+        let mut sealed = snap0.sealed.clone();
+        let (ext1, view) = if mem.posting_count() > 0 && mem.posting_count() >= threshold {
             // Seal: the whole mem segment becomes the next packed blob.
             let seq = ext0.next_seq;
             let epoch = self.env.with(|e| e.current_epoch());
             let header = seal_blob(seg.io.as_ref(), seq, epoch, mem.lists())?;
             *orphan = Some(seq);
-            let mut metas = snap0.metas.clone();
             metas.push(SealedMeta::of(&header));
             let manifest = self.env.with(|e| write_manifest(e, &metas))?;
             // The superseded manifest and journal chains are freed inside
@@ -234,13 +234,9 @@ impl Engine {
             let pager = seg.io.open(seq).map_err(EngineError::Segment)?;
             let reader = SegmentReader::open(pager, Some(&SealedMeta::of(&header).fence()))
                 .map_err(EngineError::Segment)?;
-            let mut sealed = snap0.sealed.clone();
             sealed.push(reader);
             mem.clear();
-            (
-                SegExt { journal: None, manifest, next_seq: seq + 1 },
-                Arc::new(SegSnapshot { metas, sealed, mem: MemView::empty() }),
-            )
+            (SegExt { journal: None, manifest, next_seq: seq + 1 }, MemView::empty())
         } else {
             // Journal: extend (or start) the posting journal so a
             // reopen can rebuild the mem segment.
@@ -262,18 +258,11 @@ impl Engine {
                     }
                 }
             })?;
-            let view = snap0.mem.advanced(&mem, &touched);
-            (
-                SegExt { journal: Some(journal), ..ext0 },
-                Arc::new(SegSnapshot {
-                    metas: snap0.metas.clone(),
-                    sealed: snap0.sealed.clone(),
-                    mem: view,
-                }),
-            )
+            (SegExt { journal: Some(journal), ..ext0 }, snap0.mem.advanced(&mem, &touched))
         };
         self.env.with(|e| scratch.set_extension(e, ext1.encode()))?;
-        Ok((touched, SegUpdate { writer: SegWriter { ext: ext1, mem }, snapshot }))
+        let writer = SegWriter { ext: ext1, mem };
+        Ok((touched, SegUpdate { writer, metas, sealed, mem: view }))
     }
 
     /// Blocks until the commit record at `lsn` is on stable storage:

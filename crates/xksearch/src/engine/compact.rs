@@ -101,8 +101,8 @@ impl Engine {
         let header = seal_blob(seg.io.as_ref(), seq, epoch, &lists)?;
         let meta = SealedMeta::of(&header);
         // Open the merged reader *before* the transaction: if the open
-        // failed after commit, the published snapshot could never be
-        // built and `pin_index` would spin on a stale index epoch.
+        // failed after commit, the committed manifest would name a blob
+        // no snapshot could be published for.
         let reader = match seg
             .io
             .open(seq)
@@ -139,8 +139,8 @@ impl Engine {
         };
         let mut sealed = snap0.sealed.clone();
         sealed.splice(run.clone(), [reader]);
-        let snapshot = Arc::new(SegSnapshot { metas, sealed, mem: snap0.mem.clone() });
-        self.publish(seg, scratch, commit.epoch, snapshot);
+        let snapshot = SegSnapshot { epoch: commit.epoch, metas, sealed, mem: snap0.mem.clone() };
+        self.publish(seg, scratch, snapshot);
         writer.ext = ext1;
         // Retired inputs are now unreferenced by the committed manifest;
         // live readers keep them readable via their open handles.

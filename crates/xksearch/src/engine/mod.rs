@@ -28,10 +28,14 @@
 //! append entirely, a crash after it replays the append from the WAL
 //! ([`xk_storage::recover`]).
 //!
-//! Reads are **snapshot isolated**: every query pins the committed
-//! epoch at entry and page reads serve pre-images for anything a
-//! concurrent transaction touches afterwards, so queries never observe
-//! a half-applied append and `append_subtree` only needs `&self`.
+//! Reads are **snapshot isolated**, and the snapshot is one `Arc`: a
+//! query clones the published [`SegSnapshot`] — immutable blobs, a
+//! copy-on-write mem view and the epoch they describe — and reads
+//! nothing else, so it never observes a half-applied append and
+//! `append_subtree` only needs `&self`. The one thing still read from
+//! pages a transaction rewrites is the stored document, and its readers
+//! and the appender serialize on the `document` mutex. The reference
+//! layout is never written, so it has nothing to isolate.
 //!
 //! Durability has two modes: [`CommitMode::SyncEachCommit`] fsyncs the
 //! WAL inside every append, while [`CommitMode::GroupCommit`] (the
@@ -57,7 +61,7 @@ use xk_segment::{
 };
 use xk_slca::{AlgoStats, LcaKind};
 use xk_storage::{
-    EnvOptions, FilePager, IoStats, Pager, ReadPin, RecoveryReport, StorageEnv, Wal, WAL_PAGE_SIZE,
+    EnvOptions, FilePager, IoStats, Pager, RecoveryReport, StorageEnv, Wal, WAL_PAGE_SIZE,
 };
 use xk_xmltree::{Dewey, XmlTree};
 
@@ -164,9 +168,10 @@ pub struct QueryOutcome {
     pub io: IoStats,
     /// Wall-clock query time.
     pub elapsed: Duration,
-    /// The committed epoch this query observed (its snapshot). A cached
-    /// answer for a keyword set is stale exactly when some later commit
-    /// touched one of its keywords.
+    /// The committed epoch this query observed: the one carried by the
+    /// snapshot its lists came from. A cached answer for a keyword set
+    /// is stale exactly when some later commit touched one of its
+    /// keywords.
     pub epoch: u64,
 }
 
@@ -221,11 +226,12 @@ pub fn default_segments_dir(db_path: &Path) -> PathBuf {
 }
 
 /// An immutable picture of the segment store at one committed epoch:
-/// the sealed blobs (open readers + their manifest records, in seal
-/// order) and the copy-on-write view of the unsealed mem segment.
-/// Swapped wholesale under the index write lock, so the `pin_index`
-/// epoch check covers it too.
+/// the epoch, the sealed blobs (open readers + their manifest records,
+/// in seal order) and the copy-on-write view of the unsealed mem
+/// segment. Cloning the `Arc` is a reader's whole snapshot; a commit
+/// replaces it wholesale ([`Engine::publish`]).
 struct SegSnapshot {
+    epoch: u64,
     metas: Vec<SealedMeta>,
     sealed: Vec<Arc<SegmentReader>>,
     mem: MemView,
@@ -273,19 +279,21 @@ pub struct CompactOutcome {
 /// A disk-backed XKSearch engine.
 ///
 /// All operations — including [`Engine::append_subtree`] — take
-/// `&self`; queries run against a pinned snapshot while appends commit
-/// transactionally, so readers and the writer never block each other on
-/// data access.
+/// `&self`; queries run against the snapshot they cloned while appends
+/// commit transactionally, so readers and the writer never block each
+/// other on data access.
 pub struct Engine {
     env: SharedEnv,
-    /// The in-memory face of the index (frequency table, list handles,
-    /// B+tree root). Swapped wholesale after each commit; queries read
-    /// it briefly to build their list adapters.
+    /// The in-memory face of the index. Reference-layout queries read
+    /// its frequency table, list handles and B+tree root (nothing ever
+    /// swaps those); on a segmented engine it carries the document
+    /// handle and the extension bytes, swapped wholesale after each
+    /// commit and read by the writer and [`Engine::ensure_document`].
     index: RwLock<DiskIndex>,
-    /// The committed epoch `index` describes. Paired with the snapshot
-    /// pin in [`Engine::pin_index`] so a query's in-memory metadata and
-    /// its page reads always belong to the same epoch.
-    index_epoch: AtomicU64,
+    /// The decoded stored document, loaded on first use. The mutex is
+    /// also what isolates the document chain's pages: every reader of
+    /// them holds it, and so does `append_subtree` from before its
+    /// transaction begins until after it is published.
     document: Mutex<Option<XmlTree>>,
     durability: Option<DurabilityCtl>,
     /// Present when the index's extension region carries a [`SegExt`]:
@@ -562,7 +570,12 @@ impl Engine {
             Some(h) => replay_journal(env, h)?,
             None => MemSegment::new(),
         };
-        let snapshot = Arc::new(SegSnapshot { metas, sealed, mem: MemView::of(&mem) });
+        let snapshot = Arc::new(SegSnapshot {
+            epoch: env.current_epoch(),
+            metas,
+            sealed,
+            mem: MemView::of(&mem),
+        });
         Ok(Some(SegState {
             io,
             writer: Mutex::new(SegWriter { ext, mem }),
@@ -578,7 +591,6 @@ impl Engine {
     ) -> Result<Engine> {
         let index = DiskIndex::open(&env)?;
         let segments = Self::open_segments(&env, &index, io)?;
-        let index_epoch = AtomicU64::new(env.current_epoch());
         let env = SharedEnv::new(env);
         let durability = match durability {
             None => None,
@@ -596,7 +608,6 @@ impl Engine {
         Ok(Engine {
             env,
             index: RwLock::new(index),
-            index_epoch,
             document: Mutex::new(None),
             durability,
             segments,
@@ -614,24 +625,6 @@ impl Engine {
         self.index.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// An index read guard paired with a snapshot pin at the **same**
-    /// epoch, so in-memory metadata (list handles, counts, B+tree root
-    /// slot) and page reads describe one consistent committed state. The
-    /// retry closes the microseconds-wide window between a commit
-    /// publishing its epoch and `publish` swapping the index.
-    fn pin_index(&self) -> (RwLockReadGuard<'_, DiskIndex>, ReadPin<'_>) {
-        loop {
-            let index = self.index.read().unwrap_or_else(|e| e.into_inner());
-            let pin = self.env.pin_snapshot();
-            if pin.epoch() == self.index_epoch.load(Ordering::Acquire) {
-                return (index, pin);
-            }
-            drop(pin);
-            drop(index);
-            std::thread::yield_now();
-        }
-    }
-
     /// Runs `f` against the storage environment (for cache control and
     /// I/O statistics in experiments).
     pub fn with_env<R>(&self, f: impl FnOnce(&StorageEnv) -> R) -> R {
@@ -645,28 +638,29 @@ impl Engine {
     }
 
     /// Sequential access to a keyword's list (tools, benches). `None` if
-    /// the keyword does not occur. Unpinned: concurrent appends may be
-    /// observed mid-flight — use [`Engine::query`] for consistent reads.
+    /// the keyword does not occur. Reads the reference layout's B+tree
+    /// lists only: a segmented engine's index has no postings, so this
+    /// is `None` there — use [`Engine::posting_dump`].
     pub fn stream_list(&self, keyword: &str) -> Option<DiskStreamList> {
         self.index().stream_list(self.env.clone(), keyword)
     }
 
     /// Indexed (`lm`/`rm`) access to a keyword's list (tools, benches).
-    /// `None` if the keyword does not occur. Unpinned, like
-    /// [`Engine::stream_list`].
+    /// `None` if the keyword does not occur. Reference layout only, like
+    /// [`Engine::stream_list`] ([`Engine::posting_probe`] serves both).
     pub fn ranked_list(&self, keyword: &str) -> Option<DiskRankedList> {
         self.index().ranked_list(self.env.clone(), keyword)
     }
 
-    /// Loads the embedded document into `slot` if it is not there yet.
-    /// Runs under a consistent read view so a concurrent append can
-    /// never produce a torn document load.
+    /// Loads the embedded document into `slot` — the contents of the
+    /// `document` mutex, whose guard the caller holds and which is what
+    /// makes this page read safe (see the field) — if it is not there
+    /// yet.
     fn ensure_document(&self, slot: &mut Option<XmlTree>) -> Result<()> {
         if slot.is_none() {
-            let (index, _pin) = self.pin_index();
             let doc = self
                 .env
-                .with(|e| index.load_document(e))?
+                .with(|e| self.index().load_document(e))?
                 .ok_or(EngineError::NoDocument)?;
             *slot = Some(doc);
         }

@@ -13,23 +13,20 @@ use xk_slca::{
     all_lcas, indexed_lookup_eager, scan_eager, stack_merge, AlgoStats, ChainedRankedList,
     ChainedStreamList, RankedList, StreamList,
 };
-use xk_storage::{IoStats, ReadPin};
+use xk_storage::IoStats;
 use xk_xmltree::{normalize_keyword, Dewey};
 
-/// One request's consistent picture of the store at the epoch it pinned:
-/// every reader opens one, builds its list adapters from it, and ends
-/// with [`ReadView::finish`].
+/// One request's consistent picture of the store at one committed
+/// epoch: every reader opens one, builds its list adapters from it, and
+/// ends with [`ReadView::finish`].
 ///
-/// Safe against a concurrent [`Engine::append_subtree`]: the pin serves
-/// pre-images for every page a later transaction touches, and the
-/// posting source was captured under the same index guard the pin's
-/// epoch was checked against, so an in-flight append is invisible until
-/// its commit.
+/// Safe against a concurrent [`Engine::append_subtree`] or merge: the
+/// posting source is immutable (see [`Source`]), so an in-flight
+/// transaction is invisible until it publishes the next snapshot.
 struct ReadView<'e> {
     /// A [`SharedEnv::fork`]: this request's own poison slot, so a
     /// storage failure errors out exactly this request.
     qenv: SharedEnv,
-    pin: ReadPin<'e>,
     /// Where segment list adapters report failures (the list traits are
     /// infallible).
     slot: ErrorSlot,
@@ -45,30 +42,30 @@ enum Source<'e> {
     Reference(RwLockReadGuard<'e, DiskIndex>),
     /// The serving layout: sealed segments in seal order, then the mem
     /// segment. The snapshot is self-contained (`Arc`s into immutable
-    /// blobs and views), so the index guard it was cloned under is
-    /// released at once and a committing append never waits on a reader.
+    /// blobs and views, plus the epoch they describe), so the reader
+    /// holds no lock and a committing append never waits on it.
     Segments(Arc<SegSnapshot>),
 }
 
 impl Engine {
     fn read_view(&self) -> ReadView<'_> {
-        let (index, pin) = self.pin_index();
         let source = match self.segments.as_ref() {
-            Some(seg) => {
-                // Cloned under the index guard: snapshot and index are
-                // swapped inside one index write-lock section, so the
-                // snapshot belongs to the pinned epoch.
-                let snapshot = seg.snapshot();
-                drop(index);
-                Source::Segments(snapshot)
-            }
-            None => Source::Reference(index),
+            Some(seg) => Source::Segments(seg.snapshot()),
+            None => Source::Reference(self.index()),
         };
-        ReadView { qenv: self.env.fork(), pin, slot: ErrorSlot::new(), source }
+        ReadView { qenv: self.env.fork(), slot: ErrorSlot::new(), source }
     }
 }
 
 impl ReadView<'_> {
+    /// The committed epoch this view describes. The reference layout is
+    /// never written, so its environment's epoch is a constant.
+    fn epoch(&self) -> u64 {
+        match &self.source {
+            Source::Reference(_) => self.qenv.with(|e| e.current_epoch()),
+            Source::Segments(s) => s.epoch,
+        }
+    }
 
     /// The environment's I/O counters now. Exact deltas when the engine
     /// is otherwise quiescent; concurrent requests share the counters,
@@ -254,8 +251,8 @@ impl Engine {
     /// Answers a keyword query with the chosen algorithm.
     ///
     /// Safe to call from several threads at once (`&self`), including
-    /// concurrently with [`Engine::append_subtree`]: the query pins the
-    /// committed epoch at entry and reads only that snapshot, and a
+    /// concurrently with [`Engine::append_subtree`]: the query clones
+    /// the published snapshot at entry and reads only that, and a
     /// storage failure errors out exactly this query. The reported
     /// [`QueryOutcome::io`] delta is exact when the engine is otherwise
     /// quiescent; concurrent queries share the global counters, so each
@@ -265,7 +262,7 @@ impl Engine {
         let start = Instant::now();
         let view = self.read_view();
         let io_before = view.io_stats();
-        let epoch = view.pin.epoch();
+        let epoch = view.epoch();
         let Some((ordered, frequencies)) = view.prepare(keywords)? else {
             return Ok(QueryOutcome {
                 slcas: Vec::new(),
@@ -326,7 +323,7 @@ impl Engine {
         let start = Instant::now();
         let view = self.read_view();
         let io_before = view.io_stats();
-        let epoch = view.pin.epoch();
+        let epoch = view.epoch();
         let Some((ordered, _)) = view.prepare(keywords)? else {
             return Ok(LcaOutcome {
                 lcas: Vec::new(),

@@ -90,7 +90,7 @@ fn write_node(
 }
 
 /// Magic prefix of the structural encoding ([`encode_tree`]).
-pub const TREE_MAGIC: &[u8; 8] = b"XKDOC1\0\0";
+const TREE_MAGIC: &[u8; 8] = b"XKDOC1\0\0";
 
 /// Encodes the whole tree in a **lossless** structural form: preorder
 /// records with explicit child counts.

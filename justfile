@@ -12,6 +12,7 @@ test:
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     ! grep -rn '^\[\[bench\]\]' crates/*/Cargo.toml
+    ! grep -rn 'thread_local!' crates/*/src
 
 # Static analysis: lock discipline, pager IO under pool guards, panics
 # reachable from the query/server paths, swallowed Results. Fails on any
@@ -108,9 +109,10 @@ soak:
 
 # Mixed read/write soak: concurrent queries across all four algorithms
 # racing append_subtree transactions under WAL fault injection, every
-# result checked against the brute-force oracle for its commit epoch,
-# plus the epoch-isolation differential (full tier; CI runs the sampled
-# tier with XK_SOAK_SMOKE=1).
+# result checked against the brute-force oracle for its commit epoch
+# (full tier; CI runs the sampled tier with XK_SOAK_SMOKE=1), then the
+# epoch-isolation differential: readers racing appends, seals and merges
+# must answer from one whole published snapshot, never a blend.
 soak-mixed:
     cargo test -q --test mixed_soak
     cargo test -q --test epoch_isolation

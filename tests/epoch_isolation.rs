@@ -1,15 +1,17 @@
 //! Differential epoch-isolation test (ISSUE 7): queries racing an
 //! in-flight `append_subtree` must observe either the full pre-append
-//! or the full post-append snapshot — never a blend.
+//! or the full post-append snapshot — never a blend — and a merge
+//! (`compact_segments`) publishes a new epoch with the same answers.
 //!
-//! The writer applies appends one at a time while reader threads hammer
-//! the engine across all four algorithms (Indexed Lookup Eager, Scan
-//! Eager, Stack, all-LCA). Every query result carries the committed
-//! epoch it observed; the writer publishes an epoch → append-prefix map
-//! as each append is acknowledged, and each result is asserted equal to
-//! the brute-force oracle over *exactly* that prefix's document. A
-//! blended read — some lists pre-append, some post — would produce a
-//! result matching neither prefix oracle and fail the comparison.
+//! The writer applies appends one at a time, compacting after each,
+//! while reader threads hammer the engine across all four algorithms
+//! (Indexed Lookup Eager, Scan Eager, Stack, all-LCA). Every query
+//! result carries the committed epoch it observed; the writer publishes
+//! an epoch → append-prefix map as each append or merge is acknowledged,
+//! and each result is asserted equal to the brute-force oracle over
+//! *exactly* that prefix's document. A blended read — some lists
+//! pre-append, some post — would produce a result matching neither
+//! prefix oracle and fail the comparison.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +26,7 @@ use xksearch_repro::soak::seed_segmented;
 
 const PAGE: usize = 512;
 const POOL: usize = 128;
-const APPENDS: usize = 6;
+const APPENDS: usize = 10;
 
 const SEED: &str = "<log>\
     <entry><tag>iso</tag><body>alpha beta base</body></entry>\
@@ -120,7 +122,8 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
     .expect("open durable engine");
     // Each append carries 8 postings: every second one crosses the
     // threshold, so the racing snapshots alternate between journal-only
-    // and freshly sealed states.
+    // and freshly sealed states, and the fourth 16-posting blob (append
+    // 8) completes a mergeable run with two appends still to race.
     engine.set_seal_threshold(12);
 
     let oracles: Vec<PrefixOracle> = (0..=APPENDS).map(prefix_oracle).collect();
@@ -129,6 +132,7 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
 
     let stop = AtomicBool::new(false);
     let racing = AtomicU64::new(0);
+    let mut merges = 0;
     std::thread::scope(|s| {
         for reader in 0..3 {
             let (engine, epochs, stop, racing, oracles) =
@@ -178,6 +182,12 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
                 .append_subtree(&Dewey::root(), &fragment(i))
                 .expect("append under racing readers");
             epochs.lock().unwrap().insert(out.epoch, i + 1);
+            // A merge rewrites blobs, not answers: its epoch maps to the
+            // same prefix.
+            if let Some(merge) = engine.compact_segments().expect("merge under racing readers") {
+                epochs.lock().unwrap().insert(merge.epoch, i + 1);
+                merges += 1;
+            }
             // Give the readers a racing window at every intermediate
             // prefix, not just the final one.
             std::thread::sleep(Duration::from_millis(10));
@@ -189,6 +199,7 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
         racing.load(Ordering::Relaxed) as usize >= QUERIES.len() * 4,
         "the readers must actually race the appends"
     );
+    assert!(merges >= 1, "a merge must have published while the readers were live");
 
     // Post-quiescence: the final state equals the full-prefix oracle for
     // every algorithm (no lingering partial visibility).
