@@ -20,8 +20,9 @@
 
 use std::time::{Duration, Instant};
 use xk_bench::trial::Suite;
-use xk_index::{build_disk_index, BuildOptions, DiskIndex, SharedEnv};
-use xk_slca::{deepest_dominator_ranked, AlgoStats, StreamList};
+use std::sync::Arc;
+use xk_index::{build_disk_index, BuildOptions, DiskIndex, IndexError};
+use xk_slca::{deepest_dominator_ranked, AlgoStats, ErrorSlot, StreamList};
 use xk_storage::{EnvOptions, IoStats, StorageEnv};
 use xk_workload::{generate, DblpSpec, Planted};
 use xk_xmltree::Dewey;
@@ -43,20 +44,21 @@ struct Measured {
 /// returns the I/O charged to the probes alone (cold pool, witnesses in
 /// memory).
 fn probe_run(
-    env: &SharedEnv,
+    env: &Arc<StorageEnv>,
+    slot: &ErrorSlot<IndexError>,
     index: &DiskIndex,
     witnesses: &[Dewey],
     s2_keyword: &str,
     anchored: bool,
 ) -> Measured {
     let mut list = index
-        .ranked_list(env.clone(), s2_keyword)
+        .ranked_list(env, s2_keyword, slot.clone())
         .expect("planted keyword present");
     if anchored {
         list = list.anchored();
     }
-    env.with(|e| e.clear_cache()).expect("cache clear");
-    let before = env.with(|e| e.stats());
+    env.clear_cache().expect("cache clear");
+    let before = env.stats();
     let start = Instant::now();
     let mut stats = AlgoStats::default();
     let mut sink = 0u64;
@@ -67,16 +69,21 @@ fn probe_run(
     }
     std::hint::black_box(sink);
     let elapsed = start.elapsed();
-    let io = env.with(|e| e.stats()).delta_since(&before);
-    if let Some(e) = env.take_error() {
+    let io = env.stats().delta_since(&before);
+    if let Some(e) = slot.take() {
         panic!("storage error during probe run: {e}");
     }
     Measured { probes: witnesses.len() as u64, match_lookups: stats.match_lookups, io, elapsed }
 }
 
-fn collect_witnesses(env: &SharedEnv, index: &DiskIndex, keyword: &str) -> Vec<Dewey> {
+fn collect_witnesses(
+    env: &Arc<StorageEnv>,
+    slot: &ErrorSlot<IndexError>,
+    index: &DiskIndex,
+    keyword: &str,
+) -> Vec<Dewey> {
     let mut stream = index
-        .stream_list(env.clone(), keyword)
+        .stream_list(env, keyword, slot.clone())
         .expect("planted keyword present");
     let mut out = Vec::new();
     while let Some(d) = stream.next_node() {
@@ -122,8 +129,10 @@ fn main() {
         .unwrap();
     env.flush().unwrap();
     drop(env);
-    let env = SharedEnv::new(StorageEnv::open(&db, options).unwrap());
-    let index = DiskIndex::open(env.env()).unwrap();
+    let env = Arc::new(StorageEnv::open(&db, options).unwrap());
+    let index = DiskIndex::open(&env).unwrap();
+    // Every list reports into this one slot; each probe run checks it.
+    let slot = ErrorSlot::new();
 
     let mut suite =
         Suite::new("lookup_locality", if smoke { "smoke" } else { "full" }, 0x10CA);
@@ -138,11 +147,11 @@ fn main() {
     );
     for (i, &s1) in cfg.s1_sizes.iter().enumerate() {
         let kw = format!("s1{}", (b'a' + i as u8) as char);
-        let witnesses = collect_witnesses(&env, &index, &kw);
+        let witnesses = collect_witnesses(&env, &slot, &index, &kw);
         assert_eq!(witnesses.len(), s1, "planted |S1| mismatch for {kw}");
         let mut fresh_reads = 0u64;
         for (mode, anchored) in [("fresh", false), ("anchored", true)] {
-            let m = probe_run(&env, &index, &witnesses, "s2", anchored);
+            let m = probe_run(&env, &slot, &index, &witnesses, "s2", anchored);
             let per_lookup = m.io.logical_reads as f64 / m.match_lookups.max(1) as f64;
             suite
                 .case(format!("s1={s1}/{mode}"))

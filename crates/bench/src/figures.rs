@@ -200,7 +200,7 @@ pub fn ablation_pool(corpus: &Corpus) -> Table {
 pub fn ablation_beta(corpus: &Corpus) -> String {
     use std::fmt::Write;
     use std::time::{Duration, Instant};
-    use xk_slca::{indexed_lookup_eager_buffered, RankedList};
+    use xk_slca::{indexed_lookup_eager_buffered, ErrorSlot, RankedList};
 
     let freqs = corpus.scale.frequencies();
     let small = freqs[freqs.len() - 2];
@@ -218,8 +218,9 @@ pub fn ablation_beta(corpus: &Corpus) -> String {
         // Warm pass.
         corpus.engine.query(&[&query[0], &query[1]], xksearch::Algorithm::IndexedLookupEager)
             .expect("warm query");
-        let mut s1 = corpus.engine.stream_list(&query[0]).expect("planted keyword");
-        let mut other = corpus.engine.ranked_list(&query[1]).expect("planted keyword");
+        let slot = ErrorSlot::new();
+        let mut s1 = corpus.engine.stream_list(&query[0], slot.clone()).expect("planted keyword");
+        let mut other = corpus.engine.ranked_list(&query[1], slot.clone()).expect("planted keyword");
         let mut refs: Vec<&mut dyn RankedList> = vec![&mut other];
         let started = Instant::now();
         let mut first: Option<Duration> = None;
@@ -231,6 +232,9 @@ pub fn ablation_beta(corpus: &Corpus) -> String {
             }
         });
         let total = started.elapsed();
+        if let Some(e) = slot.take() {
+            panic!("storage error during the beta={beta} run: {e}");
+        }
         let _ = writeln!(
             out,
             "{:<10} {:>16.1} {:>14.3} {:>10}",

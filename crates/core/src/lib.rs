@@ -19,8 +19,9 @@
 //!
 //! Keyword lists are abstracted by [`RankedList`] (indexed left/right
 //! match) and [`StreamList`] (sequential scan); [`MemList`] implements
-//! both in memory, and the `xksearch` crate provides disk-backed
-//! implementations over B+trees and page chains.
+//! both in memory; `xk-index` and `xk-segment` provide disk-backed
+//! implementations, which report storage failures through an
+//! [`ErrorSlot`] because the traits are infallible.
 //!
 //! ```
 //! use xk_slca::{MemList, RankedList, indexed_lookup_eager_collect};
@@ -44,7 +45,9 @@ pub mod stats;
 
 pub use brute::{brute_force_all_lcas, brute_force_slca, remove_ancestors};
 pub use lca::{all_lcas, all_lcas_collect, LcaKind};
-pub use lists::{ChainedRankedList, ChainedStreamList, MemList, RankedList, StreamList};
+pub use lists::{
+    ChainedRankedList, ChainedStreamList, ErrorSlot, MemList, RankedList, StreamList,
+};
 pub use matching::{deeper, deepest_dominator_ranked, EagerFilter};
 pub use slca::{
     indexed_lookup_eager, indexed_lookup_eager_buffered, indexed_lookup_eager_collect,

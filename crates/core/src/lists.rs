@@ -8,10 +8,68 @@
 //!   `S_1` iteration of every eager algorithm): [`StreamList`].
 //!
 //! [`MemList`] implements both over an in-memory sorted `Vec<Dewey>`.
-//! Disk-backed implementations live in the `xksearch` crate, adapting the
-//! B+tree (`seek_ge`/`seek_le`) and the sequential list store.
+//! Disk-backed implementations live in `xk-index` (B+tree `seek_ge` /
+//! `seek_le` and the sequential list store) and `xk-segment` (packed
+//! blobs). Both traits are infallible — the algorithms are
+//! storage-agnostic — so a fallible adapter reports through an
+//! [`ErrorSlot`] instead.
 
+use std::sync::{Arc, Mutex};
 use xk_xmltree::Dewey;
+
+/// A shared first-error-wins slot, one per read, cloned into every list
+/// adapter the read builds. An adapter that hits an I/O or corruption
+/// error records it here and returns `None` (which terminates any of
+/// the algorithms); the reader checks [`ErrorSlot::take`] afterwards to
+/// tell "no match" from "the storage layer failed".
+pub struct ErrorSlot<E> {
+    slot: Arc<Mutex<Option<E>>>,
+}
+
+impl<E> Clone for ErrorSlot<E> {
+    fn clone(&self) -> Self {
+        ErrorSlot { slot: Arc::clone(&self.slot) }
+    }
+}
+
+impl<E> Default for ErrorSlot<E> {
+    fn default() -> Self {
+        ErrorSlot { slot: Arc::default() }
+    }
+}
+
+impl<E> ErrorSlot<E> {
+    /// A fresh, empty slot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records an error; the first one wins (it is the root cause,
+    /// anything after it is fallout).
+    pub fn poison(&self, err: E) {
+        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        if slot.is_none() {
+            *slot = Some(err);
+        }
+    }
+
+    /// [`Result::ok`] for an adapter's fallible step: the error is kept
+    /// (see [`ErrorSlot::poison`]) and reads as "nothing there".
+    pub fn ok<T>(&self, step: Result<T, impl Into<E>>) -> Option<T> {
+        step.map_err(|e| self.poison(e.into())).ok()
+    }
+
+    /// Takes the recorded error, clearing the slot. `Some` means every
+    /// list result since the last take is untrustworthy.
+    pub fn take(&self) -> Option<E> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+
+    /// True if an adapter has recorded an error since the last take.
+    pub fn is_poisoned(&self) -> bool {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner()).is_some()
+    }
+}
 
 /// Indexed access to a keyword list sorted by Dewey id.
 pub trait RankedList {
@@ -105,10 +163,11 @@ impl<L: StreamList + ?Sized> StreamList for Box<L> {
     }
 }
 
-/// An in-memory keyword list: a sorted, duplicate-free `Vec<Dewey>`.
+/// An in-memory keyword list: a sorted, duplicate-free `Vec<Dewey>`,
+/// held behind an `Arc` so a snapshot's list can be read in place.
 #[derive(Debug, Clone, Default)]
 pub struct MemList {
-    nodes: Vec<Dewey>,
+    nodes: Arc<Vec<Dewey>>,
     pos: usize,
 }
 
@@ -117,11 +176,17 @@ impl MemList {
     pub fn new(mut nodes: Vec<Dewey>) -> MemList {
         nodes.sort();
         nodes.dedup();
-        MemList { nodes, pos: 0 }
+        MemList::shared(Arc::new(nodes))
     }
 
     /// Builds a list from nodes already sorted and duplicate-free.
     pub fn from_sorted(nodes: Vec<Dewey>) -> MemList {
+        MemList::shared(Arc::new(nodes))
+    }
+
+    /// [`MemList::from_sorted`] over a vector someone else also holds
+    /// (the segment store's mem-segment view).
+    pub fn shared(nodes: Arc<Vec<Dewey>>) -> MemList {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must be strictly sorted");
         MemList { nodes, pos: 0 }
     }

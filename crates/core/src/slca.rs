@@ -168,7 +168,7 @@ struct StackEntry {
 }
 
 /// **Stack** — the sort-merge, stack-based algorithm adapted from XRANK's
-/// DIL [13] to SLCA semantics (Section 3.3).
+/// DIL (the paper's reference 13) to SLCA semantics (Section 3.3).
 ///
 /// All `k` lists are merged in Dewey order. The stack holds the path of
 /// the most recent node; each entry carries a boolean per keyword. When an

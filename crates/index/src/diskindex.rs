@@ -23,8 +23,8 @@ use crate::leveltable::LevelTable;
 use crate::memindex::MemIndex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
-use xk_slca::{RankedList, StreamList};
+use std::sync::Arc;
+use xk_slca::{ErrorSlot, RankedList, StreamList};
 use xk_storage::{BTree, BTreeCursor, ListHandle, ListReader, ListWriter, StorageEnv, StorageError};
 use xk_xmltree::{Dewey, XmlTree};
 
@@ -199,7 +199,8 @@ impl Default for BuildOptions {
 }
 
 /// Builds the complete disk index for `tree` inside `env`. Returns the
-/// number of distinct keywords indexed. The posting layout it writes is
+/// number of distinct keywords whose postings it indexed (0 with
+/// [`BuildOptions::index_postings`] off). The posting layout it writes is
 /// **read-only** after this call: packed Deweys use an exact-fit level
 /// table, and nothing inserts into the posting trees again — growth goes
 /// through the segment store (see `xksearch::Engine::append_subtree`).
@@ -208,26 +209,26 @@ pub fn build_disk_index(
     tree: &XmlTree,
     options: &BuildOptions,
 ) -> Result<usize> {
-    let store_document = options.store_document;
     let table = LevelTable::build(tree);
-    let lists = MemIndex::build(tree).into_sorted_lists();
+    // With `index_postings` off the document is not even tokenized here
+    // and both layouts stay empty (the trees are still created so open
+    // finds valid roots); the segment store owns the postings.
+    let lists = if options.index_postings {
+        MemIndex::build(tree).into_sorted_lists()
+    } else {
+        Vec::new()
+    };
 
     // Phase 1: sequential list chains, collecting the vocabulary entries.
-    // With `index_postings` off both layouts stay empty (the trees are
-    // still created so open finds valid roots); the segment store owns
-    // the postings instead.
-    let mut vocab_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    if options.index_postings {
-        vocab_entries.reserve(lists.len());
-        for (kwid, (keyword, nodes)) in lists.iter().enumerate() {
-            let mut writer = ListWriter::new(env);
-            for node in nodes {
-                writer.append(env, &encode_dewey(node, &table)?)?;
-            }
-            let handle = writer.finish(env)?;
-            let meta = KeywordMeta { kwid: kwid as u32, count: nodes.len() as u64, handle };
-            vocab_entries.push((keyword.as_bytes().to_vec(), meta.encode().to_vec()));
+    let mut vocab_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(lists.len());
+    for (kwid, (keyword, nodes)) in lists.iter().enumerate() {
+        let mut writer = ListWriter::new(env);
+        for node in nodes {
+            writer.append(env, &encode_dewey(node, &table)?)?;
         }
+        let handle = writer.finish(env)?;
+        let meta = KeywordMeta { kwid: kwid as u32, count: nodes.len() as u64, handle };
+        vocab_entries.push((keyword.as_bytes().to_vec(), meta.encode().to_vec()));
     }
 
     // Phase 2: bulk-load both B+trees. Keywords are sorted, and within a
@@ -235,16 +236,15 @@ pub fn build_disk_index(
     // IL keys arrive in strictly ascending order.
     BTree::bulk_load(env, SLOT_VOCAB, vocab_entries)?;
     let mut il_keys: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    if options.index_postings {
-        for (kwid, (_, nodes)) in lists.iter().enumerate() {
-            for node in nodes {
-                il_keys.push((il_key(kwid as u32, &encode_dewey(node, &table)?), Vec::new()));
-            }
+    for (kwid, (_, nodes)) in lists.iter().enumerate() {
+        for node in nodes {
+            il_keys.push((il_key(kwid as u32, &encode_dewey(node, &table)?), Vec::new()));
         }
     }
     BTree::bulk_load(env, SLOT_IL, il_keys)?;
 
-    let doc_handle = if store_document { Some(write_document(env, tree)?) } else { None };
+    let doc_handle =
+        if options.store_document { Some(write_document(env, tree)?) } else { None };
 
     env.set_user_blob(&encode_blob(&table, doc_handle, &[]))?;
     env.flush()?;
@@ -255,7 +255,7 @@ pub fn build_disk_index(
 /// Structural encoding, not XML text: XML merges adjacent text siblings
 /// on re-parse, which would shift the Dewey ordinals appends are
 /// allocated from (see `xk_xmltree::encode_tree`).
-fn write_document(env: &StorageEnv, tree: &XmlTree) -> Result<ListHandle> {
+pub fn write_document(env: &StorageEnv, tree: &XmlTree) -> Result<ListHandle> {
     let encoded = xk_xmltree::encode_tree(tree);
     let mut writer = ListWriter::new(env);
     for part in encoded.chunks(env.page_size() / 2) {
@@ -264,24 +264,31 @@ fn write_document(env: &StorageEnv, tree: &XmlTree) -> Result<ListHandle> {
     Ok(writer.finish(env)?)
 }
 
-/// A read handle over a built disk index.
-///
-/// `Clone` is cheap (the B+tree handle is `Copy`, the level table is
-/// shared behind an `Arc`; only the frequency table is deep-copied) —
-/// the engine's append path re-points a clone's document handle and
-/// extension bytes and swaps it in after the commit, so readers never
-/// see a half-updated meta blob. The posting trees themselves are never
-/// written after [`build_disk_index`].
-#[derive(Clone)]
+/// Reads back a document chain [`write_document`] wrote.
+pub fn read_document(env: &StorageEnv, handle: &ListHandle) -> Result<XmlTree> {
+    let mut reader = ListReader::new(handle);
+    let mut bytes = Vec::new();
+    while let Some(chunk) = reader.next_record(env)? {
+        bytes.extend_from_slice(&chunk);
+    }
+    xk_xmltree::decode_tree(&bytes)
+        .map_err(|e| IndexError::Corrupt(format!("stored document: {e}")))
+}
+
+/// A read handle over a built disk index: what [`build_disk_index`]
+/// wrote, as [`DiskIndex::open`] found it, immutable. The two meta-blob
+/// fields a growing database moves (document handle, extension bytes)
+/// belong to whoever serializes their writers, who persists them
+/// through [`DiskIndex::write_meta`].
 pub struct DiskIndex {
     il: BTree,
     level_table: Arc<LevelTable>,
     /// The paper's in-memory frequency hash table, loaded at open time.
     freq: HashMap<String, KeywordMeta>,
+    /// The stored document's chain, as of open.
     doc_handle: Option<ListHandle>,
     /// Opaque extension region after the document section of the meta
-    /// blob — owned by higher layers (the segment store), preserved
-    /// verbatim across document rewrites.
+    /// blob, as of open — owned by higher layers (the segment store).
     extension: Vec<u8>,
 }
 
@@ -329,26 +336,25 @@ impl DiskIndex {
         &self.level_table
     }
 
-    /// Loads the serialized document stored at build time (if any).
-    pub fn load_document(&self, env: &StorageEnv) -> Result<Option<XmlTree>> {
-        let Some(handle) = self.doc_handle else { return Ok(None) };
-        let mut reader = ListReader::new(&handle);
-        let mut bytes = Vec::new();
-        while let Some(chunk) = reader.next_record(env)? {
-            bytes.extend_from_slice(&chunk);
-        }
-        xk_xmltree::decode_tree(&bytes)
-            .map(Some)
-            .map_err(|e| IndexError::Corrupt(format!("stored document: {e}")))
+    /// The stored document's chain as of open (`None` when the index
+    /// was built without one).
+    pub fn document_handle(&self) -> Option<ListHandle> {
+        self.doc_handle
     }
 
     /// Indexed (`lm`/`rm`) access to a keyword's list, for the Indexed
-    /// Lookup Eager and all-LCA algorithms. `None` if the keyword does not
-    /// occur.
-    pub fn ranked_list(&self, env: SharedEnv, keyword: &str) -> Option<DiskRankedList> {
+    /// Lookup Eager and all-LCA algorithms; storage failures go to
+    /// `slot`. `None` if the keyword does not occur.
+    pub fn ranked_list(
+        &self,
+        env: &Arc<StorageEnv>,
+        keyword: &str,
+        slot: ErrorSlot<IndexError>,
+    ) -> Option<DiskRankedList> {
         let meta = self.freq.get(keyword)?;
         Some(DiskRankedList {
-            env,
+            env: Arc::clone(env),
+            slot,
             il: self.il,
             kwid: meta.kwid,
             count: meta.count,
@@ -358,111 +364,53 @@ impl DiskIndex {
     }
 
     /// Sequential access to a keyword's list, for Scan Eager / Stack and
-    /// the `S_1` iteration. `None` if the keyword does not occur.
-    pub fn stream_list(&self, env: SharedEnv, keyword: &str) -> Option<DiskStreamList> {
+    /// the `S_1` iteration; storage failures go to `slot`. `None` if the
+    /// keyword does not occur.
+    pub fn stream_list(
+        &self,
+        env: &Arc<StorageEnv>,
+        keyword: &str,
+        slot: ErrorSlot<IndexError>,
+    ) -> Option<DiskStreamList> {
         let meta = self.freq.get(keyword)?;
         Some(DiskStreamList {
-            env,
+            env: Arc::clone(env),
+            slot,
             handle: meta.handle,
             table: Arc::clone(&self.level_table),
             reader: ListReader::new(&meta.handle),
         })
     }
 
-    /// Replaces the embedded document (incremental ingestion re-serializes
-    /// the grown tree so rendering stays consistent with the index).
-    pub fn store_document(&mut self, env: &StorageEnv, tree: &XmlTree) -> Result<()> {
-        if let Some(old) = self.doc_handle.take() {
-            xk_storage::free_list(env, &old)?;
-        }
-        self.doc_handle = Some(write_document(env, tree)?);
-        env.set_user_blob(&encode_blob(&self.level_table, self.doc_handle, &self.extension))?;
-        Ok(())
-    }
-
-    /// The opaque extension region of the meta blob (empty when unused).
+    /// The opaque extension region of the meta blob as of open (empty
+    /// when unused).
     pub fn extension(&self) -> &[u8] {
         &self.extension
     }
 
-    /// Replaces the extension region and rewrites the meta blob. The
-    /// write lands on the same page `store_document` touches, so a
-    /// transaction covering both stays single-page cheap.
-    pub fn set_extension(&mut self, env: &StorageEnv, bytes: Vec<u8>) -> Result<()> {
-        self.extension = bytes;
-        env.set_user_blob(&encode_blob(&self.level_table, self.doc_handle, &self.extension))?;
+    /// Rewrites the meta blob (one page): the level table as opened,
+    /// plus the document handle and extension bytes their owner now
+    /// holds.
+    pub fn write_meta(
+        &self,
+        env: &StorageEnv,
+        doc: Option<ListHandle>,
+        extension: &[u8],
+    ) -> Result<()> {
+        env.set_user_blob(&encode_blob(&self.level_table, doc, extension))?;
         Ok(())
-    }
-}
-
-/// A shared, thread-safe handle to the storage environment, so several
-/// list cursors — possibly on different threads — can interleave page
-/// access. `Clone` is cheap (two `Arc` bumps); the underlying
-/// [`StorageEnv`] does its own locking.
-///
-/// The handle also carries a **poison slot**: the `xk-slca` list traits
-/// are infallible by design (the algorithms are storage-agnostic), so
-/// when a disk adapter hits an I/O or codec error mid-query it records
-/// the error here, returns `None` (which terminates any algorithm), and
-/// the caller checks [`SharedEnv::take_error`] afterwards to distinguish
-/// "no match" from "the storage layer failed". The slot is scoped to a
-/// handle, not the environment: [`SharedEnv::fork`] makes a handle with
-/// the same environment but a fresh slot, so concurrent queries poison
-/// independently — one failing query cannot contaminate its siblings.
-#[derive(Clone)]
-pub struct SharedEnv {
-    env: Arc<StorageEnv>,
-    poison: Arc<Mutex<Option<IndexError>>>,
-}
-
-impl SharedEnv {
-    /// Wraps an environment for shared cursor access.
-    pub fn new(env: StorageEnv) -> SharedEnv {
-        SharedEnv { env: Arc::new(env), poison: Arc::new(Mutex::new(None)) }
-    }
-
-    /// A handle to the same environment with a **fresh, independent**
-    /// poison slot — one per concurrent query.
-    pub fn fork(&self) -> SharedEnv {
-        SharedEnv { env: Arc::clone(&self.env), poison: Arc::new(Mutex::new(None)) }
-    }
-
-    /// Direct access to the environment.
-    pub fn env(&self) -> &StorageEnv {
-        &self.env
-    }
-
-    /// Runs `f` with access to the environment. (Retained from the
-    /// single-threaded era; [`SharedEnv::env`] is now equivalent.)
-    pub fn with<R>(&self, f: impl FnOnce(&StorageEnv) -> R) -> R {
-        f(&self.env)
-    }
-
-    /// Records an error from an infallible-trait adapter. The first error
-    /// wins — it is the root cause; anything after it is fallout.
-    pub fn poison(&self, err: IndexError) {
-        let mut slot = self.poison.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-    }
-
-    /// Takes the recorded error, if any, clearing the slot. Call after
-    /// running an algorithm over disk-backed lists; `Some` means the
-    /// result is untrustworthy and must be discarded.
-    pub fn take_error(&self) -> Option<IndexError> {
-        self.poison.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 }
 
 /// Disk-backed [`RankedList`]: `lm`/`rm` as B+tree seeks on the composite
 /// `(keyword id, packed Dewey)` key.
 ///
-/// I/O or codec failures poison the [`SharedEnv`] and surface as `None`;
-/// callers must check [`SharedEnv::take_error`] once the algorithm
+/// I/O or codec failures fill the caller's [`ErrorSlot`] and surface as
+/// `None`; callers must check [`ErrorSlot::take`] once the algorithm
 /// finishes. The traits stay infallible, the query becomes fallible.
 pub struct DiskRankedList {
-    env: SharedEnv,
+    env: Arc<StorageEnv>,
+    slot: ErrorSlot<IndexError>,
     il: BTree,
     kwid: u32,
     count: u64,
@@ -489,57 +437,24 @@ impl DiskRankedList {
     pub fn is_anchored(&self) -> bool {
         self.cursor.is_some()
     }
-    fn decode_hit(&self, key: &[u8]) -> Option<Dewey> {
-        let (kwid, packed) = match split_il_key(key) {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.env.poison(e);
-                return None;
-            }
-        };
-        if kwid != self.kwid {
-            return None; // crossed into another keyword's range
-        }
-        match decode_dewey(packed, &self.table) {
-            Ok(d) => Some(d),
-            Err(e) => {
-                self.env.poison(e.into());
-                None
-            }
-        }
-    }
 
     /// Shared body of `rm`/`lm`: encode the probe, seek, decode the hit.
-    fn seek_match(&mut self, v: &Dewey, ge: bool) -> Option<Dewey> {
-        let probe = match encode_probe(v, &self.table) {
-            Ok(p) => p,
-            Err(e) => {
-                self.env.poison(e.into());
-                return None;
-            }
+    fn seek_match(&mut self, v: &Dewey, ge: bool) -> Result<Option<Dewey>> {
+        let (Probe::Exact(p) | Probe::After(p)) = encode_probe(v, &self.table)?;
+        let key = il_key(self.kwid, &p);
+        let env = &*self.env;
+        let cur = match (&mut self.cursor, ge) {
+            (Some(anchor), true) => self.il.seek_ge_anchored(env, anchor, &key)?,
+            (Some(anchor), false) => self.il.seek_le_anchored(env, anchor, &key)?,
+            (None, true) => self.il.seek_ge(env, &key)?,
+            (None, false) => self.il.seek_le(env, &key)?,
         };
-        let key = match &probe {
-            Probe::Exact(p) | Probe::After(p) => il_key(self.kwid, p),
-        };
-        let entry = {
-            let env = self.env.env();
-            (|| -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-                let cur = match (&mut self.cursor, ge) {
-                    (Some(anchor), true) => self.il.seek_ge_anchored(env, anchor, &key)?,
-                    (Some(anchor), false) => self.il.seek_le_anchored(env, anchor, &key)?,
-                    (None, true) => self.il.seek_ge(env, &key)?,
-                    (None, false) => self.il.seek_le(env, &key)?,
-                };
-                Ok(cur.read(env)?)
-            })()
-        };
-        match entry {
-            Ok(e) => e.and_then(|(k, _)| self.decode_hit(&k)),
-            Err(e) => {
-                self.env.poison(e);
-                None
-            }
+        let Some((hit, _)) = cur.read(env)? else { return Ok(None) };
+        let (kwid, packed) = split_il_key(&hit)?;
+        if kwid != self.kwid {
+            return Ok(None); // crossed into another keyword's range
         }
+        Ok(Some(decode_dewey(packed, &self.table)?))
     }
 }
 
@@ -549,20 +464,23 @@ impl RankedList for DiskRankedList {
     }
 
     fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        self.seek_match(v, true)
+        let hit = self.seek_match(v, true);
+        self.slot.ok(hit).flatten()
     }
 
     fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        self.seek_match(v, false)
+        let hit = self.seek_match(v, false);
+        self.slot.ok(hit).flatten()
     }
 }
 
 /// Disk-backed [`StreamList`]: sequential page-chain reads.
 ///
-/// As with [`DiskRankedList`], storage failures poison the [`SharedEnv`]
-/// and end the stream early.
+/// As with [`DiskRankedList`], storage failures fill the caller's
+/// [`ErrorSlot`] and end the stream early.
 pub struct DiskStreamList {
-    env: SharedEnv,
+    env: Arc<StorageEnv>,
+    slot: ErrorSlot<IndexError>,
     handle: ListHandle,
     table: Arc<LevelTable>,
     reader: ListReader,
@@ -578,21 +496,8 @@ impl StreamList for DiskStreamList {
     }
 
     fn next_node(&mut self) -> Option<Dewey> {
-        let rec = match self.env.with(|env| self.reader.next_record(env)) {
-            Ok(r) => r,
-            Err(e) => {
-                self.env.poison(e.into());
-                return None;
-            }
-        };
-        let bytes = rec?;
-        match decode_dewey(&bytes, &self.table) {
-            Ok(d) => Some(d),
-            Err(e) => {
-                self.env.poison(e.into());
-                None
-            }
-        }
+        let bytes = self.slot.ok(self.reader.next_record(&self.env))??;
+        self.slot.ok(decode_dewey(&bytes, &self.table))
     }
 }
 
@@ -602,13 +507,15 @@ mod tests {
     use xk_storage::EnvOptions;
     use xk_xmltree::school_example;
 
-    fn build_school() -> (SharedEnv, DiskIndex) {
+    type Slot = ErrorSlot<IndexError>;
+
+    fn build_school() -> (Arc<StorageEnv>, DiskIndex) {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
         let tree = school_example();
         let n = build_disk_index(&env, &tree, &BuildOptions::default()).unwrap();
         assert!(n > 10);
         let index = DiskIndex::open(&env).unwrap();
-        (SharedEnv::new(env), index)
+        (Arc::new(env), index)
     }
 
     #[test]
@@ -629,7 +536,7 @@ mod tests {
         let mem = MemIndex::build(&school_example());
         for (kw, _) in mem.keywords() {
             let expected = mem.keyword_list(kw).unwrap();
-            let mut stream = index.stream_list(env.clone(), kw).unwrap();
+            let mut stream = index.stream_list(&env, kw, Slot::new()).unwrap();
             let mut got = Vec::new();
             while let Some(d) = stream.next_node() {
                 got.push(d);
@@ -651,7 +558,7 @@ mod tests {
         // compare against the in-memory implementation.
         let probes: Vec<Dewey> = tree.preorder().map(|n| tree.dewey(n)).collect();
         for (kw, _) in mem.keywords() {
-            let mut disk = index.ranked_list(env.clone(), kw).unwrap();
+            let mut disk = index.ranked_list(&env, kw, Slot::new()).unwrap();
             let mut memlist =
                 xk_slca::MemList::from_sorted(mem.keyword_list(kw).unwrap().to_vec());
             for p in &probes {
@@ -665,11 +572,12 @@ mod tests {
     #[test]
     fn anchored_ranked_lists_match_stateless() {
         let (env, index) = build_school();
+        let slot = Slot::new();
         let mem = MemIndex::build(&school_example());
         let tree = school_example();
         let probes: Vec<Dewey> = tree.preorder().map(|n| tree.dewey(n)).collect();
         for (kw, _) in mem.keywords() {
-            let mut anchored = index.ranked_list(env.clone(), kw).unwrap().anchored();
+            let mut anchored = index.ranked_list(&env, kw, slot.clone()).unwrap().anchored();
             assert!(anchored.is_anchored());
             let mut memlist =
                 xk_slca::MemList::from_sorted(mem.keyword_list(kw).unwrap().to_vec());
@@ -680,7 +588,7 @@ mod tests {
                 assert_eq!(anchored.lm(p), memlist.lm(p), "anchored lm({p}) on {kw}");
             }
         }
-        assert!(env.take_error().is_none());
+        assert!(slot.take().is_none());
     }
 
     #[test]
@@ -689,7 +597,7 @@ mod tests {
         // The school tree has 4 top-level children (ordinals 0..3, width 2
         // bits): the uncle position "4" is unencodable and must behave as
         // "after subtree(3)".
-        let mut john = index.ranked_list(env, "john").unwrap();
+        let mut john = index.ranked_list(&env, "john", Slot::new()).unwrap();
         let probe = Dewey::from_components(vec![4]);
         assert_eq!(john.rm(&probe), None, "no node follows subtree 3");
         let lm = john.lm(&probe).unwrap();
@@ -699,14 +607,14 @@ mod tests {
     #[test]
     fn missing_keyword_has_no_lists() {
         let (env, index) = build_school();
-        assert!(index.ranked_list(env.clone(), "absent").is_none());
-        assert!(index.stream_list(env, "absent").is_none());
+        assert!(index.ranked_list(&env, "absent", Slot::new()).is_none());
+        assert!(index.stream_list(&env, "absent", Slot::new()).is_none());
     }
 
     #[test]
     fn stored_document_roundtrips() {
         let (env, index) = build_school();
-        let doc = env.with(|e| index.load_document(e)).unwrap().unwrap();
+        let doc = read_document(&env, &index.document_handle().unwrap()).unwrap();
         let orig = school_example();
         assert_eq!(doc.len(), orig.len());
         for (a, b) in doc.preorder().zip(orig.preorder()) {
@@ -724,7 +632,7 @@ mod tests {
         )
         .unwrap();
         let index = DiskIndex::open(&env).unwrap();
-        assert!(index.load_document(&env).unwrap().is_none());
+        assert!(index.document_handle().is_none());
     }
 
     #[test]
@@ -732,7 +640,7 @@ mod tests {
         // XML text re-parses with adjacent text siblings merged, shifting
         // the ordinals appends are allocated from; no builder writes it.
         let (env, index) = build_school();
-        let env = env.env();
+        let env = &*env;
         let mut writer = ListWriter::new(env);
         let text = xk_xmltree::to_xml_string(&school_example(), xk_xmltree::NodeId::ROOT);
         for part in text.as_bytes().chunks(env.page_size() / 2) {
@@ -741,7 +649,7 @@ mod tests {
         let handle = writer.finish(env).unwrap();
         env.set_user_blob(&encode_blob(index.level_table(), Some(handle), &[])).unwrap();
 
-        let err = DiskIndex::open(env).unwrap().load_document(env).err();
+        let err = read_document(env, &handle).err();
         assert!(matches!(&err, Some(IndexError::Corrupt(m)) if m.contains("XKDOC1")), "{err:?}");
         let report = crate::verify::verify_index(env);
         assert!(
@@ -757,13 +665,14 @@ mod tests {
         // Scribble over the head page of john's chain: the record framing
         // no longer decodes, which used to be a panic in next_node.
         let head = index.lookup("john").unwrap().handle.head;
-        env.with(|e| e.with_page_mut(head, |p| p.fill(0xFF))).unwrap();
+        env.with_page_mut(head, |p| p.fill(0xFF)).unwrap();
 
-        let mut stream = index.stream_list(env.clone(), "john").unwrap();
+        let slot = Slot::new();
+        let mut stream = index.stream_list(&env, "john", slot.clone()).unwrap();
         assert_eq!(stream.next_node(), None);
-        let err = env.take_error().expect("poison recorded");
+        let err = slot.take().expect("poison recorded");
         assert!(matches!(err, IndexError::Storage(_)), "{err:?}");
-        assert!(env.take_error().is_none(), "slot cleared after take");
+        assert!(slot.take().is_none(), "slot cleared after take");
     }
 
     #[test]
@@ -780,8 +689,7 @@ mod tests {
             let env = StorageEnv::open(&path, opts).unwrap();
             let index = DiskIndex::open(&env).unwrap();
             assert_eq!(index.frequency("john"), 4);
-            let shared = SharedEnv::new(env);
-            let mut l = index.stream_list(shared, "ben").unwrap();
+            let mut l = index.stream_list(&Arc::new(env), "ben", Slot::new()).unwrap();
             assert_eq!(l.len(), 3);
             assert!(l.next_node().is_some());
         }

@@ -15,8 +15,8 @@
 //!   table), the composite-key B+tree for Indexed Lookup matches, and
 //!   sequential list chains for scanning,
 //!   with [`DiskRankedList`] / [`DiskStreamList`] adapters implementing
-//!   the `xk-slca` list traits (storage failures poison the [`SharedEnv`]
-//!   instead of panicking);
+//!   the `xk-slca` list traits (storage failures fill the caller's
+//!   `xk_slca::ErrorSlot` instead of panicking);
 //! * [`verify_index`] — offline structural verification of a built index:
 //!   checksums, B+tree invariants, chain accounting, record decode.
 
@@ -28,8 +28,8 @@ pub mod verify;
 
 pub use codec::{decode_dewey, encode_dewey, encode_probe, encode_upper_bound, CodecError, Probe};
 pub use diskindex::{
-    build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, IndexError,
-    KeywordMeta, Result, SharedEnv, SLOT_IL, SLOT_VOCAB,
+    build_disk_index, read_document, write_document, BuildOptions, DiskIndex, DiskRankedList,
+    DiskStreamList, IndexError, KeywordMeta, Result, SLOT_IL, SLOT_VOCAB,
 };
 pub use leveltable::LevelTable;
 pub use memindex::{node_tokens, MemIndex};

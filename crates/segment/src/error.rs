@@ -1,16 +1,13 @@
-//! Segment error type and the per-query poison slot.
+//! Segment error type and the per-read error slot.
 //!
 //! The `xk-slca` list traits are infallible by design, so the segment
 //! list adapters report I/O and corruption failures the same way the
-//! disk-index adapters do: they record the first error in a shared
-//! [`ErrorSlot`], return `None` (which terminates any of the four
-//! algorithms), and the engine checks the slot once the algorithm
-//! finishes. Corruption is always a typed error — a segment blob with a
-//! bad CRC, a non-monotone skip entry, or a truncated dictionary never
-//! panics.
+//! disk-index adapters do: through the caller's [`ErrorSlot`], which the
+//! engine checks once the algorithm finishes. Corruption is always a
+//! typed error — a segment blob with a bad CRC, a non-monotone skip
+//! entry, or a truncated dictionary never panics.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use xk_storage::StorageError;
 
 /// Errors from writing, opening, or reading a packed segment.
@@ -49,39 +46,9 @@ impl From<std::io::Error> for SegmentError {
 /// Convenience alias for segment results.
 pub type Result<T> = std::result::Result<T, SegmentError>;
 
-/// A shared first-error-wins slot, one per query, threaded through every
-/// segment list adapter the query builds (the segment-side analogue of
-/// `xk_index::SharedEnv`'s poison slot).
-#[derive(Clone, Default)]
-pub struct ErrorSlot {
-    slot: Arc<Mutex<Option<SegmentError>>>,
-}
-
-impl ErrorSlot {
-    /// A fresh, empty slot.
-    pub fn new() -> ErrorSlot {
-        ErrorSlot::default()
-    }
-
-    /// Records an error; the first one wins (it is the root cause).
-    pub fn poison(&self, err: SegmentError) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-    }
-
-    /// Takes the recorded error, clearing the slot. `Some` means every
-    /// list result since the last take is untrustworthy.
-    pub fn take(&self) -> Option<SegmentError> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// True if an adapter has recorded an error since the last take.
-    pub fn is_poisoned(&self) -> bool {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).is_some()
-    }
-}
+/// The per-read slot segment list adapters report into: the workspace's
+/// one first-error-wins slot, carrying a [`SegmentError`].
+pub type ErrorSlot = xk_slca::ErrorSlot<SegmentError>;
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! place. Fresh `append_subtree` batches are journaled and absorbed into
 //! a mutable [`MemSegment`]; once it grows past a threshold the engine
 //! seals it into an immutable packed blob (the **XKSEG1** format — see
-//! [`format`]) where postings are delta-encoded against their
+//! [`mod@format`]) where postings are delta-encoded against their
 //! predecessor (shared Dewey prefix length + varint suffix) in
 //! fixed-size blocks with per-block CRCs and skip entries. A sealed blob
 //! is written, fsynced, and atomically renamed before the transaction
@@ -37,7 +37,7 @@ pub use manifest::{
     decode_journal_record, encode_journal_record, read_manifest, replay_journal, write_manifest,
     Fence, SealedMeta, SegExt,
 };
-pub use mem::{ArcList, MemSegment, MemView};
+pub use mem::{MemSegment, MemView};
 pub use merge::{merged_lists, plan_merge, size_class, MERGE_FANOUT, MERGE_MAX_RUN};
 pub use reader::{KwEntry, SegRankedList, SegStreamList, SegmentReader};
 pub use verify::{verify_store, SegmentVerifyReport};

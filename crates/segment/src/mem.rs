@@ -9,7 +9,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use xk_slca::{RankedList, StreamList};
 use xk_xmltree::Dewey;
 
 /// The writer-side mutable segment: keyword → sorted postings.
@@ -110,7 +109,8 @@ impl MemView {
         MemView { lists }
     }
 
-    /// Postings for `keyword`, if any.
+    /// Postings for `keyword`, if any (read them through
+    /// [`xk_slca::MemList::shared`]).
     pub fn list(&self, keyword: &str) -> Option<&Arc<Vec<Dewey>>> {
         self.lists.get(keyword)
     }
@@ -128,60 +128,6 @@ impl MemView {
     /// Total postings across all keywords.
     pub fn posting_count(&self) -> u64 {
         self.lists.values().map(|l| l.len() as u64).sum()
-    }
-}
-
-/// A [`RankedList`] + [`StreamList`] over a shared sorted vector — the
-/// adapter queries use for the mem-segment part of a chained list.
-#[derive(Debug, Clone)]
-pub struct ArcList {
-    nodes: Arc<Vec<Dewey>>,
-    pos: usize,
-}
-
-impl ArcList {
-    /// Wraps a shared sorted list.
-    pub fn new(nodes: Arc<Vec<Dewey>>) -> ArcList {
-        ArcList { nodes, pos: 0 }
-    }
-
-    /// The smallest id in the list (`None` when empty).
-    pub fn min(&self) -> Option<&Dewey> {
-        self.nodes.first()
-    }
-}
-
-impl RankedList for ArcList {
-    fn len(&self) -> u64 {
-        self.nodes.len() as u64
-    }
-
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.nodes.partition_point(|n| n < v);
-        self.nodes.get(idx).cloned()
-    }
-
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.nodes.partition_point(|n| n <= v);
-        idx.checked_sub(1).and_then(|i| self.nodes.get(i)).cloned()
-    }
-}
-
-impl StreamList for ArcList {
-    fn len(&self) -> u64 {
-        self.nodes.len() as u64
-    }
-
-    fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
-    fn next_node(&mut self) -> Option<Dewey> {
-        let n = self.nodes.get(self.pos).cloned();
-        if n.is_some() {
-            self.pos += 1;
-        }
-        n
     }
 }
 
@@ -220,25 +166,5 @@ mod tests {
         assert_eq!(v2.frequency("b"), 2);
         assert!(Arc::ptr_eq(v1.list("a").unwrap(), v2.list("a").unwrap()));
         assert_eq!(v2.posting_count(), 3);
-    }
-
-    #[test]
-    fn arc_list_matches_memlist() {
-        let nodes = vec![d("0.1"), d("0.3"), d("0.5")];
-        let mut arc = ArcList::new(Arc::new(nodes.clone()));
-        let mut mem = xk_slca::MemList::from_sorted(nodes);
-        for probe in ["0.0", "0.1", "0.2", "0.5", "0.6"] {
-            let p = d(probe);
-            assert_eq!(arc.rm(&p), mem.rm(&p), "rm({probe})");
-            assert_eq!(arc.lm(&p), mem.lm(&p), "lm({probe})");
-        }
-        assert_eq!(arc.min(), Some(&d("0.1")));
-        let mut streamed = Vec::new();
-        while let Some(n) = arc.next_node() {
-            streamed.push(n);
-        }
-        assert_eq!(streamed.len(), 3);
-        arc.rewind();
-        assert_eq!(arc.next_node(), Some(d("0.1")));
     }
 }

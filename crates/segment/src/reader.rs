@@ -308,13 +308,7 @@ impl SegRankedList {
         if self.cache.as_ref().map(|(i, _)| *i) != Some(idx) {
             // xk-analyze: allow(panic_path, reason = "callers derive idx from partition_point over this keyword's chunks, so it is in range")
             let chunk = &self.reader.entry(self.kw).chunks[idx];
-            match self.reader.decode_chunk(chunk) {
-                Ok(nodes) => self.cache = Some((idx, nodes)),
-                Err(e) => {
-                    self.slot.poison(e);
-                    return None;
-                }
-            }
+            self.cache = Some((idx, self.slot.ok(self.reader.decode_chunk(chunk))?));
         }
         self.cache.as_ref().map(|(_, nodes)| nodes)
     }
@@ -393,17 +387,9 @@ impl StreamList for SegStreamList {
                 return Some(n);
             }
             let chunk = self.reader.entry(self.kw).chunks.get(self.chunk_idx)?;
-            match self.reader.decode_chunk(chunk) {
-                Ok(nodes) => {
-                    self.buf = nodes;
-                    self.pos = 0;
-                    self.chunk_idx += 1;
-                }
-                Err(e) => {
-                    self.slot.poison(e);
-                    return None;
-                }
-            }
+            self.buf = self.slot.ok(self.reader.decode_chunk(chunk))?;
+            self.pos = 0;
+            self.chunk_idx += 1;
         }
     }
 }

@@ -52,72 +52,96 @@ USAGE:
   xksearch query <index.db> <keyword>... [--algo auto|il|scan|stack] [--lca] [--show N] [--cold]
                  [--json]
   xksearch stats <index.db>
-  xksearch verify <index.db> [--wal PATH] [--page-size N] [--pool-pages N]
+  xksearch verify <index.db> [--wal PATH] [--pool-pages N]
   xksearch recover <index.db> [--wal PATH]
   xksearch append <index.db> <parent-dewey|/> <fragment.xml> [--wal PATH]
   xksearch serve <index.db> [--addr HOST:PORT] [--workers N] [--cache-entries C]
-                 [--queue-cap Q] [--page-size N] [--pool-pages N] [--wal PATH]
+                 [--queue-cap Q] [--pool-pages N] [--wal PATH]
   xksearch demo  [<keyword>...]     (defaults to: John Ben)
 ";
 
 type AnyError = Box<dyn std::error::Error>;
 
-fn parse_env_options(args: &[String]) -> Result<EnvOptions, AnyError> {
-    let mut options = EnvOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--page-size" => {
-                options.page_size = next_value(args, &mut i)?.parse()?;
-            }
-            "--pool-pages" => {
-                options.pool_pages = next_value(args, &mut i)?.parse()?;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Ok(options)
+/// One command's arguments as the one flag parser split them.
+struct Flags<'a> {
+    positional: Vec<&'a str>,
+    /// `(flag, value)` in argument order; the value of a boolean flag
+    /// is empty.
+    given: Vec<(&'a str, &'a str)>,
 }
 
-fn next_value<'a>(args: &'a [String], i: &mut usize) -> Result<&'a str, AnyError> {
-    *i += 1;
-    args.get(*i).map(|s| s.as_str()).ok_or_else(|| "missing flag value".into())
-}
-
-/// The `--wal PATH` override shared by `verify`, `recover`, `append` and
-/// `serve`; `None` means "next to the database" ([`xksearch::default_wal_path`]).
-fn wal_flag(args: &[String]) -> Result<Option<std::path::PathBuf>, AnyError> {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--wal" {
-            return Ok(Some(next_value(args, &mut i)?.into()));
+impl<'a> Flags<'a> {
+    /// Splits `args`: each of `value_flags` takes the next argument,
+    /// each of `bool_flags` stands alone, any other `--x` is an error,
+    /// and the rest is positional.
+    fn parse(
+        args: &'a [String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Flags<'a>, AnyError> {
+        let mut flags = Flags { positional: Vec::new(), given: Vec::new() };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(a) = args.next() {
+            if value_flags.contains(&a) {
+                flags.given.push((a, args.next().ok_or("missing flag value")?));
+            } else if bool_flags.contains(&a) {
+                flags.given.push((a, ""));
+            } else if a.starts_with("--") {
+                return Err(format!("unknown flag {a:?}").into());
+            } else {
+                flags.positional.push(a);
+            }
         }
-        i += 1;
+        Ok(flags)
     }
-    Ok(None)
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value `flag` was last given, if it was given at all.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.given.iter().rev().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    /// `flag`'s value parsed, or `default` when the flag is absent.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, AnyError>
+    where
+        T::Err: std::error::Error + 'static,
+    {
+        self.value(flag).map_or(Ok(default), |v| Ok(v.parse()?))
+    }
+
+    /// `--pool-pages` (every command that opens a database) and
+    /// `--page-size` (`build` only: an existing file states its own
+    /// page size in its header).
+    fn env_options(&self) -> Result<EnvOptions, AnyError> {
+        let d = EnvOptions::default();
+        Ok(EnvOptions {
+            page_size: self.parsed("--page-size", d.page_size)?,
+            pool_pages: self.parsed("--pool-pages", d.pool_pages)?,
+        })
+    }
+
+    /// The `--wal PATH` override of `verify`, `recover`, `append` and
+    /// `serve`; `None` means "next to the database"
+    /// ([`xksearch::default_wal_path`]).
+    fn wal(&self) -> Option<std::path::PathBuf> {
+        self.value("--wal").map(Into::into)
+    }
 }
 
 fn cmd_build(args: &[String]) -> Result<(), AnyError> {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--page-size" | "--pool-pages" => i += 1, // skip the value too
-            // `--segments` selected this layout when there were two to
-            // choose from; it is the only one now, and `xkbench` (which
-            // this repo may not edit) still passes the flag.
-            "--no-doc" | "--segments" => {}
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [input, output] = positional.as_slice() else {
+    // `--segments` selected this layout when there were two to choose
+    // from; it is the only one now, and `xkbench` (which this repo may
+    // not edit) still passes the flag.
+    let flags =
+        Flags::parse(args, &["--page-size", "--pool-pages"], &["--no-doc", "--segments"])?;
+    let [input, output] = flags.positional[..] else {
         return Err("build needs <input.xml> and <index.db>".into());
     };
-    let store_document = !args.iter().any(|a| a == "--no-doc");
-    let options = parse_env_options(args)?;
+    let store_document = !flags.has("--no-doc");
+    let options = flags.env_options()?;
 
     let xml = std::fs::read_to_string(input)?;
     let started = std::time::Instant::now();
@@ -148,27 +172,17 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     eprintln!(
         "segment layout: {} sealed blob(s), {postings} postings in {}",
         metas.len(),
-        xksearch::default_segments_dir(std::path::Path::new(output.as_str())).display()
+        xksearch::default_segments_dir(std::path::Path::new(output)).display()
     );
     Ok(())
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), AnyError> {
-    let options = parse_env_options(args)?;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--page-size" | "--pool-pages" => i += 1,
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [db] = positional.as_slice() else {
+    let flags = Flags::parse(args, &["--pool-pages"], &[])?;
+    let [db] = flags.positional[..] else {
         return Err("stats needs <index.db>".into());
     };
-    let engine = Engine::open(db, options)?;
+    let engine = Engine::open(db, flags.env_options()?)?;
     let mut freqs = engine.vocabulary();
     println!("index file      : {db}");
     if engine.segments_enabled() {
@@ -192,23 +206,12 @@ fn cmd_stats(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), AnyError> {
-    let options = parse_env_options(args)?;
-    let wal_override = wal_flag(args)?;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--page-size" | "--pool-pages" | "--wal" => i += 1,
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [db] = positional.as_slice() else {
+    let flags = Flags::parse(args, &["--pool-pages", "--wal"], &[])?;
+    let [db] = flags.positional[..] else {
         return Err("verify needs <index.db>".into());
     };
-    let wal_path = wal_override
-        .unwrap_or_else(|| xksearch::default_wal_path(std::path::Path::new(db.as_str())));
+    let wal_path =
+        flags.wal().unwrap_or_else(|| xksearch::default_wal_path(std::path::Path::new(db)));
 
     // WAL audit first: it works even when the database itself still
     // needs recovery, and its outcome decides what a dirty db means.
@@ -229,7 +232,7 @@ fn cmd_verify(args: &[String]) -> Result<(), AnyError> {
 
     // Open the raw storage env, not an Engine: DiskIndex::open would give
     // up at the first decoding failure, while verify reports all of them.
-    let env = match xk_storage::StorageEnv::open(db, options) {
+    let env = match xk_storage::StorageEnv::open(db, flags.env_options()?) {
         Ok(env) => env,
         Err(xk_storage::StorageError::DirtyShutdown) => {
             return if wal_summary.is_some() {
@@ -358,22 +361,12 @@ fn audit_wal(wal_path: &std::path::Path) -> Result<Option<WalSummary>, AnyError>
 /// clear its dirty flag — what `serve` and `append` do automatically at
 /// open, exposed for offline repair.
 fn cmd_recover(args: &[String]) -> Result<(), AnyError> {
-    let wal_override = wal_flag(args)?;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--wal" => i += 1,
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [db] = positional.as_slice() else {
+    let flags = Flags::parse(args, &["--wal"], &[])?;
+    let [db] = flags.positional[..] else {
         return Err("recover needs <index.db>".into());
     };
-    let db_path = std::path::Path::new(db.as_str());
-    let wal_path = wal_override.unwrap_or_else(|| xksearch::default_wal_path(db_path));
+    let db_path = std::path::Path::new(db);
+    let wal_path = flags.wal().unwrap_or_else(|| xksearch::default_wal_path(db_path));
     let report = xk_storage::recover_files(db_path, &wal_path)?;
     println!("database       : {db}");
     println!("wal file       : {}", wal_path.display());
@@ -389,19 +382,8 @@ fn cmd_recover(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_append(args: &[String]) -> Result<(), AnyError> {
-    let options = parse_env_options(args)?;
-    let wal_override = wal_flag(args)?;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--page-size" | "--pool-pages" | "--wal" => i += 1,
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [db, parent, fragment_path] = positional.as_slice() else {
+    let flags = Flags::parse(args, &["--pool-pages", "--wal"], &[])?;
+    let [db, parent, fragment_path] = flags.positional[..] else {
         return Err("append needs <index.db> <parent-dewey> <fragment.xml>".into());
     };
     let parent: xk_xmltree::Dewey = parent.parse()?;
@@ -411,10 +393,10 @@ fn cmd_append(args: &[String]) -> Result<(), AnyError> {
     // one-shot CLI syncs every commit — there is no batch to share.
     let durability = xksearch::DurabilityOptions {
         mode: xksearch::CommitMode::SyncEachCommit,
-        wal_path: wal_override,
+        wal_path: flags.wal(),
         ..Default::default()
     };
-    let (engine, report) = Engine::open_durable(db, options, durability)?;
+    let (engine, report) = Engine::open_durable(db, flags.env_options()?, durability)?;
     if report.replayed_txns > 0 {
         eprintln!(
             "recovery: replayed {} transaction(s) ({} pages) from the WAL",
@@ -436,24 +418,21 @@ fn cmd_append(args: &[String]) -> Result<(), AnyError> {
 /// `serve`: run the networked query service over an index file until a
 /// `GET /shutdown` drains it (DESIGN.md §6).
 fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
-    let options = parse_env_options(args)?;
-    let mut config = xk_server::ServerConfig::default();
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => config.addr = next_value(args, &mut i)?.to_string(),
-            "--workers" => config.workers = next_value(args, &mut i)?.parse()?,
-            "--cache-entries" => config.cache_entries = next_value(args, &mut i)?.parse()?,
-            "--queue-cap" => config.queue_cap = next_value(args, &mut i)?.parse()?,
-            "--page-size" | "--pool-pages" | "--wal" => i += 1,
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [db] = positional.as_slice() else {
+    let flags = Flags::parse(
+        args,
+        &["--addr", "--workers", "--cache-entries", "--queue-cap", "--pool-pages", "--wal"],
+        &[],
+    )?;
+    let [db] = flags.positional[..] else {
         return Err("serve needs <index.db>".into());
+    };
+    let d = xk_server::ServerConfig::default();
+    let config = xk_server::ServerConfig {
+        addr: flags.value("--addr").map_or(d.addr, str::to_string),
+        workers: flags.parsed("--workers", d.workers)?,
+        cache_entries: flags.parsed("--cache-entries", d.cache_entries)?,
+        queue_cap: flags.parsed("--queue-cap", d.queue_cap)?,
+        ..d
     };
     if config.workers == 0 {
         return Err("--workers must be positive".into());
@@ -469,9 +448,8 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     std::io::stdout().flush().ok();
     // Durable open: replay any crashed run's WAL, then group-commit all
     // appends that arrive over POST /append.
-    let durability =
-        xksearch::DurabilityOptions { wal_path: wal_flag(args)?, ..Default::default() };
-    let (engine, report) = Engine::open_durable(db, options, durability)?;
+    let durability = xksearch::DurabilityOptions { wal_path: flags.wal(), ..Default::default() };
+    let (engine, report) = Engine::open_durable(db, flags.env_options()?, durability)?;
     if report.db_was_dirty || report.replayed_txns > 0 {
         eprintln!(
             "recovery: replayed {} transaction(s) ({} pages) from the WAL{}",
@@ -511,62 +489,46 @@ fn parse_algo(name: &str) -> Result<Algorithm, AnyError> {
     xk_server::parse_algorithm(name).ok_or_else(|| format!("unknown algorithm {name:?}").into())
 }
 
-fn parse_query_flags(args: &[String]) -> Result<(Vec<String>, QueryFlags), AnyError> {
-    let mut flags = QueryFlags {
-        algorithm: Algorithm::Auto,
-        lca: false,
-        show: 3,
-        cold: false,
-        json: false,
+/// The flags `query` and `demo` share (`--pool-pages` only means
+/// something to `query`, which opens a file).
+fn parse_query_flags(args: &[String]) -> Result<(Flags<'_>, QueryFlags), AnyError> {
+    let flags = Flags::parse(
+        args,
+        &["--algo", "--show", "--pool-pages"],
+        &["--lca", "--cold", "--json"],
+    )?;
+    let query = QueryFlags {
+        algorithm: flags.value("--algo").map_or(Ok(Algorithm::Auto), parse_algo)?,
+        lca: flags.has("--lca"),
+        show: flags.parsed("--show", 3)?,
+        cold: flags.has("--cold"),
+        json: flags.has("--json"),
     };
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--algo" => flags.algorithm = parse_algo(next_value(args, &mut i)?)?,
-            "--show" => flags.show = next_value(args, &mut i)?.parse()?,
-            "--lca" => flags.lca = true,
-            "--cold" => flags.cold = true,
-            "--json" => flags.json = true,
-            "--page-size" | "--pool-pages" => {
-                i += 1; // value consumed by parse_env_options
-            }
-            a if a.starts_with("--") => return Err(format!("unknown flag {a:?}").into()),
-            a => positional.push(a.to_string()),
-        }
-        i += 1;
-    }
-    Ok((positional, flags))
+    Ok((flags, query))
 }
 
 fn cmd_query(args: &[String]) -> Result<(), AnyError> {
-    let options = parse_env_options(args)?;
-    let (positional, flags) = parse_query_flags(args)?;
-    let [db, keywords @ ..] = positional.as_slice() else {
+    let (flags, query) = parse_query_flags(args)?;
+    let [db, keywords @ ..] = &flags.positional[..] else {
         return Err("query needs <index.db> and at least one keyword".into());
     };
     if keywords.is_empty() {
         return Err("query needs at least one keyword".into());
     }
-    let engine = Engine::open(db, options)?;
-    if flags.cold {
+    let engine = Engine::open(db, flags.env_options()?)?;
+    if query.cold {
         engine.clear_cache()?;
     }
-    let kw: Vec<&str> = keywords.iter().map(|s| s.as_str()).collect();
-    run_query(&engine, &kw, &flags)
+    run_query(&engine, keywords, &query)
 }
 
 fn cmd_demo(args: &[String]) -> Result<(), AnyError> {
-    let (positional, flags) = parse_query_flags(args)?;
+    let (flags, query) = parse_query_flags(args)?;
     let engine =
         Engine::build_in_memory(&xk_xmltree::school_example(), EnvOptions::default())?;
-    let kw: Vec<&str> = if positional.is_empty() {
-        vec!["John", "Ben"]
-    } else {
-        positional.iter().map(|s| s.as_str()).collect()
-    };
+    let kw = if flags.positional.is_empty() { vec!["John", "Ben"] } else { flags.positional };
     println!("School.xml (Figure 1) — query: {kw:?}");
-    run_query(&engine, &kw, &flags)
+    run_query(&engine, &kw, &query)
 }
 
 fn run_query(engine: &Engine, keywords: &[&str], flags: &QueryFlags) -> Result<(), AnyError> {

@@ -325,7 +325,7 @@ impl QueryCache {
     }
 
     /// A hit-or-nothing probe for the reactor's inline fast path: a hit
-    /// counts (and bumps recency) exactly as [`ResultCache::lookup`]
+    /// counts (and bumps recency) exactly as [`QueryCache::lookup`]
     /// would, but a miss or stale entry leaves every counter and the
     /// LRU untouched — the worker path that follows does the counting
     /// lookup, so hits and misses are each booked exactly once.

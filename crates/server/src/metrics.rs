@@ -3,7 +3,7 @@
 //! `Relaxed` ordering — these are statistics, not synchronization, the
 //! same policy as the storage layer's [`AtomicIoStats`].
 //!
-//! [`AtomicIoStats`]: xk_storage::AtomicIoStats
+//! [`AtomicIoStats`]: xk_storage::stats::AtomicIoStats
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -1,7 +1,7 @@
 //! `xkserve`: the event-driven TCP query service.
 //!
 //! Architecture (DESIGN.md §6): a single **reactor thread**
-//! ([`crate::reactor`]) owns every socket through a level-triggered
+//! (`reactor.rs`) owns every socket through a level-triggered
 //! epoll, parses HTTP/1.1 with keep-alive and pipelining via
 //! per-connection state machines ([`crate::conn`]), and enforces
 //! admission control — a connection cap (over it, the first request is

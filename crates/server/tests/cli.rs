@@ -277,6 +277,15 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn serve_rejects_page_size() {
+    // An existing file states its own page size; only `build` takes one.
+    let out = bin().args(["serve", "/nonexistent.db", "--page-size", "512"]).output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag \"--page-size\""), "{stderr}");
+}
+
+#[test]
 fn build_rejects_malformed_xml() {
     let dir = temp_dir("badxml");
     let xml = dir.join("bad.xml");

@@ -23,7 +23,7 @@
 //!   single-LRU eviction semantics while production-sized pools spread
 //!   across 8 shards.
 //! * **Atomic I/O stats.** Counters are relaxed atomics
-//!   ([`crate::AtomicIoStats`]); `stats()` returns a snapshot.
+//!   ([`crate::stats::AtomicIoStats`]); `stats()` returns a snapshot.
 //! * **A single write lock.** Every mutating operation (`with_page_mut`,
 //!   `allocate_page`, `free_page`, root-slot/blob writes, `flush`,
 //!   `clear_cache`) serializes on one mutex that also guards the

@@ -6,7 +6,7 @@
 //!
 //! * [`pager`] — fixed-size page files ([`FilePager`]) and an in-memory
 //!   twin ([`MemPager`]);
-//! * [`env`] — [`StorageEnv`]: an LRU buffer pool with disk-access
+//! * [`mod@env`] — [`StorageEnv`]: an LRU buffer pool with disk-access
 //!   accounting ([`IoStats`]), page allocation, named root slots, and
 //!   cache control for the hot/cold-cache experiments;
 //! * [`btree`] — a disk B+tree with doubly-linked leaves whose

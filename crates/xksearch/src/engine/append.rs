@@ -2,12 +2,15 @@
 //! path behind it (journal → mem segment → sealed blob), plus the
 //! publish / abort steps compaction shares.
 
-use super::{lock, seal_blob, AppendOutcome, CommitMode, Engine, SegSnapshot, SegState, SegWriter};
+use super::{
+    install_manifest, lock, seal_and_open, AppendOutcome, CommitMode, Engine, SegSnapshot,
+    SegState, SegWriter,
+};
 use crate::error::{EngineError, Result};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use xk_index::DiskIndex;
-use xk_segment::{encode_journal_record, write_manifest, MemView, SealedMeta, SegExt, SegmentReader};
+use xk_index::write_document;
+use xk_segment::{encode_journal_record, MemView, SealedMeta, SegExt, SegmentReader};
 use xk_storage::{free_list, ListAppender, ListHandle, ListWriter};
 use xk_xmltree::{Dewey, XmlTree};
 
@@ -26,10 +29,10 @@ impl Engine {
     /// Appends an XML fragment as the new last child of `parent` and
     /// indexes it incrementally — the log-structured growth model of a
     /// bibliography (new papers arrive at the end). The new postings go
-    /// to the segment store ([`Engine::seg_apply`]), the only layout
-    /// that accepts writes: an engine over the read-only reference
-    /// layout returns [`EngineError::ReadOnlyLayout`] without touching
-    /// a page.
+    /// to the segment store (journal → mem segment → sealed blob), the
+    /// only layout that accepts writes: an engine over the read-only
+    /// reference layout returns [`EngineError::ReadOnlyLayout`] without
+    /// touching a page.
     ///
     /// The append is **atomic**: it runs as a storage transaction whose
     /// touched pages are undo-logged (and, on a durable engine,
@@ -60,10 +63,8 @@ impl Engine {
             return Err(EngineError::ReadOnlyLayout);
         };
         let mut writer = lock(&seg.writer);
-        let mut doc_slot = lock(&self.document);
-        self.ensure_document(&mut doc_slot)?;
-        // xk-analyze: allow(panic_path, reason = "ensure_document fills the slot or errors out above")
-        let doc = doc_slot.as_mut().expect("document loaded above");
+        let mut stored = lock(&self.document);
+        let (old_chain, doc) = self.loaded(&mut stored)?;
 
         // Validate everything before touching the tree or the disk.
         let parent_id = doc
@@ -97,47 +98,49 @@ impl Engine {
         // Open the transaction *before* grafting: begin_txn itself can
         // fail (marking the dirty flag touches the header page), and at
         // that point the in-memory document must not yet be mutated.
-        // Then graft in memory and mutate the disk under the transaction
-        // against a scratch copy of the index. Nothing the scratch copy
-        // does is visible to queries until the swap after commit.
-        self.env.with(|e| e.begin_txn())?;
+        // Then graft in memory and mutate the disk under the transaction.
+        // Nothing it writes is visible to queries — they read only the
+        // published snapshot — until the publish after commit.
+        self.env.begin_txn()?;
         let new_root = graft(doc, parent_id, &fragment, NodeId::ROOT);
+        let root = doc.dewey(new_root);
         let added: Vec<(Dewey, Vec<String>)> = doc
             .preorder_from(new_root)
             .map(|n| (doc.dewey(n), xk_index::node_tokens(doc, n)))
             .collect();
-        let mut scratch = self.scratch_index();
         // A blob finalized during this attempt; if the transaction ends
         // up aborting, it is deleted below rather than lingering as an
         // orphan until the next open.
         let mut orphan: Option<u64> = None;
-        let applied = (|| -> Result<(Vec<String>, SegUpdate)> {
-            let touched_and_update =
-                self.seg_apply(seg, &writer, &mut scratch, &added, &mut orphan)?;
+        let applied = (|| -> Result<(Vec<String>, SegUpdate, ListHandle)> {
+            let (touched, update) = self.seg_apply(seg, &writer, &added, &mut orphan)?;
             // Keep the embedded document in sync for rendering and
-            // reopening.
-            self.env.with(|e| scratch.store_document(e, doc))?;
-            Ok(touched_and_update)
+            // reopening, and record both moved pointers in one meta
+            // write.
+            free_list(&self.env, &old_chain)?;
+            let chain = write_document(&self.env, doc)?;
+            self.index.write_meta(&self.env, Some(chain), &update.writer.ext.encode())?;
+            Ok((touched, update, chain))
         })();
         // A WAL append failure leaves the transaction open by contract,
         // so a failed commit rolls back exactly like a failed apply.
-        let committed = applied.and_then(|v| Ok((v, self.env.with(|e| e.commit_txn())?)));
-        let ((touched, update), commit) = match committed {
+        let committed = applied.and_then(|v| Ok((v, self.env.commit_txn()?)));
+        let ((touched, update, chain), commit) = match committed {
             Ok(v) => v,
             Err(e) => {
-                // The scratch index is dropped with this frame, and the
-                // grafted document is thrown away and lazily reloaded
-                // from the intact stored copy.
-                *doc_slot = None;
+                // The grafted document is thrown away and lazily
+                // reloaded from the committed chain, which the undo log
+                // restores and whose handle was never touched.
+                stored.tree = None;
                 self.abort(seg, orphan)?;
                 return Err(e);
             }
         };
-        let root = doc.dewey(new_root);
+        stored.handle = Some(chain);
         let SegUpdate { writer: next, metas, sealed, mem } = update;
-        self.publish(seg, scratch, SegSnapshot { epoch: commit.epoch, metas, sealed, mem });
+        self.publish(seg, SegSnapshot { epoch: commit.epoch, metas, sealed, mem });
         *writer = next;
-        drop(doc_slot);
+        drop(stored);
         drop(writer);
 
         // Outside the writer lock: appends that commit while we wait
@@ -146,20 +149,10 @@ impl Engine {
         Ok(AppendOutcome { root, epoch: commit.epoch, touched })
     }
 
-    /// A private copy of the index for a transaction to mutate; nothing
-    /// done to it is visible to queries until [`Engine::publish`].
-    pub(super) fn scratch_index(&self) -> DiskIndex {
-        self.index().clone()
-    }
-
-    /// Makes a committed transaction visible. Storing `snapshot` is the
-    /// one step queries can observe, and it carries its own epoch, so an
+    /// Makes a committed transaction visible: one store. The snapshot
+    /// is everything queries read, and it carries its own epoch, so an
     /// answer and the epoch it reports always come from the same place.
-    /// The index (document handle + extension) is swapped first; its
-    /// readers are the writer and [`Engine::ensure_document`], which
-    /// serialize with the caller on the writer / `document` mutexes.
-    pub(super) fn publish(&self, seg: &SegState, scratch: DiskIndex, snapshot: SegSnapshot) {
-        *self.index.write().unwrap_or_else(|e| e.into_inner()) = scratch;
+    pub(super) fn publish(&self, seg: &SegState, snapshot: SegSnapshot) {
         *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snapshot);
     }
 
@@ -168,7 +161,7 @@ impl Engine {
     /// unreferenced by any committed manifest — is deleted rather than
     /// left to linger until the next open's orphan sweep.
     pub(super) fn abort(&self, seg: &SegState, orphan: Option<u64>) -> Result<()> {
-        self.env.with(|env| env.abort_txn())?;
+        self.env.abort_txn()?;
         if let Some(seq) = orphan {
             // xk-analyze: allow(swallowed_result, reason = "orphan blob cleanup is best-effort; the next open retries it")
             let _ = seg.io.delete(seq);
@@ -193,7 +186,6 @@ impl Engine {
         &self,
         seg: &SegState,
         writer: &SegWriter,
-        scratch: &mut DiskIndex,
         added: &[(Dewey, Vec<String>)],
         orphan: &mut Option<u64>,
     ) -> Result<(Vec<String>, SegUpdate)> {
@@ -215,52 +207,42 @@ impl Engine {
         let mut metas = snap0.metas.clone();
         let mut sealed = snap0.sealed.clone();
         let (ext1, view) = if mem.posting_count() > 0 && mem.posting_count() >= threshold {
-            // Seal: the whole mem segment becomes the next packed blob.
+            // Seal: the whole mem segment becomes the next packed blob,
+            // which also supersedes the journal that backed it.
             let seq = ext0.next_seq;
-            let epoch = self.env.with(|e| e.current_epoch());
-            let header = seal_blob(seg.io.as_ref(), seq, epoch, mem.lists())?;
+            let (meta, reader) =
+                seal_and_open(seg.io.as_ref(), seq, self.env.current_epoch(), mem.lists())?;
             *orphan = Some(seq);
-            metas.push(SealedMeta::of(&header));
-            let manifest = self.env.with(|e| write_manifest(e, &metas))?;
-            // The superseded manifest and journal chains are freed inside
-            // the same transaction (undo-logged, so an abort restores
-            // them).
-            if let Some(h) = &ext0.manifest {
-                self.env.with(|e| free_list(e, h))?;
-            }
-            if let Some(h) = &ext0.journal {
-                self.env.with(|e| free_list(e, h))?;
-            }
-            let pager = seg.io.open(seq).map_err(EngineError::Segment)?;
-            let reader = SegmentReader::open(pager, Some(&SealedMeta::of(&header).fence()))
-                .map_err(EngineError::Segment)?;
+            metas.push(meta);
             sealed.push(reader);
+            let mut ext1 = install_manifest(&self.env, &ext0, &metas)?;
+            if let Some(journal) = ext1.journal.take() {
+                free_list(&self.env, &journal)?;
+            }
             mem.clear();
-            (SegExt { journal: None, manifest, next_seq: seq + 1 }, MemView::empty())
+            (ext1, MemView::empty())
         } else {
             // Journal: extend (or start) the posting journal so a
             // reopen can rebuild the mem segment.
-            let journal = self.env.with(|e| -> Result<ListHandle> {
-                match ext0.journal {
-                    Some(h) => {
-                        let mut a = ListAppender::open(e, h)?;
-                        for (kw, d) in &records {
-                            a.append(e, &encode_journal_record(kw, d))?;
-                        }
-                        Ok(a.finish())
+            let e = &*self.env;
+            let journal = match ext0.journal {
+                Some(h) => {
+                    let mut a = ListAppender::open(e, h)?;
+                    for (kw, d) in &records {
+                        a.append(e, &encode_journal_record(kw, d))?;
                     }
-                    None => {
-                        let mut w = ListWriter::new(e);
-                        for (kw, d) in &records {
-                            w.append(e, &encode_journal_record(kw, d))?;
-                        }
-                        Ok(w.finish(e)?)
-                    }
+                    a.finish()
                 }
-            })?;
+                None => {
+                    let mut w = ListWriter::new(e);
+                    for (kw, d) in &records {
+                        w.append(e, &encode_journal_record(kw, d))?;
+                    }
+                    w.finish(e)?
+                }
+            };
             (SegExt { journal: Some(journal), ..ext0 }, snap0.mem.advanced(&mem, &touched))
         };
-        self.env.with(|e| scratch.set_extension(e, ext1.encode()))?;
         let writer = SegWriter { ext: ext1, mem };
         Ok((touched, SegUpdate { writer, metas, sealed, mem: view }))
     }
@@ -271,9 +253,9 @@ impl Engine {
     pub(super) fn wait_durable(&self, lsn: u64) -> Result<()> {
         match self.durability.as_ref().map(|d| d.mode) {
             Some(CommitMode::SyncEachCommit) => {
-                self.env.with(|e| e.sync_wal())?;
+                self.env.sync_wal()?;
             }
-            Some(CommitMode::GroupCommit) => self.env.with(|e| e.wait_wal_durable(lsn))?,
+            Some(CommitMode::GroupCommit) => self.env.wait_wal_durable(lsn)?,
             None => {}
         }
         Ok(())

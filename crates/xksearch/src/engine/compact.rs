@@ -2,16 +2,12 @@
 //! the thread that drives it, and the deep verify sweep — everything
 //! that takes the writer lock without being an append.
 
-use super::{lock, seal_blob, CompactOutcome, Engine, SegSnapshot};
+use super::{install_manifest, lock, seal_and_open, CompactOutcome, Engine, SegSnapshot};
 use crate::error::{EngineError, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xk_segment::{
-    merged_lists, plan_merge, verify_store, write_manifest, SealedMeta, SegExt, SegmentReader,
-    SegmentVerifyReport,
-};
-use xk_storage::free_list;
+use xk_segment::{merged_lists, plan_merge, verify_store, SegExt, SegmentVerifyReport};
 
 /// Handle to the background merge thread ([`spawn_merger`]).
 pub struct MergerCtl {
@@ -97,39 +93,23 @@ impl Engine {
         // append) must be durable before the manifest swap commits.
         let lists = merged_lists(&snap0.sealed[run.clone()]).map_err(EngineError::Segment)?;
         let seq = ext0.next_seq;
-        let epoch = self.env.with(|e| e.current_epoch());
-        let header = seal_blob(seg.io.as_ref(), seq, epoch, &lists)?;
-        let meta = SealedMeta::of(&header);
-        // Open the merged reader *before* the transaction: if the open
-        // failed after commit, the committed manifest would name a blob
-        // no snapshot could be published for.
-        let reader = match seg
-            .io
-            .open(seq)
-            .and_then(|p| SegmentReader::open(p, Some(&meta.fence())))
-        {
-            Ok(r) => r,
-            Err(e) => {
-                // xk-analyze: allow(swallowed_result, reason = "orphan blob cleanup is best-effort; the next open retries it")
-                let _ = seg.io.delete(seq);
-                return Err(EngineError::Segment(e));
-            }
-        };
+        let (meta, reader) =
+            seal_and_open(seg.io.as_ref(), seq, self.env.current_epoch(), &lists)?;
+        let postings = meta.postings;
         let mut metas = snap0.metas.clone();
         metas.splice(run.clone(), [meta]);
+        // The document handle rides in the same meta blob as the
+        // extension; it cannot move while this thread holds the writer
+        // lock (appends take writer, then `document`).
+        let doc_chain = lock(&self.document).handle;
 
-        self.env.with(|e| e.begin_txn())?;
-        let mut scratch = self.scratch_index();
+        self.env.begin_txn()?;
         let applied = (|| -> Result<SegExt> {
-            let manifest = self.env.with(|e| write_manifest(e, &metas))?;
-            if let Some(h) = &ext0.manifest {
-                self.env.with(|e| free_list(e, h))?;
-            }
-            let ext1 = SegExt { manifest, next_seq: seq + 1, ..ext0 };
-            self.env.with(|e| scratch.set_extension(e, ext1.encode()))?;
+            let ext1 = install_manifest(&self.env, &ext0, &metas)?;
+            self.index.write_meta(&self.env, doc_chain, &ext1.encode())?;
             Ok(ext1)
         })();
-        let committed = applied.and_then(|ext1| Ok((ext1, self.env.with(|e| e.commit_txn())?)));
+        let committed = applied.and_then(|ext1| Ok((ext1, self.env.commit_txn()?)));
         let (ext1, commit) = match committed {
             Ok(v) => v,
             Err(e) => {
@@ -140,7 +120,7 @@ impl Engine {
         let mut sealed = snap0.sealed.clone();
         sealed.splice(run.clone(), [reader]);
         let snapshot = SegSnapshot { epoch: commit.epoch, metas, sealed, mem: snap0.mem.clone() };
-        self.publish(seg, scratch, snapshot);
+        self.publish(seg, snapshot);
         writer.ext = ext1;
         // Retired inputs are now unreferenced by the committed manifest;
         // live readers keep them readable via their open handles.
@@ -152,7 +132,7 @@ impl Engine {
         Ok(Some(CompactOutcome {
             merged: run,
             seq,
-            postings: header.posting_count,
+            postings,
             epoch: commit.epoch,
         }))
     }
@@ -167,9 +147,7 @@ impl Engine {
             return Ok(None);
         };
         let writer = lock(&seg.writer);
-        let report = self
-            .env
-            .with(|e| verify_store(e, &writer.ext, seg.io.as_ref()))
+        let report = verify_store(&self.env, &writer.ext, seg.io.as_ref())
             .map_err(EngineError::Segment)?;
         Ok(Some(report))
     }

@@ -29,13 +29,19 @@
 //! ([`xk_storage::recover`]).
 //!
 //! Reads are **snapshot isolated**, and the snapshot is one `Arc`: a
-//! query clones the published [`SegSnapshot`] — immutable blobs, a
+//! query clones the published segment snapshot — immutable blobs, a
 //! copy-on-write mem view and the epoch they describe — and reads
 //! nothing else, so it never observes a half-applied append and
 //! `append_subtree` only needs `&self`. The one thing still read from
 //! pages a transaction rewrites is the stored document, and its readers
 //! and the appender serialize on the `document` mutex. The reference
 //! layout is never written, so it has nothing to isolate.
+//!
+//! Every piece of state has one owner: the [`DiskIndex`] is immutable
+//! after open, the segment store's durable pointers live behind its
+//! writer mutex, the document's chain handle beside the decoded tree
+//! behind `document` (lock order: writer, then `document`), and a
+//! commit publishes by one store.
 //!
 //! Durability has two modes: [`CommitMode::SyncEachCommit`] fsyncs the
 //! WAL inside every append, while [`CommitMode::GroupCommit`] (the
@@ -52,16 +58,20 @@ use crate::error::{EngineError, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
-use xk_index::{build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, SharedEnv};
+use xk_index::{
+    build_disk_index, read_document, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList,
+    IndexError,
+};
 use xk_segment::{
     read_manifest, replay_journal, seal, write_manifest, DirSegmentIo, MemSegment, MemSegmentIo,
     MemView, SealSpec, SealedMeta, SegExt, SegmentError, SegmentIo, SegmentReader,
 };
-use xk_slca::{AlgoStats, LcaKind};
+use xk_slca::{AlgoStats, ErrorSlot, LcaKind};
 use xk_storage::{
-    EnvOptions, FilePager, IoStats, Pager, RecoveryReport, StorageEnv, Wal, WAL_PAGE_SIZE,
+    free_list, EnvOptions, FilePager, IoStats, ListHandle, Pager, RecoveryReport, StorageEnv, Wal,
+    WAL_PAGE_SIZE,
 };
 use xk_xmltree::{Dewey, XmlTree};
 
@@ -251,7 +261,8 @@ struct SegState {
 
 /// What only the writer reads and writes, as of the last commit.
 struct SegWriter {
-    /// Durable pointers (journal/manifest chains, next sequence number).
+    /// Durable pointers (journal/manifest chains, next sequence number)
+    /// — the live copy; the index keeps the bytes it read at open.
     ext: SegExt,
     /// The mutable mem segment behind the published [`MemView`].
     mem: MemSegment,
@@ -276,6 +287,17 @@ pub struct CompactOutcome {
     pub epoch: u64,
 }
 
+/// The stored document's durable pointer and, once something needed it,
+/// the decoded tree.
+struct StoredDocument {
+    /// The committed document chain (`None`: built without a document).
+    /// Only a committed append moves it.
+    handle: Option<ListHandle>,
+    /// Loaded on first use; a failed append drops it, to be reloaded
+    /// from the intact committed chain.
+    tree: Option<XmlTree>,
+}
+
 /// A disk-backed XKSearch engine.
 ///
 /// All operations — including [`Engine::append_subtree`] — take
@@ -283,18 +305,17 @@ pub struct CompactOutcome {
 /// commit transactionally, so readers and the writer never block each
 /// other on data access.
 pub struct Engine {
-    env: SharedEnv,
-    /// The in-memory face of the index. Reference-layout queries read
-    /// its frequency table, list handles and B+tree root (nothing ever
-    /// swaps those); on a segmented engine it carries the document
-    /// handle and the extension bytes, swapped wholesale after each
-    /// commit and read by the writer and [`Engine::ensure_document`].
-    index: RwLock<DiskIndex>,
-    /// The decoded stored document, loaded on first use. The mutex is
-    /// also what isolates the document chain's pages: every reader of
-    /// them holds it, and so does `append_subtree` from before its
-    /// transaction begins until after it is published.
-    document: Mutex<Option<XmlTree>>,
+    env: Arc<StorageEnv>,
+    /// The index as opened, immutable: the level table, and on the
+    /// reference layout the frequency table, list handles and B+tree
+    /// root its queries read.
+    index: DiskIndex,
+    /// The stored document. The mutex is also what isolates the
+    /// document chain's pages: every reader of them holds it, and so
+    /// does `append_subtree` from before its transaction begins until
+    /// after it is published. Taken after the segment writer mutex,
+    /// never before it.
+    document: Mutex<StoredDocument>,
     durability: Option<DurabilityCtl>,
     /// Present when the index's extension region carries a [`SegExt`]:
     /// postings then live in packed segment blobs plus a journaled mem
@@ -441,15 +462,13 @@ impl Engine {
         build_disk_index(env, tree, &BuildOptions { store_document, index_postings: false })?;
         let lists: BTreeMap<String, Vec<Dewey>> =
             xk_index::MemIndex::build(tree).into_sorted_lists().into_iter().collect();
-        let ext = if lists.is_empty() {
-            SegExt { journal: None, manifest: None, next_seq: 1 }
-        } else {
-            let header = seal_blob(io, 1, env.current_epoch(), &lists)?;
-            let manifest = write_manifest(env, &[SealedMeta::of(&header)])?;
-            SegExt { journal: None, manifest, next_seq: 2 }
-        };
-        let mut index = DiskIndex::open(env)?;
-        index.set_extension(env, ext.encode())?;
+        let mut ext = SegExt { journal: None, manifest: None, next_seq: 1 };
+        if !lists.is_empty() {
+            let (meta, _reader) = seal_and_open(io, ext.next_seq, env.current_epoch(), &lists)?;
+            ext = install_manifest(env, &ext, &[meta])?;
+        }
+        let index = DiskIndex::open(env)?;
+        index.write_meta(env, index.document_handle(), &ext.encode())?;
         Ok(())
     }
 
@@ -591,7 +610,7 @@ impl Engine {
     ) -> Result<Engine> {
         let index = DiskIndex::open(&env)?;
         let segments = Self::open_segments(&env, &index, io)?;
-        let env = SharedEnv::new(env);
+        let env = Arc::new(env);
         let durability = match durability {
             None => None,
             Some(opts) => {
@@ -599,72 +618,77 @@ impl Engine {
                 let committer = match opts.mode {
                     CommitMode::SyncEachCommit => None,
                     CommitMode::GroupCommit => {
-                        Some(spawn_committer(env.clone(), Arc::clone(&stop), opts.flush_interval)?)
+                        Some(spawn_committer(Arc::clone(&env), Arc::clone(&stop), opts.flush_interval)?)
                     }
                 };
                 Some(DurabilityCtl { mode: opts.mode, stop, committer })
             }
         };
-        Ok(Engine {
-            env,
-            index: RwLock::new(index),
-            document: Mutex::new(None),
-            durability,
-            segments,
-        })
+        let document = StoredDocument { handle: index.document_handle(), tree: None };
+        Ok(Engine { env, index, document: Mutex::new(document), durability, segments })
     }
 
     /// The committed epoch — advances on every commit.
     pub fn current_epoch(&self) -> u64 {
-        self.env.with(|e| e.current_epoch())
+        self.env.current_epoch()
     }
 
-    /// The underlying index (frequency table, vocabulary). The guard
-    /// holds appends out of their commit step; drop it promptly.
-    pub fn index(&self) -> RwLockReadGuard<'_, DiskIndex> {
-        self.index.read().unwrap_or_else(|e| e.into_inner())
+    /// The index as opened: the level table and, on the reference
+    /// layout, the frequency table and vocabulary (a segmented engine's
+    /// postings are elsewhere — see [`Engine::vocabulary`]).
+    pub fn index(&self) -> &DiskIndex {
+        &self.index
     }
 
     /// Runs `f` against the storage environment (for cache control and
     /// I/O statistics in experiments).
     pub fn with_env<R>(&self, f: impl FnOnce(&StorageEnv) -> R) -> R {
-        self.env.with(f)
+        f(&self.env)
     }
 
     /// Drops the buffer pool — the *cold cache* state of the experiments.
     pub fn clear_cache(&self) -> Result<()> {
-        self.env.with(|e| e.clear_cache())?;
+        self.env.clear_cache()?;
         Ok(())
     }
 
     /// Sequential access to a keyword's list (tools, benches). `None` if
     /// the keyword does not occur. Reads the reference layout's B+tree
     /// lists only: a segmented engine's index has no postings, so this
-    /// is `None` there — use [`Engine::posting_dump`].
-    pub fn stream_list(&self, keyword: &str) -> Option<DiskStreamList> {
-        self.index().stream_list(self.env.clone(), keyword)
+    /// is `None` there — use [`Engine::posting_dump`]. The list is
+    /// infallible: a storage failure ends it early and fills `slot`,
+    /// which the caller must check when done.
+    pub fn stream_list(
+        &self,
+        keyword: &str,
+        slot: ErrorSlot<IndexError>,
+    ) -> Option<DiskStreamList> {
+        self.index.stream_list(&self.env, keyword, slot)
     }
 
     /// Indexed (`lm`/`rm`) access to a keyword's list (tools, benches).
-    /// `None` if the keyword does not occur. Reference layout only, like
-    /// [`Engine::stream_list`] ([`Engine::posting_probe`] serves both).
-    pub fn ranked_list(&self, keyword: &str) -> Option<DiskRankedList> {
-        self.index().ranked_list(self.env.clone(), keyword)
+    /// `None` if the keyword does not occur. Reference layout only and
+    /// reporting into `slot`, like [`Engine::stream_list`]
+    /// ([`Engine::posting_probe`] serves both layouts).
+    pub fn ranked_list(
+        &self,
+        keyword: &str,
+        slot: ErrorSlot<IndexError>,
+    ) -> Option<DiskRankedList> {
+        self.index.ranked_list(&self.env, keyword, slot)
     }
 
-    /// Loads the embedded document into `slot` — the contents of the
-    /// `document` mutex, whose guard the caller holds and which is what
-    /// makes this page read safe (see the field) — if it is not there
-    /// yet.
-    fn ensure_document(&self, slot: &mut Option<XmlTree>) -> Result<()> {
-        if slot.is_none() {
-            let doc = self
-                .env
-                .with(|e| self.index().load_document(e))?
-                .ok_or(EngineError::NoDocument)?;
-            *slot = Some(doc);
-        }
-        Ok(())
+    /// The committed chain and decoded tree inside `doc` — the contents
+    /// of the `document` mutex, whose guard the caller holds and which
+    /// is what makes this page read safe (see the field) — decoding the
+    /// chain first if the tree is not there yet.
+    fn loaded<'d>(&self, doc: &'d mut StoredDocument) -> Result<(ListHandle, &'d mut XmlTree)> {
+        let chain = doc.handle.ok_or(EngineError::NoDocument)?;
+        let tree = match &mut doc.tree {
+            Some(tree) => tree,
+            empty => empty.insert(read_document(&self.env, &chain)?),
+        };
+        Ok((chain, tree))
     }
 
     /// True when this engine stores postings in packed segments.
@@ -699,10 +723,8 @@ impl Engine {
     /// Renders the answer subtree rooted at an SLCA as pretty-printed XML
     /// — what the paper's demo shows the user.
     pub fn render_subtree(&self, slca: &Dewey) -> Result<String> {
-        let mut doc_slot = lock(&self.document);
-        self.ensure_document(&mut doc_slot)?;
-        // xk-analyze: allow(panic_path, reason = "ensure_document fills the slot or errors out above")
-        let doc = doc_slot.as_ref().expect("document loaded above");
+        let mut stored = lock(&self.document);
+        let (_, doc) = self.loaded(&mut stored)?;
         let node = doc
             .node_at(slca)
             .ok_or_else(|| EngineError::BadQuery(format!("no node at {slca}")))?;
@@ -728,7 +750,7 @@ impl Drop for Engine {
 /// the previous flush into one durable batch.
 // xk-analyze: root(panic_path)
 fn spawn_committer(
-    env: SharedEnv,
+    env: Arc<StorageEnv>,
     stop: Arc<AtomicBool>,
     flush_interval: Duration,
 ) -> Result<std::thread::JoinHandle<()>> {
@@ -737,7 +759,7 @@ fn spawn_committer(
         .spawn(move || loop {
             std::thread::park_timeout(flush_interval);
             let stopping = stop.load(Ordering::Acquire);
-            if env.with(|e| e.sync_wal()).is_err() {
+            if env.sync_wal().is_err() {
                 // The WAL poisoned itself and woke every durability
                 // waiter with the failure; nothing is left to flush.
                 break;
@@ -749,25 +771,51 @@ fn spawn_committer(
         .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))
 }
 
-/// Writes and publishes segment blob `seq` through `io`: create temp →
-/// seal → finalize (sync + atomic rename). Any failure discards the
-/// temp blob so nothing half-written is ever published.
-fn seal_blob(
+/// How a sealed blob comes to exist: writes blob `seq` through `io`
+/// (create temp → seal → finalize = sync + atomic rename; a failure
+/// discards the temp, so nothing half-written is ever published), then
+/// opens it against its own fence — always *before* any manifest names
+/// it, because a committed manifest naming a blob that will not open
+/// could never be published. A blob that fails the open is deleted.
+fn seal_and_open(
     io: &dyn SegmentIo,
     seq: u64,
     seal_epoch: u64,
     lists: &BTreeMap<String, Vec<Dewey>>,
-) -> Result<xk_segment::Header> {
+) -> Result<(SealedMeta, Arc<SegmentReader>)> {
     let sealed = (|| -> std::result::Result<xk_segment::Header, SegmentError> {
         let pager = io.create(seq)?;
         let header = seal(pager.as_ref(), &SealSpec { seq, seal_epoch }, lists)?;
         io.finalize(seq, pager)?;
         Ok(header)
     })();
-    sealed.map_err(|e| {
+    let header = sealed.map_err(|e| {
         io.discard_temp(seq);
         EngineError::Segment(e)
-    })
+    })?;
+    let meta = SealedMeta::of(&header);
+    match io.open(seq).and_then(|p| SegmentReader::open(p, Some(&meta.fence()))) {
+        Ok(reader) => Ok((meta, reader)),
+        Err(e) => {
+            // xk-analyze: allow(swallowed_result, reason = "orphan blob cleanup is best-effort; the next open retries it")
+            let _ = io.delete(seq);
+            Err(EngineError::Segment(e))
+        }
+    }
+}
+
+/// How a sealed blob ([`seal_and_open`], so already durable) enters the
+/// store, inside the caller's transaction: `metas` — the manifest with
+/// the new blob in it — is written as a fresh chain, the chain it
+/// supersedes is freed (undo-logged, so an abort restores it), and the
+/// returned [`SegExt`] is `ext` re-pointed, the blob's sequence number
+/// consumed. Nothing names the blob until the caller's commit record.
+fn install_manifest(env: &StorageEnv, ext: &SegExt, metas: &[SealedMeta]) -> Result<SegExt> {
+    let manifest = write_manifest(env, metas)?;
+    if let Some(old) = &ext.manifest {
+        free_list(env, old)?;
+    }
+    Ok(SegExt { manifest, next_seq: ext.next_seq + 1, ..*ext })
 }
 
 /// Best-effort fsync of `path`'s parent directory so an atomic rename is
@@ -837,7 +885,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Engine>();
         assert_send_sync::<xk_index::DiskIndex>();
-        assert_send_sync::<xk_index::SharedEnv>();
     }
 
     #[test]

@@ -5,15 +5,15 @@
 use super::{Algorithm, Engine, LcaOutcome, QueryOutcome, SegSnapshot, AUTO_RATIO_THRESHOLD};
 use crate::error::{EngineError, Result};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLockReadGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xk_index::{DiskIndex, SharedEnv};
-use xk_segment::{ArcList, ErrorSlot};
+use xk_index::{DiskIndex, IndexError};
+use xk_segment::SegmentError;
 use xk_slca::{
     all_lcas, indexed_lookup_eager, scan_eager, stack_merge, AlgoStats, ChainedRankedList,
-    ChainedStreamList, RankedList, StreamList,
+    ChainedStreamList, ErrorSlot, MemList, RankedList, StreamList,
 };
-use xk_storage::IoStats;
+use xk_storage::{IoStats, StorageEnv};
 use xk_xmltree::{normalize_keyword, Dewey};
 
 /// One request's consistent picture of the store at one committed
@@ -24,36 +24,33 @@ use xk_xmltree::{normalize_keyword, Dewey};
 /// posting source is immutable (see [`Source`]), so an in-flight
 /// transaction is invisible until it publishes the next snapshot.
 struct ReadView<'e> {
-    /// A [`SharedEnv::fork`]: this request's own poison slot, so a
-    /// storage failure errors out exactly this request.
-    qenv: SharedEnv,
-    /// Where segment list adapters report failures (the list traits are
-    /// infallible).
-    slot: ErrorSlot,
+    env: &'e Arc<StorageEnv>,
     source: Source<'e>,
 }
 
-/// Where a [`ReadView`] finds postings and frequencies. A keyword has
-/// exactly one kind of source per engine.
+/// Where a [`ReadView`] finds postings and frequencies, and the slot
+/// its list adapters report failures into (the list traits are
+/// infallible): this request's own, so a storage failure errors out
+/// exactly this request. A keyword has exactly one kind of source per
+/// engine.
 enum Source<'e> {
     /// The read-only reference layout: the index's vocabulary and its
-    /// anchored B+tree / chain lists. Nothing ever swaps this index, so
-    /// the guard stays for the whole read.
-    Reference(RwLockReadGuard<'e, DiskIndex>),
+    /// anchored B+tree / chain lists.
+    Reference(&'e DiskIndex, ErrorSlot<IndexError>),
     /// The serving layout: sealed segments in seal order, then the mem
     /// segment. The snapshot is self-contained (`Arc`s into immutable
     /// blobs and views, plus the epoch they describe), so the reader
     /// holds no lock and a committing append never waits on it.
-    Segments(Arc<SegSnapshot>),
+    Segments(Arc<SegSnapshot>, ErrorSlot<SegmentError>),
 }
 
 impl Engine {
     fn read_view(&self) -> ReadView<'_> {
         let source = match self.segments.as_ref() {
-            Some(seg) => Source::Segments(seg.snapshot()),
-            None => Source::Reference(self.index()),
+            Some(seg) => Source::Segments(seg.snapshot(), ErrorSlot::new()),
+            None => Source::Reference(&self.index, ErrorSlot::new()),
         };
-        ReadView { qenv: self.env.fork(), slot: ErrorSlot::new(), source }
+        ReadView { env: &self.env, source }
     }
 }
 
@@ -62,8 +59,8 @@ impl ReadView<'_> {
     /// never written, so its environment's epoch is a constant.
     fn epoch(&self) -> u64 {
         match &self.source {
-            Source::Reference(_) => self.qenv.with(|e| e.current_epoch()),
-            Source::Segments(s) => s.epoch,
+            Source::Reference(..) => self.env.current_epoch(),
+            Source::Segments(s, _) => s.epoch,
         }
     }
 
@@ -71,7 +68,7 @@ impl ReadView<'_> {
     /// is otherwise quiescent; concurrent requests share the counters,
     /// so a delta then *bounds* this request's own I/O.
     fn io_stats(&self) -> IoStats {
-        self.qenv.with(|e| e.stats())
+        self.env.stats()
     }
 
     /// Normalizes, validates, and frequency-orders the query keywords.
@@ -91,8 +88,8 @@ impl ReadView<'_> {
         let mut with_freq = Vec::with_capacity(normalized.len());
         for k in normalized {
             let freq = match &self.source {
-                Source::Reference(index) => index.frequency(&k),
-                Source::Segments(s) => {
+                Source::Reference(index, _) => index.frequency(&k),
+                Source::Segments(s, _) => {
                     s.sealed.iter().map(|r| r.frequency(&k)).sum::<u64>() + s.mem.frequency(&k)
                 }
             };
@@ -112,26 +109,26 @@ impl ReadView<'_> {
     /// invariant), so a probe touches at most one. `None` when the
     /// keyword has no postings.
     fn ranked(&self, keyword: &str) -> Option<Box<dyn RankedList>> {
-        let s = match &self.source {
-            Source::Reference(index) => {
-                let list = index.ranked_list(self.qenv.clone(), keyword)?.anchored();
+        let (s, slot) = match &self.source {
+            Source::Reference(index, slot) => {
+                let list = index.ranked_list(self.env, keyword, slot.clone())?.anchored();
                 return Some(Box::new(list));
             }
-            Source::Segments(s) => s,
+            Source::Segments(s, slot) => (s, slot),
         };
         let mut parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
         for r in &s.sealed {
             // The skip table carries each keyword's minimum, so sealed
             // parts cost no I/O to tag.
             if let (Some(min), Some(list)) =
-                (r.min_dewey(keyword), r.ranked_list(keyword, self.slot.clone()))
+                (r.min_dewey(keyword), r.ranked_list(keyword, slot.clone()))
             {
                 parts.push((min.clone(), Box::new(list)));
             }
         }
         if let Some(l) = s.mem.list(keyword) {
             if let Some(min) = l.first() {
-                parts.push((min.clone(), Box::new(ArcList::new(Arc::clone(l)))));
+                parts.push((min.clone(), Box::new(MemList::shared(Arc::clone(l)))));
             }
         }
         if parts.is_empty() {
@@ -143,16 +140,16 @@ impl ReadView<'_> {
     /// [`ReadView::ranked`]'s streaming twin: the same sources front to
     /// back as one [`StreamList`].
     fn stream(&self, keyword: &str) -> Option<Box<dyn StreamList>> {
-        let s = match &self.source {
-            Source::Reference(index) => {
-                let list = index.stream_list(self.qenv.clone(), keyword)?;
+        let (s, slot) = match &self.source {
+            Source::Reference(index, slot) => {
+                let list = index.stream_list(self.env, keyword, slot.clone())?;
                 return (!list.is_empty()).then(|| Box::new(list) as Box<dyn StreamList>);
             }
-            Source::Segments(s) => s,
+            Source::Segments(s, slot) => (s, slot),
         };
         let mut parts: Vec<Box<dyn StreamList>> = Vec::new();
         for r in &s.sealed {
-            if let Some(list) = r.stream_list(keyword, self.slot.clone()) {
+            if let Some(list) = r.stream_list(keyword, slot.clone()) {
                 if !list.is_empty() {
                     parts.push(Box::new(list));
                 }
@@ -160,7 +157,7 @@ impl ReadView<'_> {
         }
         if let Some(l) = s.mem.list(keyword) {
             if !l.is_empty() {
-                parts.push(Box::new(ArcList::new(Arc::clone(l))));
+                parts.push(Box::new(MemList::shared(Arc::clone(l))));
             }
         }
         match parts.len() {
@@ -186,17 +183,15 @@ impl ReadView<'_> {
     }
 
     /// Ends the read. The list traits are infallible, so adapters report
-    /// failures out of band: disk lists poison the view's env fork,
-    /// segment lists fill its error slot. Either means the run produced
-    /// a truncated (wrong) answer and must error out instead.
+    /// failures out of band, into the source's slot; a filled slot means
+    /// the run produced a truncated (wrong) answer and must error out
+    /// instead.
     fn finish(self) -> Result<()> {
-        if let Some(e) = self.qenv.take_error() {
-            return Err(e.into());
-        }
-        match self.slot.take() {
-            Some(e) => Err(EngineError::Segment(e)),
-            None => Ok(()),
-        }
+        let failed = match self.source {
+            Source::Reference(_, slot) => slot.take().map(EngineError::from),
+            Source::Segments(_, slot) => slot.take().map(EngineError::Segment),
+        };
+        failed.map_or(Ok(()), Err)
     }
 }
 
@@ -207,8 +202,8 @@ impl Engine {
         let view = self.read_view();
         let mut freq: BTreeMap<&str, u64> = BTreeMap::new();
         match &view.source {
-            Source::Reference(index) => freq.extend(index.keywords()),
-            Source::Segments(s) => {
+            Source::Reference(index, _) => freq.extend(index.keywords()),
+            Source::Segments(s, _) => {
                 for (k, f) in s.sealed.iter().flat_map(|r| r.keywords()).chain(s.mem.keywords()) {
                     *freq.entry(k).or_default() += f;
                 }
@@ -350,8 +345,8 @@ impl Engine {
     /// `threads` worker threads (1 = run on the caller's thread).
     ///
     /// Results come back in input order, one `Result` per query: a
-    /// storage failure mid-query fails exactly that query (per-query
-    /// poison slots, see [`SharedEnv::fork`]) while the rest of the batch
+    /// storage failure mid-query fails exactly that query (each has its
+    /// own error slot) while the rest of the batch
     /// completes normally. Workers claim queries from a shared atomic
     /// counter, so an expensive query does not stall the queue behind it.
     // xk-analyze: root(panic_path)
@@ -545,6 +540,26 @@ mod tests {
         let hot = e.query(&["john", "ben"], Algorithm::ScanEager).unwrap();
         assert_eq!(hot.io.disk_reads, 0, "hot run is served from the pool");
         assert_eq!(cold.slcas, hot.slcas);
+    }
+
+    #[test]
+    fn bare_list_failures_reach_the_callers_slot() {
+        use xk_storage::{FaultConfig, FaultPager, MemPager, StorageEnv};
+        let fault = FaultPager::new(Box::new(MemPager::new(512)), FaultConfig::none());
+        let probe = fault.probe();
+        let env = StorageEnv::create_with_pager(Box::new(fault), 128).unwrap();
+        xk_index::build_disk_index(&env, &xk_xmltree::school_example(), &Default::default())
+            .unwrap();
+        let e = Engine::from_env(env).unwrap();
+        let slot = ErrorSlot::new();
+        let mut john = e.ranked_list("john", slot.clone()).unwrap();
+        assert!(john.rm(&d("0")).is_some() && !slot.is_poisoned());
+
+        e.clear_cache().unwrap();
+        probe.arm_read_fault();
+        assert_eq!(john.rm(&d("0")), None, "the failed probe looks like 'no match'");
+        let err = slot.take().expect("and the slot says why");
+        assert!(matches!(err, IndexError::Storage(_)), "{err:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   longest common prefix.
 //! * [`XmlTree`] — arena-based labeled ordered tree with Dewey navigation.
 //! * [`parse`] / [`serialize`] — XML text ↔ tree.
-//! * [`tokenize`] — label → lowercase keyword tokens.
+//! * [`tokenize()`] — label → lowercase keyword tokens.
 //!
 //! ```
 //! use xk_xmltree::{parse, NodeId};

@@ -13,6 +13,7 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     ! grep -rn '^\[\[bench\]\]' crates/*/Cargo.toml
     ! grep -rn 'thread_local!' crates/*/src
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # Static analysis: lock discipline, pager IO under pool guards, panics
 # reachable from the query/server paths, swallowed Results. Fails on any
