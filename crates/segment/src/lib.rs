@@ -14,8 +14,10 @@
 //!
 //! [`SegmentReader`] serves the four SLCA algorithms through the same
 //! `RankedList`/`StreamList` traits the B+tree adapters implement: an
-//! `lm`/`rm` probe binary-searches the in-memory skip table and decodes
-//! exactly one block. [`merge`] folds runs of small adjacent segments
+//! `lm`/`rm` probe binary-searches the in-memory skip table, then makes
+//! at most one verified chunk decode (one block read + CRC + one checked
+//! pass) into buffers the list reuses, and searches those in place —
+//! one allocation per answer. [`merge`] folds runs of small adjacent segments
 //! together (size-tiered), and [`verify`] deep-checks a whole store for
 //! `xksearch verify`.
 

@@ -2,14 +2,22 @@
 //!
 //! `SegmentReader::open` validates the header, trailer, and dictionary
 //! CRCs and parses the full skip table into memory (the dictionary is a
-//! few bytes per chunk; posting blocks stay on disk). Query adapters
-//! then binary-search the chunk table and decode exactly one block per
-//! `lm`/`rm` probe, caching the last decoded chunk so a run of probes
-//! over the same region touches the pager once.
+//! few bytes per chunk; posting blocks stay on disk).
+//!
+//! An `lm`/`rm` probe costs a binary search of the skip table plus at
+//! most one verified chunk decode: one block read into the list's own
+//! block buffer, its CRC, and one pass that delta-decodes and checks the
+//! chunk into the list's reused flat buffer. The probe then
+//! binary-searches that buffer in place; its only allocation is the
+//! `Dewey` it returns. The list keeps the last decoded chunk, so a run
+//! of probes over the same region touches the pager once. Streams decode
+//! the same way, one allocation per node. Every read of posting data —
+//! probes, streams, [`SegmentReader::postings`], `verify` — goes through
+//! the one decoder, so every check runs on every path.
 
-use crate::codec::{decode_entry, get_varint};
+use crate::codec::{get_varint, FlatChunk};
 use crate::error::{ErrorSlot, Result, SegmentError};
-use crate::format::{check_trailer, read_block, unframe_block, Header};
+use crate::format::{check_trailer, read_block, unframe_block, Header, BLOCK_FRAME};
 use crate::manifest::Fence;
 use crate::writer::Chunk;
 use std::collections::HashMap;
@@ -215,54 +223,57 @@ impl SegmentReader {
         self.block_reads.load(Ordering::Relaxed)
     }
 
-    /// Decodes every entry of one skip chunk, validating monotonicity and
-    /// the advertised minimum. Reads (and counts) the chunk's block and
-    /// decodes straight out of its CRC-checked payload.
-    pub fn decode_chunk(&self, chunk: &Chunk) -> Result<Vec<Dewey>> {
-        let mut buf = vec![0u8; self.header.block_size as usize];
-        read_block(self.pager.as_ref(), chunk.block, &mut buf)?;
-        self.block_reads.fetch_add(1, Ordering::Relaxed);
-        let payload = unframe_block(&buf, chunk.block)?;
-        let mut pos = chunk.offset as usize;
-        if pos > payload.len() {
-            return Err(SegmentError::Corrupt(format!(
-                "chunk offset {pos} overflows block {} payload ({} bytes)",
-                chunk.block,
-                payload.len()
-            )));
+    /// The one chunk decoder: reads `chunk`'s block into `block` and
+    /// CRC-checks it (unless `block` already holds it verified), then
+    /// decodes the chunk into `out`, checking every entry (see
+    /// `FlatChunk::decode`). On error `out` is empty and `block` is
+    /// dropped, so a retry re-reads the block and never answers from a
+    /// half-filled buffer.
+    pub(crate) fn load_chunk(
+        &self,
+        chunk: &Chunk,
+        block: &mut BlockBuf,
+        out: &mut FlatChunk,
+    ) -> Result<()> {
+        let loaded = self.payload(chunk.block, block).and_then(|p| out.decode(p, chunk));
+        if loaded.is_err() {
+            out.clear();
+            block.held = None;
         }
-        let mut out: Vec<Dewey> = Vec::with_capacity(chunk.entries as usize);
-        for _ in 0..chunk.entries {
-            let d = decode_entry(payload, &mut pos, out.last())?;
-            if let Some(p) = out.last() {
-                if *p >= d {
-                    return Err(SegmentError::Corrupt(format!(
-                        "decoded postings not ascending in block {} ({p} then {d})",
-                        chunk.block
-                    )));
-                }
-            }
-            out.push(d);
-        }
-        if out.first() != Some(&chunk.min) {
-            return Err(SegmentError::Corrupt(format!(
-                "chunk min {} disagrees with first decoded entry in block {}",
-                chunk.min, chunk.block
-            )));
-        }
-        Ok(out)
+        loaded
     }
 
-    /// Fully decodes `keyword`'s posting list (used by merge, verify, and
-    /// tests; queries go through the probe adapters instead).
+    /// The CRC-checked payload of posting block `block_no`, read into
+    /// `buf` (and counted) unless `buf` already holds it.
+    fn payload<'b>(&self, block_no: u32, buf: &'b mut BlockBuf) -> Result<&'b [u8]> {
+        let len = match buf.held {
+            Some((held, len)) if held == block_no => len,
+            _ => {
+                buf.held = None;
+                buf.bytes.resize(self.header.block_size as usize, 0);
+                read_block(self.pager.as_ref(), block_no, &mut buf.bytes)?;
+                self.block_reads.fetch_add(1, Ordering::Relaxed);
+                let len = unframe_block(&buf.bytes, block_no)?.len();
+                buf.held = Some((block_no, len));
+                len
+            }
+        };
+        let overflow = || SegmentError::Corrupt(format!("block {block_no} length {len} overflows"));
+        buf.bytes.get(BLOCK_FRAME..BLOCK_FRAME + len).ok_or_else(overflow)
+    }
+
+    /// Fully decodes `keyword`'s posting list (used by merge and tests;
+    /// queries go through the probe adapters instead).
     pub fn postings(&self, keyword: &str) -> Result<Vec<Dewey>> {
         let Some(&i) = self.by_name.get(keyword) else {
             return Ok(Vec::new());
         };
-        let entry = &self.entries[i];
+        let entry = self.entry(i);
         let mut out = Vec::with_capacity(entry.count as usize);
+        let (mut block, mut flat) = (BlockBuf::default(), FlatChunk::default());
         for chunk in &entry.chunks {
-            out.extend(self.decode_chunk(chunk)?);
+            self.load_chunk(chunk, &mut block, &mut flat)?;
+            out.extend(flat.iter().map(|c| Dewey::from_components(c.to_vec())));
         }
         Ok(out)
     }
@@ -271,7 +282,14 @@ impl SegmentReader {
     /// keyword is absent from this segment.
     pub fn ranked_list(self: &Arc<Self>, keyword: &str, slot: ErrorSlot) -> Option<SegRankedList> {
         let &kw = self.by_name.get(keyword)?;
-        Some(SegRankedList { reader: Arc::clone(self), kw, slot, cache: None })
+        Some(SegRankedList {
+            reader: Arc::clone(self),
+            kw,
+            slot,
+            block: BlockBuf::default(),
+            flat: FlatChunk::default(),
+            cached: None,
+        })
     }
 
     /// A streaming [`StreamList`] over `keyword`, or `None` when absent.
@@ -281,10 +299,16 @@ impl SegmentReader {
             reader: Arc::clone(self),
             kw,
             slot,
-            chunk_idx: 0,
-            buf: Vec::new(),
+            next_chunk: 0,
+            block: BlockBuf::default(),
+            flat: FlatChunk::default(),
             pos: 0,
         })
+    }
+
+    /// Every keyword with its dictionary entry, in sorted order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &KwEntry)> {
+        self.names.iter().map(|n| n.as_str()).zip(&self.entries)
     }
 
     // xk-analyze: allow(panic_path, reason = "kw slots are handed out by ranked_list/stream_list from by_name, so they index within entries")
@@ -293,24 +317,39 @@ impl SegmentReader {
     }
 }
 
+/// A caller-owned posting-block buffer, remembering which block it holds
+/// once that block's CRC has passed.
+#[derive(Debug, Default)]
+pub(crate) struct BlockBuf {
+    bytes: Vec<u8>,
+    /// The verified block's id and payload length.
+    held: Option<(u32, usize)>,
+}
+
 /// `lm`/`rm` probes over one keyword of one segment: binary-search the
-/// skip table, decode (at most) one block, cache it for the next probe.
+/// skip table, decode (at most) one chunk into the list's reused
+/// buffers, and binary-search its entries in place. The only allocation
+/// of a probe that hits the cached chunk is the `Dewey` it returns.
 pub struct SegRankedList {
     reader: Arc<SegmentReader>,
     kw: usize,
     slot: ErrorSlot,
-    cache: Option<(usize, Vec<Dewey>)>,
+    block: BlockBuf,
+    flat: FlatChunk,
+    /// The chunk `flat` holds; set only once its decode fully succeeded.
+    cached: Option<usize>,
 }
 
 impl SegRankedList {
     /// Chunk `idx` decoded, via the one-chunk cache.
-    fn chunk(&mut self, idx: usize) -> Option<&Vec<Dewey>> {
-        if self.cache.as_ref().map(|(i, _)| *i) != Some(idx) {
-            // xk-analyze: allow(panic_path, reason = "callers derive idx from partition_point over this keyword's chunks, so it is in range")
-            let chunk = &self.reader.entry(self.kw).chunks[idx];
-            self.cache = Some((idx, self.slot.ok(self.reader.decode_chunk(chunk))?));
+    fn chunk(&mut self, idx: usize) -> Option<&FlatChunk> {
+        if self.cached != Some(idx) {
+            self.cached = None;
+            let chunk = self.reader.entry(self.kw).chunks.get(idx)?;
+            self.slot.ok(self.reader.load_chunk(chunk, &mut self.block, &mut self.flat))?;
+            self.cached = Some(idx);
         }
-        self.cache.as_ref().map(|(_, nodes)| nodes)
+        Some(&self.flat)
     }
 
     /// Index of the first chunk whose min is **greater than** `v`
@@ -326,45 +365,42 @@ impl RankedList for SegRankedList {
     }
 
     fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let chunks = &self.reader.entry(self.kw).chunks;
-        if chunks.is_empty() {
-            return None;
-        }
         let idx = self.upper_chunk(v);
-        if idx == 0 {
+        let Some(within) = idx.checked_sub(1) else {
             // v precedes everything: the answer is the global minimum,
             // available straight from the skip table — no block read.
-            return Some(chunks[0].min.clone());
-        }
-        let nodes = self.chunk(idx - 1)?;
-        let at = nodes.partition_point(|n| n < v);
-        if let Some(n) = nodes.get(at) {
-            return Some(n.clone());
+            return self.reader.entry(self.kw).chunks.first().map(|c| c.min.clone());
+        };
+        let key = v.components();
+        let flat = self.chunk(within)?;
+        if let Some(n) = flat.get(flat.partition_point(|n| n < key)) {
+            return Some(Dewey::from_components(n.to_vec()));
         }
         // Ran off the chunk: the successor opens the next one.
         self.reader.entry(self.kw).chunks.get(idx).map(|c| c.min.clone())
     }
 
     fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.upper_chunk(v);
-        if idx == 0 {
-            return None; // v precedes the whole list
-        }
-        let nodes = self.chunk(idx - 1)?;
+        // v precedes the whole list when idx is 0.
+        let within = self.upper_chunk(v).checked_sub(1)?;
+        let key = v.components();
+        let flat = self.chunk(within)?;
         // chunk.min <= v, so at least one entry qualifies.
-        let at = nodes.partition_point(|n| n <= v);
-        at.checked_sub(1).and_then(|i| nodes.get(i)).cloned()
+        let at = flat.partition_point(|n| n <= key);
+        at.checked_sub(1).and_then(|i| flat.get(i)).map(|n| Dewey::from_components(n.to_vec()))
     }
 }
 
-/// Sequential scan over one keyword of one segment, decoding blocks as
-/// the cursor crosses chunk boundaries.
+/// Sequential scan over one keyword of one segment, decoding each chunk
+/// into the list's reused buffers as the cursor crosses into it.
 pub struct SegStreamList {
     reader: Arc<SegmentReader>,
     kw: usize,
     slot: ErrorSlot,
-    chunk_idx: usize,
-    buf: Vec<Dewey>,
+    /// The chunk to decode once `flat` is drained.
+    next_chunk: usize,
+    block: BlockBuf,
+    flat: FlatChunk,
     pos: usize,
 }
 
@@ -374,22 +410,21 @@ impl StreamList for SegStreamList {
     }
 
     fn rewind(&mut self) {
-        self.chunk_idx = 0;
-        self.buf.clear();
+        self.next_chunk = 0;
+        self.flat.clear();
         self.pos = 0;
     }
 
     fn next_node(&mut self) -> Option<Dewey> {
         loop {
-            if self.pos < self.buf.len() {
-                let n = self.buf[self.pos].clone();
+            if let Some(n) = self.flat.get(self.pos) {
                 self.pos += 1;
-                return Some(n);
+                return Some(Dewey::from_components(n.to_vec()));
             }
-            let chunk = self.reader.entry(self.kw).chunks.get(self.chunk_idx)?;
-            self.buf = self.slot.ok(self.reader.decode_chunk(chunk))?;
+            let chunk = self.reader.entry(self.kw).chunks.get(self.next_chunk)?;
+            self.slot.ok(self.reader.load_chunk(chunk, &mut self.block, &mut self.flat))?;
             self.pos = 0;
-            self.chunk_idx += 1;
+            self.next_chunk += 1;
         }
     }
 }

@@ -2,15 +2,16 @@
 //!
 //! `xksearch verify` calls [`verify_store`] after its page-checksum
 //! sweep: every sealed blob is opened with its manifest fence, every
-//! block CRC re-checked, every posting chunk decoded and reconciled
+//! block CRC re-checked once, every posting chunk decoded and reconciled
 //! against the dictionary, and the journal replayed. Problems are
 //! *reported*, never panicked on — one corrupt blob doesn't stop the
 //! sweep from checking the rest.
 
+use crate::codec::FlatChunk;
 use crate::error::Result;
 use crate::io::SegmentIo;
 use crate::manifest::{read_manifest, replay_journal, SegExt};
-use crate::reader::SegmentReader;
+use crate::reader::{BlockBuf, SegmentReader};
 use xk_storage::StorageEnv;
 
 /// Outcome of a segment-store sweep.
@@ -37,27 +38,27 @@ impl SegmentVerifyReport {
 
 /// Deep-checks one sealed blob that is already open (header, trailer,
 /// and dictionary validated): decodes every chunk of every keyword and
-/// reconciles counts. Returns `(blocks, postings)` checked.
+/// reconciles counts. Keyword runs are packed back to back in keyword
+/// order, so walking the dictionary visits posting blocks in order and
+/// each block is read and CRC-checked once, then every chunk in it is
+/// decoded against it. Returns `(blocks, postings)` checked.
 fn deep_check(r: &SegmentReader, issues: &mut Vec<String>) -> (u64, u64) {
     let seq = r.seq();
+    let reads_before = r.block_reads();
+    let (mut block, mut flat) = (BlockBuf::default(), FlatChunk::default());
     let mut postings = 0u64;
-    let keywords: Vec<(String, u64)> = r.keywords().map(|(k, c)| (k.to_string(), c)).collect();
-    for (kw, count) in keywords {
-        match r.postings(&kw) {
-            Ok(list) => {
-                postings += list.len() as u64;
-                if list.len() as u64 != count {
+    for (kw, entry) in r.entries() {
+        let decoded = entry.chunks.iter().try_fold(0u64, |n, chunk| {
+            r.load_chunk(chunk, &mut block, &mut flat).map(|()| n + flat.len() as u64)
+        });
+        match decoded {
+            Ok(n) => {
+                postings += n;
+                if n != entry.count {
                     issues.push(format!(
-                        "segment {seq}: dictionary count {count} for {kw:?} but {} decoded",
-                        list.len()
+                        "segment {seq}: dictionary count {} for {kw:?} but {n} decoded",
+                        entry.count
                     ));
-                }
-                if let Some(min) = r.min_dewey(&kw) {
-                    if list.first() != Some(min) {
-                        issues.push(format!(
-                            "segment {seq}: skip-table min for {kw:?} disagrees with postings"
-                        ));
-                    }
                 }
             }
             Err(e) => issues.push(format!("segment {seq}: {kw:?}: {e}")),
@@ -69,9 +70,8 @@ fn deep_check(r: &SegmentReader, issues: &mut Vec<String>) -> (u64, u64) {
             r.header().posting_count
         ));
     }
-    // decode_chunk re-read and CRC-checked every posting block; the dict
-    // and trailer blocks were checked at open.
-    let blocks = r.block_reads() + 1 + r.header().dict_blocks as u64 + 1;
+    // The header, dict and trailer blocks were checked at open.
+    let blocks = r.block_reads() - reads_before + 1 + r.header().dict_blocks as u64 + 1;
     (blocks, postings)
 }
 
@@ -175,14 +175,28 @@ mod tests {
     fn clean_store_verifies_clean() {
         let env = StorageEnv::create_with_pager(Box::new(MemPager::new(512)), 64).unwrap();
         let io = MemSegmentIo::new(256);
-        let metas = vec![seal_into(&io, 1, 50), seal_into(&io, 2, 30)];
+        let mut metas = vec![seal_into(&io, 1, 50), seal_into(&io, 2, 30)];
+        // Twelve keywords sharing posting blocks: each block is read
+        // once however many keyword runs it holds.
+        let lists: BTreeMap<String, Vec<Dewey>> = (0..12u32)
+            .map(|k| {
+                let list = (0..(k + 1) * 9).map(|i| Dewey::from_components(vec![k, i]));
+                (format!("kw{k:02}"), list.collect())
+            })
+            .collect();
+        let pager = io.create(3).unwrap();
+        let header = seal(pager.as_ref(), &SealSpec { seq: 3, seal_epoch: 0 }, &lists).unwrap();
+        io.finalize(3, pager).unwrap();
+        assert!(header.data_blocks > 1 && header.data_blocks < header.keyword_count);
+        metas.push(SealedMeta::of(&header));
         let manifest = write_manifest(&env, &metas).unwrap();
-        let ext = SegExt { journal: None, manifest, next_seq: 3 };
+        let ext = SegExt { journal: None, manifest, next_seq: 4 };
         let report = verify_store(&env, &ext, &io).unwrap();
         assert!(report.clean(), "{:?}", report.issues);
-        assert_eq!(report.segments, 2);
-        assert_eq!(report.postings_checked, 80);
-        assert!(report.blocks_checked >= 4);
+        assert_eq!(report.segments, 3);
+        assert_eq!(report.postings_checked, 80 + header.posting_count);
+        let total: u64 = metas.iter().map(|m| m.blocks as u64).sum();
+        assert_eq!(report.blocks_checked, total, "every block checked exactly once");
     }
 
     #[test]

@@ -73,6 +73,67 @@ fn thousand_byte_flips_never_panic_and_never_lie() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The segmented twin of the sweep above: the serving layout keeps its
+/// postings in a sealed blob beside the database file, so flip bytes of
+/// the blob. Every open + query under IL, Scan and Stack must error or
+/// return exactly the clean answer.
+#[test]
+fn thousand_blob_byte_flips_never_panic_and_never_lie() {
+    let dir = temp_dir("blob-flips");
+    let path = dir.join("school.db");
+    let opts = EnvOptions { page_size: 512, pool_pages: 64 };
+    let engine = Engine::build_segmented(&school_example(), &path, opts.clone(), true).unwrap();
+    let algorithms = [Algorithm::IndexedLookupEager, Algorithm::ScanEager, Algorithm::Stack];
+    let expected: Vec<Vec<Dewey>> = algorithms
+        .iter()
+        .map(|&a| engine.query(&["john", "ben"], a).unwrap().slcas)
+        .collect();
+    assert!(expected.iter().all(|s| s.len() == 3), "{expected:?}");
+    drop(engine);
+
+    let blobs: Vec<PathBuf> = std::fs::read_dir(xksearch::default_segments_dir(&path))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(blobs.len(), 1, "{blobs:?}");
+    let blob = &blobs[0];
+    let (clean_db, clean_blob) = (std::fs::read(&path).unwrap(), std::fs::read(blob).unwrap());
+    let mut rng = 0x5E61_B10B_u64;
+    let (mut errored, mut survived) = (0u32, 0u32);
+    for i in 0..1000 {
+        let pos = (splitmix64(&mut rng) as usize) % clean_blob.len();
+        let xor = (splitmix64(&mut rng) % 255 + 1) as u8; // never a no-op
+        let mut bytes = clean_blob.clone();
+        bytes[pos] ^= xor;
+        std::fs::write(&path, &clean_db).unwrap();
+        std::fs::write(blob, &bytes).unwrap();
+
+        let opts = opts.clone();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let engine = Engine::open(&path, opts)?;
+            algorithms
+                .iter()
+                .map(|&a| engine.query(&["john", "ben"], a).map(|o| o.slcas))
+                .collect::<Result<Vec<_>, _>>()
+        }));
+        match outcome {
+            Err(_) => panic!("blob flip #{i} (byte {pos} ^ {xor:#04x}) caused a PANIC"),
+            Ok(Err(_)) => errored += 1,
+            Ok(Ok(slcas)) => {
+                assert_eq!(
+                    slcas, expected,
+                    "blob flip #{i} (byte {pos} ^ {xor:#04x}) silently changed an answer"
+                );
+                survived += 1;
+            }
+        }
+    }
+    println!("blob flips: {errored} errored, {survived} survived (dead space)");
+    assert!(errored > 50, "only {errored}/1000 blob flips were detected?");
+    assert!(survived > 0, "no blob flip landed in dead space across 1000 tries?");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A crash in the middle of an `Engine`-level index build (torn page,
 /// then every subsequent write fails) must leave a file that
 /// `StorageEnv::open` refuses — the dirty flag or a checksum gives it
