@@ -3,8 +3,8 @@
 //!
 //! One storage file holds everything:
 //!
-//! * the **level table** and an optional serialized copy of the document,
-//!   in the meta page's user blob;
+//! * the **level table** and an optional handle to the stored document
+//!   (see [`crate::document`]), in the meta page's user blob;
 //! * the **vocabulary B+tree** (root slot 0): keyword → `(keyword id,
 //!   frequency, list handle)`. Loaded into an in-memory hash map at open
 //!   time — the paper's *frequency table*, used to pick the smallest list
@@ -19,6 +19,7 @@
 //!   (Figure 4).
 
 use crate::codec::{decode_dewey, encode_dewey, encode_probe, CodecError, Probe};
+use crate::document::write_document;
 use crate::leveltable::LevelTable;
 use crate::memindex::MemIndex;
 use std::collections::HashMap;
@@ -251,30 +252,6 @@ pub fn build_disk_index(
     Ok(lists.len())
 }
 
-/// Writes `tree` into a fresh record chain, in page-sized chunks.
-/// Structural encoding, not XML text: XML merges adjacent text siblings
-/// on re-parse, which would shift the Dewey ordinals appends are
-/// allocated from (see `xk_xmltree::encode_tree`).
-pub fn write_document(env: &StorageEnv, tree: &XmlTree) -> Result<ListHandle> {
-    let encoded = xk_xmltree::encode_tree(tree);
-    let mut writer = ListWriter::new(env);
-    for part in encoded.chunks(env.page_size() / 2) {
-        writer.append(env, part)?;
-    }
-    Ok(writer.finish(env)?)
-}
-
-/// Reads back a document chain [`write_document`] wrote.
-pub fn read_document(env: &StorageEnv, handle: &ListHandle) -> Result<XmlTree> {
-    let mut reader = ListReader::new(handle);
-    let mut bytes = Vec::new();
-    while let Some(chunk) = reader.next_record(env)? {
-        bytes.extend_from_slice(&chunk);
-    }
-    xk_xmltree::decode_tree(&bytes)
-        .map_err(|e| IndexError::Corrupt(format!("stored document: {e}")))
-}
-
 /// A read handle over a built disk index: what [`build_disk_index`]
 /// wrote, as [`DiskIndex::open`] found it, immutable. The two meta-blob
 /// fields a growing database moves (document handle, extension bytes)
@@ -504,6 +481,7 @@ impl StreamList for DiskStreamList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::read_document;
     use xk_storage::EnvOptions;
     use xk_xmltree::school_example;
 

@@ -17,19 +17,27 @@
 //!   with [`DiskRankedList`] / [`DiskStreamList`] adapters implementing
 //!   the `xk-slca` list traits (storage failures fill the caller's
 //!   `xk_slca::ErrorSlot` instead of panicking);
+//! * [`document`] — the stored document as an append-only log (a base
+//!   tree plus one record per appended fragment), its full decode
+//!   [`read_document`], and the streamed [`Spine`] appends extend;
 //! * [`verify_index`] — offline structural verification of a built index:
 //!   checksums, B+tree invariants, chain accounting, record decode.
 
 pub mod codec;
 pub mod diskindex;
+pub mod document;
 pub mod leveltable;
 pub mod memindex;
 pub mod verify;
 
 pub use codec::{decode_dewey, encode_dewey, encode_probe, encode_upper_bound, CodecError, Probe};
 pub use diskindex::{
-    build_disk_index, read_document, write_document, BuildOptions, DiskIndex, DiskRankedList,
-    DiskStreamList, IndexError, KeywordMeta, Result, SLOT_IL, SLOT_VOCAB,
+    build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, IndexError,
+    KeywordMeta, Result, SLOT_IL, SLOT_VOCAB,
+};
+pub use document::{
+    append_fragment, document_node, document_spine, graft, read_document, write_document, Refusal,
+    Spine, SpineNode,
 };
 pub use leveltable::LevelTable;
 pub use memindex::{node_tokens, MemIndex};

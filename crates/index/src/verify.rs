@@ -16,11 +16,14 @@
 //!    to two chains;
 //! 5. **IL B+tree** — invariants, leaf links, every composite key splits
 //!    and decodes, and per-keyword entry counts match the vocabulary;
-//! 6. **stored document** — the chain walks and the payload decodes back
-//!    into a tree (structural `XKDOC1` records).
+//! 6. **stored document** — the chain walks, the payload decodes back
+//!    into a tree (the structural `XKDOC1` base with every fragment
+//!    record grafted at its logged point), and the streamed rightmost
+//!    path appends extend matches that tree's.
 
 use crate::codec::decode_dewey;
 use crate::diskindex::{decode_blob, split_il_key, KeywordMeta, SLOT_IL, SLOT_VOCAB};
+use crate::document::{chain_bytes, decode_document, document_spine, Spine};
 use std::collections::HashMap;
 use xk_storage::{inspect_chain, BTree, ListHandle, ListReader, PageId, StorageEnv};
 
@@ -39,6 +42,9 @@ pub struct VerifyReport {
     pub il_entries: u64,
     /// Pages claimed by keyword list chains and the stored document.
     pub list_pages: u64,
+    /// Appended fragment records the stored document carries after its
+    /// base.
+    pub document_fragments: u64,
     /// Human-readable findings; empty means the index is healthy.
     pub issues: Vec<String>,
 }
@@ -332,20 +338,31 @@ fn verify_document(
             return;
         }
     }
-    let mut reader = ListReader::new(handle);
-    let mut bytes = Vec::new();
-    loop {
-        match reader.next_record(env) {
-            Ok(Some(chunk)) => bytes.extend_from_slice(&chunk),
-            Ok(None) => break,
-            Err(e) => {
-                report.issue(format!("stored document read failed: {e}"));
-                return;
-            }
+    let bytes = match chain_bytes(env, handle) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            report.issue(format!("stored document read failed: {e}"));
+            return;
         }
-    }
-    if let Err(e) = xk_xmltree::decode_tree(&bytes) {
-        report.issue(format!("stored document does not decode: {e}"));
+    };
+    let tree = match decode_document(&bytes) {
+        Ok((tree, fragments)) => {
+            report.document_fragments = fragments;
+            tree
+        }
+        Err(e) => {
+            report.issue(format!("stored document does not decode: {e}"));
+            return;
+        }
+    };
+    // The append path never decodes the tree: it streams the chain to
+    // the rightmost path. Both readers must see the same document.
+    match document_spine(env, handle) {
+        Ok(spine) if spine == Spine::of(&tree) => {}
+        Ok(_) => {
+            report.issue("stored document: streamed rightmost path differs from the tree".into())
+        }
+        Err(e) => report.issue(format!("stored document does not stream: {e}")),
     }
 }
 

@@ -273,6 +273,7 @@ fn cmd_verify(args: &[String]) -> Result<(), AnyError> {
     println!("keywords       : {}", report.keyword_count);
     println!("IL entries     : {}", report.il_entries);
     println!("list pages     : {}", report.list_pages);
+    println!("doc fragments  : {}", report.document_fragments);
     for issue in &report.issues {
         println!("ISSUE: {issue}");
     }

@@ -187,6 +187,7 @@ fn built_index_grows_through_cli_and_server() {
     assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout.contains("OK: no integrity issues"), "{stdout}");
     assert!(stdout.contains("segment blobs  : 1"), "{stdout}");
+    assert!(stdout.contains("doc fragments  : 1"), "the append is one logged fragment: {stdout}");
 
     let served = serve(&db);
     let raw = served.request("POST", "/append", "<entry>omega sequel</entry>");

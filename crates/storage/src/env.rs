@@ -983,6 +983,12 @@ impl StorageEnv {
         self.wal.as_ref().map_or(0, |w| w.sync_count())
     }
 
+    /// Bytes the WAL has logged since its last checkpoint ([`Wal::log_bytes`];
+    /// 0 without a WAL). [`Self::flush`] retires them.
+    pub fn wal_bytes(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |w| w.log_bytes())
+    }
+
     /// The last committed epoch. Starts at 1 on a fresh env; bumped by
     /// every `commit_txn`.
     pub fn current_epoch(&self) -> u64 {

@@ -84,6 +84,13 @@ impl ListWriter {
         }
     }
 
+    /// The largest record [`ListWriter::append`] and
+    /// [`ListAppender::append`] accept in `env`: one record of this size
+    /// fills a page exactly.
+    pub fn max_record(env: &StorageEnv) -> usize {
+        env.page_size() - LIST_HDR - 2
+    }
+
     /// Appends one logical entry (a length-prefixed byte record).
     pub fn append(&mut self, env: &StorageEnv, record: &[u8]) -> Result<()> {
         assert!(
@@ -574,6 +581,22 @@ mod tests {
         assert_eq!(env.page_count(), before, "second list reuses freed pages");
         let mut r = ListReader::new(&h2);
         assert_eq!(r.next_record(&env).unwrap().unwrap(), [2u8; 30]);
+    }
+
+    #[test]
+    fn max_records_fill_one_page_each() {
+        let env = mem_env();
+        let max = ListWriter::max_record(&env);
+        let mut w = ListWriter::new(&env);
+        for i in 0..3u8 {
+            w.append(&env, &vec![i; max]).unwrap();
+        }
+        let h = w.finish(&env).unwrap();
+        assert_eq!(inspect_chain(&env, &h).unwrap().pages.len(), 3);
+        let mut a = ListAppender::open(&env, h).unwrap();
+        a.append(&env, &vec![9; max]).unwrap();
+        let h = a.finish();
+        assert_eq!(inspect_chain(&env, &h).unwrap().pages.len(), 4);
     }
 
     #[test]

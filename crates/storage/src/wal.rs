@@ -212,6 +212,12 @@ impl Wal {
         self.syncs.load(Ordering::Relaxed)
     }
 
+    /// Bytes of data pages the current generation has written: what
+    /// recovery would scan, and what a [`Wal::reset`] retires.
+    pub fn log_bytes(&self) -> u64 {
+        u64::from(lock(&self.cursor).next_page - 1) * self.page_size as u64
+    }
+
     fn check_poisoned(&self) -> Result<()> {
         if self.poisoned.load(Ordering::Acquire) {
             let msg = lock(&self.durable)
@@ -603,6 +609,22 @@ mod tests {
         let out = Wal::scan(&*pager).unwrap().unwrap();
         assert_eq!(out.committed.len(), 1);
         assert_eq!(out.committed[0].epoch, 5);
+    }
+
+    #[test]
+    fn log_bytes_grow_with_syncs_and_reset_retires_them() {
+        let (_pager, wal) = mem_wal(128);
+        assert_eq!(wal.log_bytes(), 0);
+        commit_txn(&wal, 2, &[(1, image(0x11, 128))]);
+        assert_eq!(wal.log_bytes(), 0, "buffered records are not logged yet");
+        wal.sync().unwrap();
+        let one = wal.log_bytes();
+        assert!(one > 128 && one % 256 == 0, "{one}");
+        commit_txn(&wal, 3, &[(1, image(0x22, 128))]);
+        wal.sync().unwrap();
+        assert!(wal.log_bytes() > one);
+        wal.reset().unwrap();
+        assert_eq!(wal.log_bytes(), 0);
     }
 
     #[test]

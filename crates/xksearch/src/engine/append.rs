@@ -4,15 +4,15 @@
 
 use super::{
     install_manifest, lock, seal_and_open, AppendOutcome, CommitMode, Engine, SegSnapshot,
-    SegState, SegWriter,
+    SegState, SegWriter, StoredDocument,
 };
 use crate::error::{EngineError, Result};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use xk_index::write_document;
+use xk_index::{append_fragment, document_node, document_spine, graft, Refusal, Spine};
 use xk_segment::{encode_journal_record, MemView, SealedMeta, SegExt, SegmentReader};
 use xk_storage::{free_list, ListAppender, ListHandle, ListWriter};
-use xk_xmltree::{Dewey, XmlTree};
+use xk_xmltree::{Dewey, NodeId};
 
 /// What the writer computed for the segment store during one append,
 /// published only after the commit record makes the append real (and
@@ -34,6 +34,14 @@ impl Engine {
     /// reference layout returns [`EngineError::ReadOnlyLayout`] without
     /// touching a page.
     ///
+    /// An append costs O(fragment), however large the document: the
+    /// fragment is logged as one record at the tail of the stored
+    /// document's chain (`xk_index::append_fragment`), its postings are
+    /// computed from the parsed fragment alone, and the only document
+    /// state consulted is the resident rightmost path
+    /// (`xk_index::Spine`), streamed from the chain on the first append.
+    /// The document is never decoded whole on this path.
+    ///
     /// The append is **atomic**: it runs as a storage transaction whose
     /// touched pages are undo-logged (and, on a durable engine,
     /// WAL-logged before the commit record). Any failure — codec error,
@@ -51,74 +59,45 @@ impl Engine {
     /// * the index must embed its document (`store_document = true`).
     ///
     /// On a durable engine the call returns once the commit record is
-    /// fsynced (inline under [`CommitMode::SyncEachCommit`], at the next
-    /// group-commit flush otherwise). The durability wait happens
-    /// *outside* the writer lock, which is what lets several appenders'
-    /// commit records share one fsync.
+    /// fsynced (inline under [`CommitMode::SyncEachCommit`], by the
+    /// group committer, woken at commit, otherwise). The durability wait
+    /// happens *outside* the writer lock, which is what lets several
+    /// appenders' commit records share one fsync.
     // xk-analyze: root(durability_order)
     pub fn append_subtree(&self, parent: &Dewey, fragment_xml: &str) -> Result<AppendOutcome> {
-        use xk_xmltree::NodeId;
-
         let Some(seg) = self.segments.as_ref() else {
             return Err(EngineError::ReadOnlyLayout);
         };
         let mut writer = lock(&seg.writer);
         let mut stored = lock(&self.document);
-        let (old_chain, doc) = self.loaded(&mut stored)?;
+        let chain = stored.handle.ok_or(EngineError::NoDocument)?;
 
-        // Validate everything before touching the tree or the disk.
-        let parent_id = doc
-            .node_at(parent)
-            .ok_or_else(|| EngineError::BadQuery(format!("no node at {parent}")))?;
-        if !doc.content(parent_id).is_element() {
-            return Err(EngineError::BadQuery(format!(
-                "cannot append under the text node at {parent}"
-            )));
-        }
-        // The parent must lie on the rightmost root-to-leaf path.
-        let mut cursor = NodeId::ROOT;
-        let mut on_rightmost = cursor == parent_id;
-        while !on_rightmost {
-            match doc.children(cursor).last() {
-                Some(&c) => {
-                    cursor = c;
-                    on_rightmost = cursor == parent_id;
-                }
-                None => break,
-            }
-        }
-        if !on_rightmost {
-            return Err(EngineError::BadQuery(format!(
-                "{parent} is not on the document's rightmost path; \
-                 incremental ingestion only supports appends at the tail"
-            )));
-        }
+        // Validate everything before touching the disk.
+        let ordinal = self.graft_ordinal(&mut stored, chain, parent)?;
         let fragment = xk_xmltree::parse(fragment_xml)?;
-
-        // Open the transaction *before* grafting: begin_txn itself can
-        // fail (marking the dirty flag touches the header page), and at
-        // that point the in-memory document must not yet be mutated.
-        // Then graft in memory and mutate the disk under the transaction.
-        // Nothing it writes is visible to queries — they read only the
-        // published snapshot — until the publish after commit.
-        self.env.begin_txn()?;
-        let new_root = graft(doc, parent_id, &fragment, NodeId::ROOT);
-        let root = doc.dewey(new_root);
-        let added: Vec<(Dewey, Vec<String>)> = doc
-            .preorder_from(new_root)
-            .map(|n| (doc.dewey(n), xk_index::node_tokens(doc, n)))
+        let root = parent.child(ordinal);
+        let added: Vec<(Dewey, Vec<String>)> = fragment
+            .preorder()
+            .map(|n| {
+                let mut dewey = root.components().to_vec();
+                dewey.extend_from_slice(fragment.dewey(n).components());
+                (Dewey::from_components(dewey), xk_index::node_tokens(&fragment, n))
+            })
             .collect();
+
+        // Nothing the transaction writes is visible to queries — they
+        // read only the published snapshot — until the publish after
+        // commit, and the resident spine and tree move only then too.
+        self.env.begin_txn()?;
         // A blob finalized during this attempt; if the transaction ends
         // up aborting, it is deleted below rather than lingering as an
         // orphan until the next open.
         let mut orphan: Option<u64> = None;
         let applied = (|| -> Result<(Vec<String>, SegUpdate, ListHandle)> {
             let (touched, update) = self.seg_apply(seg, &writer, &added, &mut orphan)?;
-            // Keep the embedded document in sync for rendering and
-            // reopening, and record both moved pointers in one meta
-            // write.
-            free_list(&self.env, &old_chain)?;
-            let chain = write_document(&self.env, doc)?;
+            // Log the fragment at the document chain's tail, and record
+            // both moved pointers in one meta write.
+            let chain = append_fragment(&self.env, chain, parent, &fragment)?;
             self.index.write_meta(&self.env, Some(chain), &update.writer.ext.encode())?;
             Ok((touched, update, chain))
         })();
@@ -128,18 +107,27 @@ impl Engine {
         let ((touched, update, chain), commit) = match committed {
             Ok(v) => v,
             Err(e) => {
-                // The grafted document is thrown away and lazily
-                // reloaded from the committed chain, which the undo log
-                // restores and whose handle was never touched.
-                stored.tree = None;
+                // The undo log restores the chain's tail; the handle,
+                // spine and tree were never touched.
                 self.abort(seg, orphan)?;
                 return Err(e);
             }
         };
         stored.handle = Some(chain);
+        if let Some(spine) = &mut stored.spine {
+            spine.graft(parent.depth(), &Spine::of(&fragment));
+        }
+        if let Some(tree) = &mut stored.tree {
+            // A render loaded the whole tree: keep it current.
+            if let Some(node) = tree.node_at(parent) {
+                graft(tree, node, &fragment, NodeId::ROOT);
+            }
+        }
         let SegUpdate { writer: next, metas, sealed, mem } = update;
         self.publish(seg, SegSnapshot { epoch: commit.epoch, metas, sealed, mem });
         *writer = next;
+        // Counted, until this returns, by any checkpoint that follows.
+        let _ack = self.ack_pending();
         drop(stored);
         drop(writer);
 
@@ -147,6 +135,41 @@ impl Engine {
         // share the next fsync (group commit).
         self.wait_durable(commit.lsn)?;
         Ok(AppendOutcome { root, epoch: commit.epoch, touched })
+    }
+
+    /// The ordinal a new last child of `parent` gets, read off the
+    /// resident spine — streamed from the committed `chain` on first use,
+    /// never a full decode. A refused `parent` is a
+    /// [`EngineError::BadQuery`] saying what is there instead.
+    fn graft_ordinal(
+        &self,
+        stored: &mut StoredDocument,
+        chain: ListHandle,
+        parent: &Dewey,
+    ) -> Result<u32> {
+        let spine = match &mut stored.spine {
+            Some(spine) => spine,
+            empty => empty.insert(document_spine(&self.env, &chain)?),
+        };
+        let is_element = match spine.child_ordinal(parent.components()) {
+            Ok(ordinal) => return Ok(ordinal),
+            Err(Refusal::NoNode) => None,
+            Err(Refusal::TextNode) => Some(false),
+            // Off the path the spine cannot say what the node is; the
+            // document can (rejections only, so a walk is affordable).
+            Err(Refusal::OffPath) => match &stored.tree {
+                Some(tree) => tree.node_at(parent).map(|n| tree.content(n).is_element()),
+                None => document_node(&self.env, &chain, parent)?,
+            },
+        };
+        Err(EngineError::BadQuery(match is_element {
+            None => format!("no node at {parent}"),
+            Some(false) => format!("cannot append under the text node at {parent}"),
+            Some(true) => format!(
+                "{parent} is not on the document's rightmost path; \
+                 incremental ingestion only supports appends at the tail"
+            ),
+        }))
     }
 
     /// Makes a committed transaction visible: one store. The snapshot
@@ -248,39 +271,28 @@ impl Engine {
     }
 
     /// Blocks until the commit record at `lsn` is on stable storage:
-    /// an inline fsync under [`CommitMode::SyncEachCommit`], the next
-    /// group-commit flush otherwise; immediate without a WAL.
+    /// an inline fsync under [`CommitMode::SyncEachCommit`]; under
+    /// [`CommitMode::GroupCommit`] the committer's next sync, which this
+    /// wakes instead of waiting out its flush interval (commits that land
+    /// while that fsync runs share the one after it). Immediate without
+    /// a WAL.
     pub(super) fn wait_durable(&self, lsn: u64) -> Result<()> {
-        match self.durability.as_ref().map(|d| d.mode) {
-            Some(CommitMode::SyncEachCommit) => {
+        let Some(ctl) = self.durability.as_ref() else {
+            return Ok(());
+        };
+        match ctl.mode {
+            CommitMode::SyncEachCommit => {
                 self.env.sync_wal()?;
             }
-            Some(CommitMode::GroupCommit) => self.env.wait_wal_durable(lsn)?,
-            None => {}
+            CommitMode::GroupCommit => {
+                if let Some(committer) = &ctl.committer {
+                    committer.thread().unpark();
+                }
+                self.env.wait_wal_durable(lsn)?;
+            }
         }
         Ok(())
     }
-}
-
-/// Deep-copies the subtree of `src` rooted at `src_node` as a new last
-/// child of `dst_parent`, returning the copy's root id.
-fn graft(
-    dst: &mut XmlTree,
-    dst_parent: xk_xmltree::NodeId,
-    src: &XmlTree,
-    src_node: xk_xmltree::NodeId,
-) -> xk_xmltree::NodeId {
-    use xk_xmltree::NodeContent;
-    let new_id = match src.content(src_node) {
-        NodeContent::Element { tag, attributes } => {
-            dst.append_element_with_attrs(dst_parent, tag.clone(), attributes.clone())
-        }
-        NodeContent::Text(t) => dst.append_text(dst_parent, t.clone()),
-    };
-    for &c in src.children(src_node) {
-        graft(dst, new_id, src, c);
-    }
-    new_id
 }
 
 #[cfg(test)]
@@ -291,7 +303,7 @@ mod tests {
     use std::time::Duration;
     use xk_segment::{MemSegmentIo, SegmentIo};
     use xk_storage::{EnvOptions, Pager, StorageEnv};
-    use xk_xmltree::school_example;
+    use xk_xmltree::{school_example, NodeId};
 
     #[test]
     fn append_subtree_is_searchable_with_every_algorithm() {
@@ -401,18 +413,6 @@ mod tests {
         });
         let final_out = e.query(&["John", "Ben"], Algorithm::Auto).unwrap();
         assert_eq!(final_out.slcas.len(), 3 + 8);
-    }
-
-    /// A segmented school database over in-memory pagers plus the blob
-    /// store it references — both survive a simulated crash and are
-    /// handed to every reopen.
-    fn seeded_pagers() -> (Arc<dyn Pager>, Arc<dyn SegmentIo>) {
-        let db = Arc::new(xk_storage::MemPager::new(512));
-        let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-        Engine::build_segment_store_with(&env, &school_example(), io.as_ref(), true).unwrap();
-        env.flush().unwrap();
-        (db, io)
     }
 
     #[test]
@@ -591,5 +591,332 @@ mod tests {
         assert_eq!(e.segment_metas().len(), 3);
         let out = e.query(&["John"], Algorithm::Auto).unwrap();
         assert_eq!(out.slcas.len(), 4 + 2);
+    }
+
+    #[test]
+    fn group_commit_wakes_the_committer_instead_of_waiting_out_its_interval() {
+        use xk_storage::MemPager;
+        let (db, io) = seeded_pagers();
+        let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
+        let durability = DurabilityOptions {
+            mode: CommitMode::GroupCommit,
+            flush_interval: Duration::from_secs(10),
+            ..DurabilityOptions::default()
+        };
+        let (engine, _) = Engine::open_durable_with_pagers(
+            Arc::clone(&db),
+            Arc::clone(&wal) as Arc<dyn Pager>,
+            128,
+            durability.clone(),
+            Arc::clone(&io),
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        engine.append_subtree(&Dewey::root(), "<memo>prompt reply</memo>").unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "acknowledged after {took:?}");
+        // Crash with the committer stopped by hand, as in
+        // `group_commit_batches_are_durable`.
+        let mut engine = engine;
+        if let Some(ctl) = engine.durability.as_mut() {
+            ctl.stop.store(true, Ordering::Release);
+            if let Some(h) = ctl.committer.take() {
+                h.thread().unpark();
+                h.join().unwrap();
+            }
+        }
+        std::mem::forget(engine);
+        let (engine, report) =
+            Engine::open_durable_with_pagers(db, wal, 128, durability, io).unwrap();
+        assert_eq!(report.replayed_txns, 1, "the acknowledged append was durable");
+        let hit = engine.query(&["prompt"], Algorithm::Auto).unwrap();
+        assert_eq!(hit.slcas, vec![d("4.0")]);
+    }
+
+    /// Whether the engine holds a decoded tree, and its resident spine.
+    fn resident(e: &Engine) -> (bool, Option<Spine>) {
+        let stored = lock(&e.document);
+        (stored.tree.is_some(), stored.spine.clone())
+    }
+
+    #[test]
+    fn appends_and_reopens_never_decode_the_whole_document() {
+        use xk_storage::MemPager;
+        let (db, io) = seeded_pagers();
+        let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
+        let durability =
+            DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() };
+        let open = || {
+            Engine::open_durable_with_pagers(
+                Arc::clone(&db),
+                Arc::clone(&wal) as Arc<dyn Pager>,
+                128,
+                durability.clone(),
+                Arc::clone(&io),
+            )
+            .unwrap()
+            .0
+        };
+        let e = open();
+        assert_eq!(resident(&e), (false, None), "open derives nothing from the document");
+        e.append_subtree(&Dewey::root(), "<memo>one</memo>").unwrap();
+        e.append_subtree(&d("4"), "<note>two</note>").unwrap();
+        let mut expected = school_example();
+        let memo = expected.append_element(NodeId::ROOT, "memo");
+        expected.append_text(memo, "one");
+        let note = expected.append_element(memo, "note");
+        expected.append_text(note, "two");
+        assert_eq!(resident(&e), (false, Some(Spine::of(&expected))));
+
+        // Crash and recover: still nothing decoded, before and after an append.
+        std::mem::forget(e);
+        let e = open();
+        assert_eq!(resident(&e), (false, None));
+        e.append_subtree(&Dewey::root(), "<memo>three</memo>").unwrap();
+        let memo = expected.append_element(NodeId::ROOT, "memo");
+        expected.append_text(memo, "three");
+        assert_eq!(resident(&e), (false, Some(Spine::of(&expected))));
+
+        // A render loads the tree; appends then keep it current.
+        assert!(e.render_subtree(&d("4.1")).unwrap().contains("two"));
+        e.append_subtree(&d("5"), "<note>four</note>").unwrap();
+        let note = expected.append_element(memo, "note");
+        expected.append_text(note, "four");
+        let stored = lock(&e.document);
+        let tree = stored.tree.as_ref().expect("rendered");
+        assert_eq!(xk_xmltree::encode_tree(tree), xk_xmltree::encode_tree(&expected));
+        assert_eq!(stored.spine, Some(Spine::of(&expected)));
+    }
+
+    #[test]
+    fn a_failed_append_leaves_spine_and_tree_untouched() {
+        use xk_segment::FaultSegmentIo;
+        let opts = EnvOptions { page_size: 512, pool_pages: 256 };
+        let env = StorageEnv::in_memory(opts);
+        let mem_io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
+        Engine::build_segment_store_with(&env, &school_example(), mem_io.as_ref(), true)
+            .unwrap();
+        let fault = Arc::new(FaultSegmentIo::new(mem_io));
+        let e = Engine::from_parts(env, None, Some(Arc::clone(&fault) as Arc<dyn SegmentIo>))
+            .unwrap();
+        e.append_subtree(&Dewey::root(), "<p>John warm</p>").unwrap();
+        e.render_subtree(&Dewey::root()).unwrap();
+        let before = {
+            let stored = lock(&e.document);
+            (stored.handle, stored.spine.clone(), stored.tree.as_ref().map(xk_xmltree::encode_tree))
+        };
+        e.set_seal_threshold(1);
+        fault.arm(0, false);
+        assert!(e.append_subtree(&Dewey::root(), "<p>John torn</p>").is_err());
+        fault.reset();
+        let after = {
+            let stored = lock(&e.document);
+            (stored.handle, stored.spine.clone(), stored.tree.as_ref().map(xk_xmltree::encode_tree))
+        };
+        assert_eq!(after, before);
+        assert!(!e.render_subtree(&Dewey::root()).unwrap().contains("torn"));
+        e.append_subtree(&Dewey::root(), "<p>John healed</p>").unwrap();
+        assert!(e.render_subtree(&d("5")).unwrap().contains("healed"));
+    }
+
+    /// WAL page images of one append on a fresh store over `papers`
+    /// generated papers.
+    fn images_of_one_append(papers: usize) -> usize {
+        use xk_storage::{MemPager, Wal};
+        let tree = xk_workload::generate(&xk_workload::DblpSpec {
+            papers,
+            ..xk_workload::DblpSpec::default()
+        });
+        let (db, io) = seeded_pagers_with(&tree);
+        let wal: Arc<MemPager> = Arc::new(MemPager::new(4096));
+        let durability =
+            DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() };
+        let (e, _) = Engine::open_durable_with_pagers(
+            db,
+            Arc::clone(&wal) as Arc<dyn Pager>,
+            128,
+            durability,
+            io,
+        )
+        .unwrap();
+        e.append_subtree(
+            &Dewey::root(),
+            "<article><title>keyword search smallest lca</title><author>Xu</author></article>",
+        )
+        .unwrap();
+        let log = Wal::scan(&*wal).unwrap().expect("a log");
+        assert_eq!(log.committed.len(), 1);
+        log.committed[0].pages.len()
+    }
+
+    #[test]
+    fn an_append_logs_the_same_pages_whatever_the_document_size() {
+        let small = images_of_one_append(200);
+        let large = images_of_one_append(5000);
+        assert!(small.abs_diff(large) <= 1, "{small} page images at 200 papers, {large} at 5000");
+    }
+
+    // ---- the document log against grafting in memory ----
+
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use xk_index::MemIndex;
+    use xk_xmltree::{encode_tree, XmlTree};
+
+    const WORDS: [&str; 6] = ["apple", "pear", "fig", "kiwi", "plum", "date"];
+
+    /// One step of the document-log differential.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Append fragment `kind` under the rightmost-path node `at`
+        /// picks (a text node there must be refused).
+        Append { at: prop::sample::Index, kind: u8, word: usize },
+        /// Clean shutdown (the drop checkpoints) and reopen.
+        Reopen,
+        /// Kill without a checkpoint and recover from the WAL.
+        Crash,
+        /// Render the whole document, which makes the tree resident.
+        Render,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..12, any::<prop::sample::Index>(), 0u8..5, 0usize..WORDS.len()).prop_map(
+            |(op, at, kind, word)| match op {
+                0..=7 => Step::Append { at, kind, word },
+                8 => Step::Reopen,
+                9 => Step::Crash,
+                _ => Step::Render,
+            },
+        )
+    }
+
+    fn fragment_xml(kind: u8, word: &str) -> String {
+        match kind {
+            0 => format!("<{word}/>"),
+            1 => format!("<p>{word} plum</p>"),
+            2 => format!("<a k=\"{word}\"><b>{word}</b><c/></a>"),
+            3 => format!("<big>{}</big>", format!("{word} fig ").repeat(80)), // > one page
+            _ => format!("<q><r>{word}</r></q>"),
+        }
+    }
+
+    /// A small random document whose rightmost path ends in two
+    /// adjacent text siblings — a shape XML text cannot carry.
+    fn base_tree() -> impl Strategy<Value = XmlTree> {
+        let instrs = (any::<prop::sample::Index>(), any::<bool>(), 0usize..WORDS.len());
+        proptest::collection::vec(instrs, 0..20).prop_map(|instrs| {
+            let mut tree = XmlTree::new("root");
+            let mut elements = vec![NodeId::ROOT];
+            for (parent, is_text, w) in instrs {
+                let parent = *parent.get(&elements);
+                if is_text {
+                    tree.append_text(parent, WORDS[w]);
+                } else {
+                    elements.push(tree.append_element(parent, WORDS[w]));
+                }
+            }
+            let mut deepest = NodeId::ROOT;
+            while let Some(&last) = tree.children(deepest).last() {
+                if !tree.content(last).is_element() {
+                    break;
+                }
+                deepest = last;
+            }
+            tree.append_text(deepest, "kiwi");
+            tree.append_text(deepest, "plum");
+            tree
+        })
+    }
+
+    /// The engine's stored document, spine, resident tree and postings
+    /// all equal the model's.
+    fn check(e: &Engine, model: &XmlTree) -> std::result::Result<(), TestCaseError> {
+        let stored = lock(&e.document);
+        let chain = stored.handle.expect("a stored document");
+        let logged = e.with_env(|env| xk_index::read_document(env, &chain)).unwrap();
+        prop_assert_eq!(encode_tree(&logged), encode_tree(model));
+        let spine = Spine::of(model);
+        let streamed = e.with_env(|env| xk_index::document_spine(env, &chain)).unwrap();
+        prop_assert_eq!(&streamed, &spine);
+        if let Some(resident) = &stored.spine {
+            prop_assert_eq!(resident, &spine);
+        }
+        if let Some(tree) = &stored.tree {
+            prop_assert_eq!(encode_tree(tree), encode_tree(model));
+        }
+        drop(stored);
+        let mem = MemIndex::build(model);
+        let mut expected: Vec<(String, u64)> =
+            mem.keywords().map(|(k, f)| (k.to_string(), f)).collect();
+        expected.sort();
+        prop_assert_eq!(e.vocabulary(), expected);
+        for (kw, _) in e.vocabulary() {
+            let got = e.posting_dump(&kw).unwrap().unwrap_or_default();
+            prop_assert_eq!(got.as_slice(), mem.keyword_list(&kw).unwrap(), "postings of {}", kw);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn document_log_matches_grafting_in_memory(
+            base in base_tree(),
+            steps in proptest::collection::vec(step(), 1..16),
+        ) {
+            let (db, io) = seeded_pagers_with(&base);
+            let wal: Arc<dyn Pager> = Arc::new(xk_storage::MemPager::new(512));
+            let durability = DurabilityOptions {
+                mode: CommitMode::SyncEachCommit,
+                ..DurabilityOptions::default()
+            };
+            let open = || {
+                let (db, wal, io) = (Arc::clone(&db), Arc::clone(&wal), Arc::clone(&io));
+                Engine::open_durable_with_pagers(db, wal, 128, durability.clone(), io).unwrap().0
+            };
+            let mut e = open();
+            let mut model = base;
+            for step in steps {
+                match step {
+                    Step::Append { at, kind, word } => {
+                        let spine = Spine::of(&model);
+                        let depth = at.index(spine.nodes().len());
+                        let path = spine.nodes()[..depth].iter().map(|n| n.children - 1).collect();
+                        let parent = Dewey::from_components(path);
+                        let xml = fragment_xml(kind, WORDS[word]);
+                        let result = e.append_subtree(&parent, &xml);
+                        match spine.child_ordinal(parent.components()) {
+                            Ok(ordinal) => {
+                                let out = result.unwrap();
+                                prop_assert_eq!(&out.root, &parent.child(ordinal));
+                                let node = model.node_at(&parent).unwrap();
+                                let fragment = xk_xmltree::parse(&xml).unwrap();
+                                graft(&mut model, node, &fragment, NodeId::ROOT);
+                            }
+                            Err(_) => prop_assert!(
+                                matches!(&result, Err(EngineError::BadQuery(m))
+                                    if m.contains("text node")),
+                                "{:?}", result
+                            ),
+                        }
+                    }
+                    Step::Reopen => {
+                        drop(e);
+                        e = open();
+                    }
+                    Step::Crash => {
+                        std::mem::forget(e);
+                        e = open();
+                    }
+                    Step::Render => {
+                        let xml = e.render_subtree(&Dewey::root()).unwrap();
+                        let want = xk_xmltree::to_pretty_xml_string(&model, NodeId::ROOT);
+                        prop_assert_eq!(xml, want);
+                    }
+                }
+                check(&e, &model)?;
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Background maintenance of the segment store: the size-tiered merge,
-//! the thread that drives it, and the deep verify sweep — everything
-//! that takes the writer lock without being an append.
+//! the WAL checkpoint, the thread that drives both, and the deep verify
+//! sweep — everything that takes the writer lock without being an
+//! append.
 
 use super::{install_manifest, lock, seal_and_open, CompactOutcome, Engine, SegSnapshot};
 use crate::error::{EngineError, Result};
@@ -8,6 +9,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xk_segment::{merged_lists, plan_merge, verify_store, SegExt, SegmentVerifyReport};
+
+/// The WAL is checkpointed once it holds this many times the database
+/// file's bytes, so recovery time and log disk track the data, not its
+/// history. An append logs O(fragment) pages, so at the benchmark's
+/// scale (a ~4 MB file) that takes on the order of a thousand appends.
+const CHECKPOINT_LOG_MULTIPLE: u64 = 4;
 
 /// Handle to the background merge thread ([`spawn_merger`]).
 pub struct MergerCtl {
@@ -41,9 +48,10 @@ impl Drop for MergerCtl {
 
 /// Spawns a background thread that folds small adjacent segments
 /// together ([`Engine::compact_segments`]) whenever the tiered policy
-/// finds an eligible run, checking every `interval`. A no-op thread for
-/// engines without a segment store. Merge failures stop the thread (the
-/// store stays fully queryable; compaction is an optimization).
+/// finds an eligible run, and checkpoints the WAL once it outgrows the
+/// database file, checking every `interval`. A no-op thread for engines
+/// without a segment store. Failures stop the thread (the store stays
+/// fully queryable; both are optimizations).
 pub fn spawn_merger(engine: Arc<Engine>, interval: Duration) -> Result<MergerCtl> {
     let stop = Arc::new(AtomicBool::new(false));
     let thread_stop = Arc::clone(&stop);
@@ -60,6 +68,10 @@ pub fn spawn_merger(engine: Arc<Engine>, interval: Duration) -> Result<MergerCtl
                         eprintln!("segment merger stopped: {e}");
                         break;
                     }
+                }
+                if let Err(e) = engine.checkpoint_if_due() {
+                    eprintln!("segment merger stopped: checkpoint failed: {e}");
+                    break;
                 }
                 std::thread::park_timeout(interval);
             }
@@ -137,6 +149,36 @@ impl Engine {
         }))
     }
 
+    /// Checkpoints the WAL ([`xk_storage::StorageEnv::flush`]: sync it,
+    /// write every logged page back to the database file, retire the
+    /// log) once it holds more than [`CHECKPOINT_LOG_MULTIPLE`] times
+    /// the file's bytes; returns whether it did. It holds the writer
+    /// mutex, under which every transaction runs, so none is open. It
+    /// first lets every committed append finish its durability wait,
+    /// which takes at most one fsync: the reset restarts the log's LSNs,
+    /// and a waiter on an old one would never see it synced.
+    fn checkpoint_if_due(&self) -> Result<bool> {
+        let Some(seg) = self.segments.as_ref() else {
+            return Ok(false);
+        };
+        if !self.checkpoint_due() {
+            return Ok(false);
+        }
+        let _writer = lock(&seg.writer);
+        while self.acks_pending.load(Ordering::Acquire) > 0 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        self.env.flush()?;
+        Ok(true)
+    }
+
+    /// Whether the WAL holds more than [`CHECKPOINT_LOG_MULTIPLE`] times
+    /// the database file's bytes.
+    fn checkpoint_due(&self) -> bool {
+        let data = u64::from(self.env.page_count()) * self.env.physical_page_size() as u64;
+        self.env.wal_bytes() > CHECKPOINT_LOG_MULTIPLE * data
+    }
+
     /// Deep-checks the segment store — manifest against blobs, every
     /// block CRC, skip-entry monotonicity, dictionary/postings
     /// reconciliation, journal replayability. `Ok(None)` when the engine
@@ -156,7 +198,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
-    use super::super::Algorithm;
+    use super::super::{Algorithm, CommitMode, DurabilityOptions};
     use super::*;
     use std::time::Instant;
     use xk_xmltree::Dewey;
@@ -209,4 +251,103 @@ mod tests {
         assert_eq!(out.slcas.len(), 4 + 8);
     }
 
+    /// A durable engine over shared in-memory pagers, and a reopen of
+    /// the same pagers after a simulated crash.
+    struct Durable {
+        db: Arc<dyn xk_storage::Pager>,
+        wal: Arc<dyn xk_storage::Pager>,
+        io: Arc<dyn xk_segment::SegmentIo>,
+    }
+
+    impl Durable {
+        fn new() -> Durable {
+            let (db, io) = seeded_pagers();
+            Durable { db, wal: Arc::new(xk_storage::MemPager::new(512)), io }
+        }
+
+        fn open(&self) -> Engine {
+            let durability = DurabilityOptions {
+                mode: CommitMode::SyncEachCommit,
+                ..DurabilityOptions::default()
+            };
+            let (engine, _) = Engine::open_durable_with_pagers(
+                Arc::clone(&self.db),
+                Arc::clone(&self.wal),
+                128,
+                durability,
+                Arc::clone(&self.io),
+            )
+            .unwrap();
+            engine
+        }
+    }
+
+    #[test]
+    fn merger_checkpoints_a_growing_wal_and_loses_no_acknowledged_append() {
+        let store = Durable::new();
+        let e = Arc::new(store.open());
+        let ctl = spawn_merger(Arc::clone(&e), Duration::from_millis(1)).unwrap();
+        let mut acked = Vec::new();
+        let mut peak = 0;
+        let mut reset = false;
+        for i in 0..400 {
+            e.append_subtree(&Dewey::root(), &format!("<memo>m{i}</memo>")).unwrap();
+            acked.push(format!("m{i}"));
+            let log = e.with_env(|env| env.wal_bytes());
+            reset |= log < peak;
+            peak = peak.max(log);
+            if reset && acked.len() >= 20 {
+                break;
+            }
+        }
+        ctl.stop();
+        assert!(reset, "the WAL grew to {peak} bytes and was never reset");
+        // Appends after the checkpoint land in the fresh log; then crash.
+        for i in 0..3 {
+            e.append_subtree(&Dewey::root(), &format!("<memo>late{i}</memo>")).unwrap();
+            acked.push(format!("late{i}"));
+        }
+        std::mem::forget(e);
+        let e = store.open();
+        for marker in &acked {
+            let hit = e.query(&[marker.as_str()], Algorithm::Auto).unwrap();
+            assert_eq!(hit.slcas.len(), 1, "acknowledged {marker} lost across the crash");
+        }
+    }
+
+    #[test]
+    fn checkpoint_waits_out_open_transactions_and_pending_acks() {
+        let e = Durable::new().open();
+        let mut i = 0;
+        while !e.checkpoint_due() {
+            e.append_subtree(&Dewey::root(), &format!("<memo>m{i}</memo>")).unwrap();
+            i += 1;
+        }
+        // A committed append still in its durability wait holds the
+        // checkpoint off, and so does an open transaction (it holds the
+        // writer mutex).
+        let seg = e.segments.as_ref().unwrap();
+        let writer = lock(&seg.writer);
+        let ack = e.ack_pending();
+        e.env.begin_txn().unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let checkpoint = s.spawn(|| {
+                let ran = e.checkpoint_if_due();
+                done.store(true, Ordering::Release);
+                ran
+            });
+            let held_off = |what: &str| {
+                std::thread::sleep(Duration::from_millis(50));
+                assert!(!done.load(Ordering::Acquire), "checkpoint ran {what}");
+            };
+            held_off("inside a transaction");
+            e.env.abort_txn().unwrap();
+            drop(writer);
+            held_off("ahead of an acknowledgement");
+            drop(ack);
+            assert!(checkpoint.join().unwrap().unwrap(), "the due checkpoint ran after");
+        });
+        assert_eq!(e.with_env(|env| env.wal_bytes()), 0, "the WAL was reset");
+    }
 }

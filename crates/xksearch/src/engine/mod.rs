@@ -33,20 +33,25 @@
 //! copy-on-write mem view and the epoch they describe — and reads
 //! nothing else, so it never observes a half-applied append and
 //! `append_subtree` only needs `&self`. The one thing still read from
-//! pages a transaction rewrites is the stored document, and its readers
-//! and the appender serialize on the `document` mutex. The reference
-//! layout is never written, so it has nothing to isolate.
+//! pages a transaction writes is the stored document's chain, an
+//! append-only log (`xk_index::document`): an append adds one fragment
+//! record at its tail and never rewrites what is there. Its readers —
+//! the first append streaming the rightmost path, a render decoding the
+//! whole tree — and the appender serialize on the `document` mutex. The
+//! reference layout is never written, so it has nothing to isolate.
 //!
 //! Every piece of state has one owner: the [`DiskIndex`] is immutable
 //! after open, the segment store's durable pointers live behind its
-//! writer mutex, the document's chain handle beside the decoded tree
-//! behind `document` (lock order: writer, then `document`), and a
-//! commit publishes by one store.
+//! writer mutex, the document's chain handle beside what has been
+//! derived from it (spine, tree) behind `document` (lock order: writer,
+//! then `document`), and a commit publishes by one store.
 //!
 //! Durability has two modes: [`CommitMode::SyncEachCommit`] fsyncs the
 //! WAL inside every append, while [`CommitMode::GroupCommit`] (the
-//! default) lets a background committer thread batch the fsyncs of all
-//! appends that land within one flush interval into a single sync.
+//! default) hands the fsync to a background committer thread, woken at
+//! every commit, so appends that commit while one fsync runs share the
+//! next. The merger thread ([`spawn_merger`]) checkpoints the WAL once
+//! it outgrows the database file by a fixed factor.
 
 mod append;
 mod compact;
@@ -57,12 +62,12 @@ pub use compact::{spawn_merger, MergerCtl};
 use crate::error::{EngineError, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 use xk_index::{
     build_disk_index, read_document, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList,
-    IndexError,
+    IndexError, Spine,
 };
 use xk_segment::{
     read_manifest, replay_journal, seal, write_manifest, DirSegmentIo, MemSegment, MemSegmentIo,
@@ -118,10 +123,10 @@ impl std::fmt::Display for Algorithm {
 /// When an append is acknowledged as durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitMode {
-    /// A background committer thread fsyncs the WAL every
-    /// [`DurabilityOptions::flush_interval`]; concurrent appends that
-    /// commit within one interval share a single fsync (the classic
-    /// group commit). Appends block until their commit record is synced.
+    /// A background committer thread fsyncs the WAL, woken by every
+    /// commit; appends that commit while one fsync runs share the next
+    /// (the classic group commit). Appends block until their commit
+    /// record is synced.
     GroupCommit,
     /// Every append fsyncs the WAL before returning — lowest latency to
     /// durability, one fsync per append.
@@ -133,7 +138,8 @@ pub enum CommitMode {
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
     pub mode: CommitMode,
-    /// How often the group-commit thread fsyncs the WAL (ignored under
+    /// How often the group-commit thread fsyncs the WAL when no commit
+    /// wakes it: an idle backstop (ignored under
     /// [`CommitMode::SyncEachCommit`]).
     pub flush_interval: Duration,
     /// Where the write-ahead log lives; defaults to `<db_path>.wal`
@@ -213,6 +219,16 @@ pub struct AppendOutcome {
     pub touched: Vec<String>,
 }
 
+/// Decrements [`Engine::acks_pending`] when an append's durability wait
+/// is over, whatever its outcome.
+struct AckPending<'e>(&'e AtomicUsize);
+
+impl Drop for AckPending<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// The group-commit machinery of a durable engine.
 struct DurabilityCtl {
     mode: CommitMode,
@@ -287,14 +303,17 @@ pub struct CompactOutcome {
     pub epoch: u64,
 }
 
-/// The stored document's durable pointer and, once something needed it,
-/// the decoded tree.
+/// The stored document's durable pointer and what has been derived
+/// from it so far. Both derived views follow every commit and only a
+/// commit: a failed append leaves them as they were.
 struct StoredDocument {
     /// The committed document chain (`None`: built without a document).
     /// Only a committed append moves it.
     handle: Option<ListHandle>,
-    /// Loaded on first use; a failed append drops it, to be reloaded
-    /// from the intact committed chain.
+    /// The rightmost path — all an append needs — streamed from the
+    /// chain by the first append, in O(depth) memory.
+    spine: Option<Spine>,
+    /// The whole tree, decoded by the first render.
     tree: Option<XmlTree>,
 }
 
@@ -311,12 +330,17 @@ pub struct Engine {
     /// root its queries read.
     index: DiskIndex,
     /// The stored document. The mutex is also what isolates the
-    /// document chain's pages: every reader of them holds it, and so
-    /// does `append_subtree` from before its transaction begins until
-    /// after it is published. Taken after the segment writer mutex,
-    /// never before it.
+    /// document chain's tail page: every reader of the chain holds it,
+    /// and so does `append_subtree` from before its transaction begins
+    /// until after it is published. Taken after the segment writer
+    /// mutex, never before it.
     document: Mutex<StoredDocument>,
     durability: Option<DurabilityCtl>,
+    /// Appends between their commit and the end of their durability
+    /// wait. Raised under the segment writer mutex, so a checkpoint
+    /// holding that mutex sees every one, and waits for 0 before the
+    /// WAL reset restarts the LSNs they wait on (`checkpoint_if_due`).
+    acks_pending: AtomicUsize,
     /// Present when the index's extension region carries a [`SegExt`]:
     /// postings then live in packed segment blobs plus a journaled mem
     /// segment instead of B+tree posting trees, and the store's writer
@@ -624,8 +648,15 @@ impl Engine {
                 Some(DurabilityCtl { mode: opts.mode, stop, committer })
             }
         };
-        let document = StoredDocument { handle: index.document_handle(), tree: None };
-        Ok(Engine { env, index, document: Mutex::new(document), durability, segments })
+        let document = StoredDocument { handle: index.document_handle(), spine: None, tree: None };
+        Ok(Engine {
+            env,
+            index,
+            document: Mutex::new(document),
+            durability,
+            acks_pending: AtomicUsize::new(0),
+            segments,
+        })
     }
 
     /// The committed epoch — advances on every commit.
@@ -678,17 +709,11 @@ impl Engine {
         self.index.ranked_list(&self.env, keyword, slot)
     }
 
-    /// The committed chain and decoded tree inside `doc` — the contents
-    /// of the `document` mutex, whose guard the caller holds and which
-    /// is what makes this page read safe (see the field) — decoding the
-    /// chain first if the tree is not there yet.
-    fn loaded<'d>(&self, doc: &'d mut StoredDocument) -> Result<(ListHandle, &'d mut XmlTree)> {
-        let chain = doc.handle.ok_or(EngineError::NoDocument)?;
-        let tree = match &mut doc.tree {
-            Some(tree) => tree,
-            empty => empty.insert(read_document(&self.env, &chain)?),
-        };
-        Ok((chain, tree))
+    /// Counts the calling append as awaiting durability until the
+    /// returned guard drops. Call it holding the segment writer mutex.
+    fn ack_pending(&self) -> AckPending<'_> {
+        self.acks_pending.fetch_add(1, Ordering::AcqRel);
+        AckPending(&self.acks_pending)
     }
 
     /// True when this engine stores postings in packed segments.
@@ -721,10 +746,17 @@ impl Engine {
     }
 
     /// Renders the answer subtree rooted at an SLCA as pretty-printed XML
-    /// — what the paper's demo shows the user.
+    /// — what the paper's demo shows the user. The first render decodes
+    /// the whole stored document and keeps it; later appends graft into
+    /// it.
     pub fn render_subtree(&self, slca: &Dewey) -> Result<String> {
         let mut stored = lock(&self.document);
-        let (_, doc) = self.loaded(&mut stored)?;
+        let chain = stored.handle.ok_or(EngineError::NoDocument)?;
+        // Holding the `document` guard is what makes this page read safe.
+        let doc = match &mut stored.tree {
+            Some(tree) => tree,
+            empty => empty.insert(read_document(&self.env, &chain)?),
+        };
         let node = doc
             .node_at(slca)
             .ok_or_else(|| EngineError::BadQuery(format!("no node at {slca}")))?;
@@ -745,9 +777,10 @@ impl Drop for Engine {
     }
 }
 
-/// Spawns the group-commit thread: it fsyncs the WAL every
-/// `flush_interval`, turning all commit records that accumulated since
-/// the previous flush into one durable batch.
+/// Spawns the group-commit thread: it fsyncs the WAL whenever a commit
+/// wakes it (`Engine::wait_durable`), and every `flush_interval`
+/// otherwise, turning all commit records that accumulated since the
+/// previous fsync into one durable batch.
 // xk-analyze: root(panic_path)
 fn spawn_committer(
     env: Arc<StorageEnv>,
@@ -862,6 +895,23 @@ mod fixtures {
 
     pub fn d(s: &str) -> Dewey {
         s.parse().unwrap()
+    }
+
+    /// A segmented school database over in-memory pagers plus the blob
+    /// store it references — both survive a simulated crash and are
+    /// handed to every reopen.
+    pub fn seeded_pagers() -> (Arc<dyn Pager>, Arc<dyn SegmentIo>) {
+        seeded_pagers_with(&school_example())
+    }
+
+    /// [`seeded_pagers`] over any document.
+    pub fn seeded_pagers_with(tree: &XmlTree) -> (Arc<dyn Pager>, Arc<dyn SegmentIo>) {
+        let db = Arc::new(xk_storage::MemPager::new(512));
+        let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
+        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
+        Engine::build_segment_store_with(&env, tree, io.as_ref(), true).unwrap();
+        env.flush().unwrap();
+        (db, io)
     }
 }
 

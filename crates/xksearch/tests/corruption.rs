@@ -134,6 +134,59 @@ fn thousand_blob_byte_flips_never_panic_and_never_lie() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The stored document's twin of the sweeps above: after ten appends
+/// the document chain is a base plus ten fragment records (one deeper,
+/// one larger than a page). Flip bytes of the database file; every open
+/// and render of the whole document must error or render exactly the
+/// clean document.
+#[test]
+fn thousand_byte_flips_after_appends_never_panic_and_never_lie() {
+    let dir = temp_dir("doc-flips");
+    let path = dir.join("school.db");
+    let opts = EnvOptions { page_size: 512, pool_pages: 64 };
+    let engine = Engine::build_segmented(&school_example(), &path, opts.clone(), true).unwrap();
+    for i in 0..8 {
+        let memo = format!("<memo><title>m{i}</title>john and ben</memo>");
+        engine.append_subtree(&Dewey::root(), &memo).unwrap();
+    }
+    engine.append_subtree(&"11".parse().unwrap(), "<note>deeper</note>").unwrap();
+    let big = format!("<bulk>{}</bulk>", "padding text ".repeat(60));
+    engine.append_subtree(&Dewey::root(), &big).unwrap();
+    let expected = engine.render_subtree(&Dewey::root()).unwrap();
+    assert!(expected.contains("deeper") && expected.contains("m7"), "{expected}");
+    drop(engine);
+
+    let clean = std::fs::read(&path).unwrap();
+    let mut rng = 0xD0C_F1195_u64;
+    let (mut errored, mut survived) = (0u32, 0u32);
+    for i in 0..1000 {
+        let pos = (splitmix64(&mut rng) as usize) % clean.len();
+        let xor = (splitmix64(&mut rng) % 255 + 1) as u8; // never a no-op
+        let mut bytes = clean.clone();
+        bytes[pos] ^= xor;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let opts = opts.clone();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Engine::open(&path, opts)?.render_subtree(&Dewey::root())
+        }));
+        match outcome {
+            Err(_) => panic!("flip #{i} (byte {pos} ^ {xor:#04x}) caused a PANIC"),
+            Ok(Err(_)) => errored += 1,
+            Ok(Ok(xml)) => {
+                assert!(
+                    xml == expected,
+                    "flip #{i} (byte {pos} ^ {xor:#04x}) silently changed the document"
+                );
+                survived += 1;
+            }
+        }
+    }
+    println!("document flips: {errored} errored, {survived} survived (dead space)");
+    assert!(errored > 100, "only {errored}/1000 flips were detected?");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A crash in the middle of an `Engine`-level index build (torn page,
 /// then every subsequent write fails) must leave a file that
 /// `StorageEnv::open` refuses — the dirty flag or a checksum gives it

@@ -26,6 +26,9 @@ pub mod tree;
 
 pub use dewey::{Dewey, ParseDeweyError};
 pub use parser::{parse, parse_with, ParseError, ParseOptions, Position};
-pub use serialize::{decode_tree, encode_tree, to_pretty_xml_string, to_xml_string};
+pub use serialize::{
+    decode_tree, decode_tree_prefix, encode_tree, to_pretty_xml_string, to_xml_string,
+    walk_encoded,
+};
 pub use tokenize::{normalize_keyword, tokenize};
 pub use tree::{school_example, Attribute, NodeContent, NodeId, XmlTree};

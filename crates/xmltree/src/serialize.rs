@@ -5,6 +5,8 @@
 
 use crate::tree::{NodeContent, NodeId, XmlTree};
 use std::fmt::Write;
+use std::io::Read;
+use std::ops::ControlFlow;
 
 /// Serializes the subtree rooted at `root` to a compact XML string.
 pub fn to_xml_string(tree: &XmlTree, root: NodeId) -> String {
@@ -153,6 +155,17 @@ fn encode_node(tree: &XmlTree, id: NodeId, out: &mut Vec<u8>) {
 /// Returns a description of the first malformation on corrupt input —
 /// never panics.
 pub fn decode_tree(bytes: &[u8]) -> Result<XmlTree, String> {
+    let (tree, used) = decode_tree_prefix(bytes)?;
+    if used != bytes.len() {
+        return Err(format!("{} trailing byte(s)", bytes.len() - used));
+    }
+    Ok(tree)
+}
+
+/// Decodes the [`encode_tree`] encoding at the start of `bytes`, which
+/// may continue with anything else, and returns the tree together with
+/// the number of bytes it took. Never panics.
+pub fn decode_tree_prefix(bytes: &[u8]) -> Result<(XmlTree, usize), String> {
     let body = bytes
         .strip_prefix(&TREE_MAGIC[..])
         .ok_or_else(|| "missing XKDOC1 magic".to_string())?;
@@ -168,10 +181,125 @@ pub fn decode_tree(bytes: &[u8]) -> Result<XmlTree, String> {
     for _ in 0..children {
         decode_node(&mut cur, &mut tree, NodeId::ROOT, 0)?;
     }
-    if cur.pos != cur.bytes.len() {
-        return Err(format!("{} trailing byte(s)", cur.bytes.len() - cur.pos));
+    Ok((tree, TREE_MAGIC.len() + cur.pos))
+}
+
+/// Walks one [`encode_tree`] encoding read from `src` in preorder
+/// without building a tree. `visit(path, element, children)` sees each
+/// node's path below the encoded root (empty for the root itself),
+/// whether it is an element, and its child count; returning
+/// `ControlFlow::Break` ends the walk early, and the walk returns it.
+///
+/// The walk stops after the encoding's last byte, so whatever follows
+/// in `src` stays unread. Memory is O(depth): strings are skipped, not
+/// validated — [`decode_tree`] is the full check.
+pub fn walk_encoded<R: Read>(
+    src: &mut R,
+    mut visit: impl FnMut(&[u32], bool, u64) -> ControlFlow<()>,
+) -> Result<ControlFlow<()>, String> {
+    let mut s = Stream { src };
+    let mut magic = [0u8; TREE_MAGIC.len()];
+    s.fill(&mut magic).map_err(|_| "missing XKDOC1 magic".to_string())?;
+    if magic != *TREE_MAGIC {
+        return Err("missing XKDOC1 magic".into());
     }
-    Ok(tree)
+    if s.byte()? != 0 {
+        return Err("document root must be an element".into());
+    }
+    let children = s.element_rest()?;
+    let mut path: Vec<u32> = Vec::new();
+    if visit(&path, true, children).is_break() {
+        return Ok(ControlFlow::Break(()));
+    }
+    // One frame per open element: children still to read, next ordinal.
+    let mut open: Vec<(u64, u32)> = vec![(children, 0)];
+    while let Some(top) = open.last_mut() {
+        if top.0 == 0 {
+            open.pop();
+            path.pop(); // the root frame has no path entry: a no-op
+            continue;
+        }
+        top.0 -= 1;
+        let ordinal = top.1;
+        top.1 = top.1.checked_add(1).ok_or("child count overflows an ordinal")?;
+        if open.len() > MAX_DECODE_DEPTH {
+            return Err("document nesting exceeds the decode depth bound".into());
+        }
+        path.push(ordinal);
+        let flow = match s.byte()? {
+            1 => {
+                s.skip_str()?;
+                let flow = visit(&path, false, 0);
+                path.pop();
+                flow
+            }
+            0 => {
+                let children = s.element_rest()?;
+                open.push((children, 0));
+                visit(&path, true, children)
+            }
+            k => return Err(format!("unknown node kind {k}")),
+        };
+        if flow.is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+    }
+    Ok(ControlFlow::Continue(()))
+}
+
+/// [`walk_encoded`]'s reader: the same record grammar as [`Cursor`],
+/// pulled from a stream instead of a slice.
+struct Stream<'r, R> {
+    src: &'r mut R,
+}
+
+impl<R: Read> Stream<'_, R> {
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), String> {
+        self.src.read_exact(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => "truncated document record".to_string(),
+            _ => e.to_string(),
+        })
+    }
+
+    fn byte(&mut self) -> Result<u8, String> {
+        let mut b = [0u8];
+        self.fill(&mut b)?;
+        Ok(b[0])
+    }
+
+    fn varint(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err("varint overruns 64 bits".into())
+    }
+
+    fn skip_str(&mut self) -> Result<(), String> {
+        let mut left = self.varint()?;
+        let mut scratch = [0u8; 64];
+        while left > 0 {
+            let n = left.min(scratch.len() as u64) as usize;
+            self.fill(&mut scratch[..n])?;
+            left -= n as u64;
+        }
+        Ok(())
+    }
+
+    /// An element after its kind byte: skips tag and attributes,
+    /// returns the child count.
+    fn element_rest(&mut self) -> Result<u64, String> {
+        self.skip_str()?;
+        for _ in 0..self.varint()? {
+            self.skip_str()?;
+            self.skip_str()?;
+        }
+        self.varint()
+    }
 }
 
 struct Cursor<'a> {
@@ -370,5 +498,81 @@ mod tests {
         let mut bad_kind = TREE_MAGIC.to_vec();
         bad_kind.extend_from_slice(&[0, 1, b'r', 0, 1, 7]);
         assert!(decode_tree(&bad_kind).is_err(), "unknown node kind");
+    }
+
+    #[test]
+    fn prefix_decode_reports_where_the_tree_ends() {
+        let t = parse("<a><b>hi</b><c/></a>").unwrap();
+        let mut bytes = encode_tree(&t);
+        let len = bytes.len();
+        bytes.extend_from_slice(b"whatever follows");
+        let (back, used) = decode_tree_prefix(&bytes).unwrap();
+        assert_eq!(used, len);
+        assert_same_tree(&t, &back);
+        assert!(decode_tree(&bytes).is_err(), "the full decode still rejects trailing bytes");
+    }
+
+    /// `(path, element, children)` per node, the way `walk_encoded`
+    /// reports them.
+    fn walked(bytes: &[u8]) -> Result<Vec<(Vec<u32>, bool, u64)>, String> {
+        let mut seen = Vec::new();
+        let flow = walk_encoded(&mut &bytes[..], |path, element, children| {
+            seen.push((path.to_vec(), element, children));
+            ControlFlow::Continue(())
+        })?;
+        assert_eq!(flow, ControlFlow::Continue(()));
+        Ok(seen)
+    }
+
+    #[test]
+    fn walk_visits_every_node_in_preorder_without_a_tree() {
+        let mut t = parse("<a x=\"1\"><b>hi</b><c/><d><e>deep</e>tail</d></a>").unwrap();
+        t.append_text(NodeId::ROOT, "one");
+        t.append_text(NodeId::ROOT, "two");
+        let expected: Vec<(Vec<u32>, bool, u64)> = t
+            .preorder()
+            .map(|n| {
+                let path = t.dewey(n).components().to_vec();
+                (path, t.content(n).is_element(), t.children(n).len() as u64)
+            })
+            .collect();
+        let bytes = encode_tree(&t);
+        assert_eq!(walked(&bytes).unwrap(), expected);
+
+        // The walk stops at the encoding's last byte.
+        let mut stream = bytes.clone();
+        stream.extend_from_slice(b"next");
+        let mut src = &stream[..];
+        assert!(walk_encoded(&mut src, |_, _, _| ControlFlow::Continue(())).is_ok());
+        assert_eq!(src, b"next");
+
+        // An early break is reported, and nothing after it is visited.
+        let mut visits = 0;
+        let flow = walk_encoded(&mut &bytes[..], |path, _, _| {
+            visits += 1;
+            if path == [1] {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(flow, Ok(ControlFlow::Break(())));
+        assert_eq!(visits, 4, "root, 0, 0.0, 1");
+    }
+
+    #[test]
+    fn walk_rejects_what_decode_rejects_structurally() {
+        let t = parse("<a><b>hi</b></a>").unwrap();
+        let good = encode_tree(&t);
+        assert!(walked(&good[1..]).is_err(), "missing magic");
+        for cut in 0..good.len() {
+            assert!(walked(&good[..cut]).is_err(), "truncation at {cut}");
+        }
+        let mut bad_kind = TREE_MAGIC.to_vec();
+        bad_kind.extend_from_slice(&[0, 1, b'r', 0, 1, 7]);
+        assert!(walked(&bad_kind).is_err(), "unknown node kind");
+        let mut text_root = TREE_MAGIC.to_vec();
+        text_root.extend_from_slice(&[1, 1, b'r']);
+        assert!(walked(&text_root).is_err(), "text root");
     }
 }
