@@ -8,9 +8,9 @@
 //!   IL): `O(k·d·|S_1|·log|S_max|)`, orders of magnitude faster than the
 //!   alternatives when keyword frequencies differ;
 //! * [`scan_eager`] — the variant tuned for similar frequencies: the same
-//!   eager loop, but the match lookups are expected to be answered by
-//!   position-remembering cursors (anchored B+tree cursors on disk) so a
-//!   near-sequential probe pattern costs `O(d·Σ|S_i|)`;
+//!   eager loop, with every match step answered by a forward-only
+//!   [`ScanCursor`] that reads each list once, front to back, so the
+//!   query costs `O(d·Σ|S_i| + k·d·|S_1|)` and no indexed lookup;
 //! * [`stack_merge`] — the prior-work sort-merge Stack algorithm (XRANK's
 //!   DIL adapted to SLCA semantics), `O(k·d·Σ|S_i|)`;
 //! * [`brute_force_slca`] — the `O(d·Π|S_i|)` oracle;
@@ -18,7 +18,8 @@
 //!   exactly one `checkLCA` per SLCA ancestor.
 //!
 //! Keyword lists are abstracted by [`RankedList`] (indexed left/right
-//! match) and [`StreamList`] (sequential scan); [`MemList`] implements
+//! match) and [`StreamList`] (sequential scan, allocation-free through
+//! [`StreamList::next_into`]); [`MemList`] implements
 //! both in memory; `xk-index` and `xk-segment` provide disk-backed
 //! implementations, which report storage failures through an
 //! [`ErrorSlot`] because the traits are infallible.
@@ -48,7 +49,7 @@ pub use lca::{all_lcas, all_lcas_collect, LcaKind};
 pub use lists::{
     ChainedRankedList, ChainedStreamList, ErrorSlot, MemList, RankedList, StreamList,
 };
-pub use matching::{deeper, deepest_dominator_ranked, EagerFilter};
+pub use matching::{deeper, deepest_dominator_ranked, EagerFilter, ScanCursor};
 pub use slca::{
     indexed_lookup_eager, indexed_lookup_eager_buffered, indexed_lookup_eager_collect,
     scan_eager, scan_eager_collect, stack_merge, stack_merge_collect,

@@ -5,7 +5,9 @@
 //! * **indexed** — the left/right match operations `lm(v, S)` / `rm(v, S)`
 //!   (Indexed Lookup Eager, all-LCA): [`RankedList`];
 //! * **sequential** — front-to-back streaming (Scan Eager, Stack, and the
-//!   `S_1` iteration of every eager algorithm): [`StreamList`].
+//!   `S_1` iteration of every eager algorithm): [`StreamList`], whose
+//!   [`StreamList::next_into`] fills a caller-owned buffer instead of
+//!   allocating a `Dewey` per node.
 //!
 //! [`MemList`] implements both over an in-memory sorted `Vec<Dewey>`.
 //! Disk-backed implementations live in `xk-index` (B+tree `seek_ge` /
@@ -105,6 +107,17 @@ pub trait StreamList {
 
     /// The next node in id order, or `None` at the end.
     fn next_node(&mut self) -> Option<Dewey>;
+
+    /// [`StreamList::next_node`] into a caller-owned buffer: on `true`
+    /// `buf` holds the next node's components; on `false` (the end) its
+    /// contents are unspecified. Scan Eager's cursors read through this,
+    /// so a list that overrides it streams without allocating per node.
+    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
+        let Some(n) = self.next_node() else { return false };
+        buf.clear();
+        buf.extend_from_slice(n.components());
+        true
+    }
 }
 
 impl<L: RankedList + ?Sized> RankedList for &mut L {
@@ -133,6 +146,10 @@ impl<L: StreamList + ?Sized> StreamList for &mut L {
     fn next_node(&mut self) -> Option<Dewey> {
         (**self).next_node()
     }
+
+    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
+        (**self).next_into(buf)
+    }
 }
 
 impl<L: RankedList + ?Sized> RankedList for Box<L> {
@@ -160,6 +177,10 @@ impl<L: StreamList + ?Sized> StreamList for Box<L> {
 
     fn next_node(&mut self) -> Option<Dewey> {
         (**self).next_node()
+    }
+
+    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
+        (**self).next_into(buf)
     }
 }
 
@@ -228,6 +249,14 @@ impl StreamList for MemList {
             self.pos += 1;
         }
         n
+    }
+
+    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
+        let Some(n) = self.nodes.get(self.pos) else { return false };
+        buf.clear();
+        buf.extend_from_slice(n.components());
+        self.pos += 1;
+        true
     }
 }
 
@@ -324,6 +353,16 @@ impl StreamList for ChainedStreamList {
             self.cur += 1;
         }
         None
+    }
+
+    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
+        while let Some(p) = self.parts.get_mut(self.cur) {
+            if p.next_into(buf) {
+                return true;
+            }
+            self.cur += 1;
+        }
+        false
     }
 }
 

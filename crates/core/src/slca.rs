@@ -8,7 +8,7 @@
 //! property.
 
 use crate::lists::{RankedList, StreamList};
-use crate::matching::{deepest_dominator_ranked, EagerFilter};
+use crate::matching::{deepest_dominator_ranked, EagerFilter, ScanCursor};
 use crate::stats::AlgoStats;
 use xk_xmltree::Dewey;
 
@@ -129,27 +129,55 @@ pub fn indexed_lookup_eager_collect(
     (out, stats)
 }
 
-/// **Scan Eager** as this repository runs it: [`indexed_lookup_eager`],
-/// nothing else. The paper's Section 3.2 variant replaces the indexed
-/// lookups with per-list scan cursors; here the same `lm`/`rm` probes
-/// are issued and any "scanning" happens behind the [`RankedList`]
-/// implementation — an anchored B+tree cursor in the reference layout
-/// (`DiskRankedList::anchored` in `xk-index`), the skip table plus one
-/// decoded block in a segment — which serves a near-ascending probe
-/// sequence with short forward hops. Operation counts are therefore
-/// identical to IL's on every input.
-pub fn scan_eager<L: RankedList>(
+/// **Scan Eager** (Section 3.2): the eager candidate loop of
+/// [`indexed_lookup_eager`] with every match step answered by a
+/// forward-only [`ScanCursor`] over the list instead of indexed
+/// `lm`/`rm` lookups. Each list is read at most once, front to back, so
+/// the cost is `O(d·Σ|S_i| + k·d·|S_1|)` — the paper's choice when the
+/// keyword frequencies are similar.
+///
+/// Every candidate of the chain `x ← slca({x}, S_i)` is an
+/// ancestor-or-self of its witness `v`, so the loop carries it as a
+/// prefix length of `v` and the witness stays in one reused buffer: the
+/// only allocations are the SLCAs handed to `emit`.
+pub fn scan_eager<L: StreamList>(
     s1: &mut dyn StreamList,
-    mut others: Vec<L>,
-    emit: impl FnMut(Dewey),
+    others: Vec<L>,
+    mut emit: impl FnMut(Dewey),
 ) -> AlgoStats {
-    let mut refs: Vec<&mut dyn RankedList> =
-        others.iter_mut().map(|l| l as &mut dyn RankedList).collect();
-    indexed_lookup_eager(s1, &mut refs, emit)
+    let mut stats = AlgoStats::default();
+    if others.iter().any(|l| l.is_empty()) {
+        return stats;
+    }
+    let mut cursors: Vec<ScanCursor<L>> = others.into_iter().map(ScanCursor::new).collect();
+    s1.rewind();
+    let mut filter = EagerFilter::new();
+    let mut v = Vec::new();
+    'witness: while s1.next_into(&mut v) {
+        stats.nodes_scanned += 1;
+        let mut x = v.len();
+        for cursor in cursors.iter_mut() {
+            let probe = v.get(..x).unwrap_or_default();
+            match cursor.deepest_dominator_depth(probe, &mut stats) {
+                Some(depth) => x = depth,
+                None => continue 'witness, // the stream ended on a storage error
+            }
+        }
+        stats.candidates += 1;
+        filter.push_prefix(v.get(..x).unwrap_or_default(), |slca| {
+            stats.results += 1;
+            emit(slca);
+        });
+    }
+    filter.finish(|slca| {
+        stats.results += 1;
+        emit(slca);
+    });
+    stats
 }
 
 /// Convenience wrapper collecting [`scan_eager`] results.
-pub fn scan_eager_collect<L: RankedList>(
+pub fn scan_eager_collect<L: StreamList>(
     s1: &mut dyn StreamList,
     others: Vec<L>,
 ) -> (Vec<Dewey>, AlgoStats) {
@@ -402,16 +430,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_probe_count_is_bounded_by_witnesses() {
-        // Scan Eager probes each other list at most twice per S1 witness
-        // (one rm + one lm), independent of the other list's size — the
-        // cursor locality lives below the RankedList interface.
+    fn scan_reads_each_list_once_without_lookups() {
+        // Scan Eager answers every match step by advancing a cursor: no
+        // indexed lookup, and no list node is read twice.
         let mut s1 = mem(&["0.0", "5.0"]);
         let big: Vec<String> = (0..100).map(|i| format!("{i}.1")).collect();
         let big_refs: Vec<&str> = big.iter().map(|s| s.as_str()).collect();
-        let (_, stats) = scan_eager_collect(&mut s1, vec![mem(&big_refs)]);
-        assert!(stats.nodes_scanned <= 2, "only S1 is streamed, scanned {}", stats.nodes_scanned);
-        assert!(stats.match_lookups <= 2 * 2, "lookups {}", stats.match_lookups);
+        let (r, stats) = scan_eager_collect(&mut s1, vec![mem(&big_refs)]);
+        assert_eq!(r, vec![d("0"), d("5")]);
+        assert_eq!(stats.match_lookups, 0);
+        assert!(stats.nodes_scanned <= 2 + 100, "scanned {}", stats.nodes_scanned);
+        // The cursor stops at the last witness's right match: 5.1.
+        assert_eq!(stats.nodes_scanned, 2 + 5);
     }
 
     #[test]

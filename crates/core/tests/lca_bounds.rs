@@ -1,9 +1,13 @@
 //! Cost-bound tests for the all-LCA algorithm (Section 5): each ancestor
 //! of each SLCA is checked exactly once, and each check performs at most
 //! `2k` match lookups — so the total lookup count is bounded by the IL
-//! phase plus `2k · Σ depth(slca)`.
+//! phase plus `2k · Σ depth(slca)`. And Scan Eager's (Section 3.2): no
+//! match lookup, each list read at most once (`Σ|S_i|` nodes), and at
+//! most two LCA computations per match step (`2(k-1)|S_1|`).
 
-use xk_slca::{all_lcas_collect, indexed_lookup_eager_collect, MemList, RankedList};
+use xk_slca::{
+    all_lcas_collect, indexed_lookup_eager_collect, scan_eager_collect, MemList, RankedList,
+};
 use xk_xmltree::Dewey;
 
 fn d(s: &str) -> Dewey {
@@ -94,5 +98,37 @@ fn shared_ancestors_are_checked_once() {
         stats.match_lookups,
         il_lookups,
         phase2_budget
+    );
+}
+
+#[test]
+fn scan_eager_stays_within_its_analytic_bound() {
+    // Three lists of similar size over interleaved groups, with deep and
+    // shallow witnesses so candidates shrink mid-chain (the backstep).
+    let s1: Vec<String> = (0..40).map(|i| format!("{}.{}.0", i / 2, i % 2)).collect();
+    let s2: Vec<String> = (0..50).map(|i| format!("{}.{}.1.0", i / 3, i % 3)).collect();
+    let s3: Vec<String> = (0..60).map(|i| format!("{}.{}", i / 2, i % 2 + 1)).collect();
+    let lists: [Vec<&str>; 3] = [&s1, &s2, &s3].map(|l| l.iter().map(|s| s.as_str()).collect());
+    let (k, s1_len) = (3u64, lists[0].len() as u64);
+    let total: u64 = lists.iter().map(|l| l.len() as u64).sum();
+
+    let mut first = mem(&lists[0]);
+    let (scan, stats) =
+        scan_eager_collect(&mut first, vec![mem(&lists[1]), mem(&lists[2])]);
+    let il = {
+        let mut first = mem(&lists[0]);
+        let (mut l2, mut l3) = (mem(&lists[1]), mem(&lists[2]));
+        let mut refs: Vec<&mut dyn RankedList> = vec![&mut l2, &mut l3];
+        indexed_lookup_eager_collect(&mut first, &mut refs).0
+    };
+    assert_eq!(scan, il);
+    assert!(!scan.is_empty());
+    assert_eq!(stats.match_lookups, 0);
+    assert!(stats.nodes_scanned <= total, "scanned {} > {total}", stats.nodes_scanned);
+    assert!(
+        stats.lca_computations <= 2 * (k - 1) * s1_len,
+        "lca computations {} > {}",
+        stats.lca_computations,
+        2 * (k - 1) * s1_len
     );
 }

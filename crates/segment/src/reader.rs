@@ -11,7 +11,9 @@
 //! binary-searches that buffer in place; its only allocation is the
 //! `Dewey` it returns. The list keeps the last decoded chunk, so a run
 //! of probes over the same region touches the pager once. Streams decode
-//! the same way, one allocation per node. Every read of posting data —
+//! the same way and copy each posting out of the flat buffer, into a
+//! `Dewey` (`next_node`) or into the caller's reused buffer (`next_into`,
+//! allocation-free). Every read of posting data —
 //! probes, streams, [`SegmentReader::postings`], `verify` — goes through
 //! the one decoder, so every check runs on every path.
 
@@ -392,7 +394,10 @@ impl RankedList for SegRankedList {
 }
 
 /// Sequential scan over one keyword of one segment, decoding each chunk
-/// into the list's reused buffers as the cursor crosses into it.
+/// into the list's reused buffers as the cursor crosses into it. A
+/// failed chunk load poisons the slot and ends the stream: every later
+/// call re-reads the bad block and fails again, so a reader never sees
+/// postings past it.
 pub struct SegStreamList {
     reader: Arc<SegmentReader>,
     kw: usize,
@@ -402,6 +407,20 @@ pub struct SegStreamList {
     block: BlockBuf,
     flat: FlatChunk,
     pos: usize,
+}
+
+impl SegStreamList {
+    /// The next posting's components, borrowed from the decoded chunk.
+    fn advance(&mut self) -> Option<&[u32]> {
+        while self.pos >= self.flat.len() {
+            let chunk = self.reader.entry(self.kw).chunks.get(self.next_chunk)?;
+            self.slot.ok(self.reader.load_chunk(chunk, &mut self.block, &mut self.flat))?;
+            self.pos = 0;
+            self.next_chunk += 1;
+        }
+        self.pos += 1;
+        self.flat.get(self.pos - 1)
+    }
 }
 
 impl StreamList for SegStreamList {
@@ -416,16 +435,14 @@ impl StreamList for SegStreamList {
     }
 
     fn next_node(&mut self) -> Option<Dewey> {
-        loop {
-            if let Some(n) = self.flat.get(self.pos) {
-                self.pos += 1;
-                return Some(Dewey::from_components(n.to_vec()));
-            }
-            let chunk = self.reader.entry(self.kw).chunks.get(self.next_chunk)?;
-            self.slot.ok(self.reader.load_chunk(chunk, &mut self.block, &mut self.flat))?;
-            self.pos = 0;
-            self.next_chunk += 1;
-        }
+        self.advance().map(Dewey::from)
+    }
+
+    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
+        let Some(n) = self.advance() else { return false };
+        buf.clear();
+        buf.extend_from_slice(n);
+        true
     }
 }
 
@@ -506,6 +523,13 @@ mod tests {
             assert_eq!(&got, nodes, "stream for {kw}");
             s.rewind();
             assert_eq!(s.next_node().as_ref(), nodes.first(), "rewound stream for {kw}");
+            s.rewind();
+            let mut buf = Vec::new();
+            let mut borrowed = Vec::new();
+            while s.next_into(&mut buf) {
+                borrowed.push(Dewey::from(buf.as_slice()));
+            }
+            assert_eq!(&borrowed, nodes, "next_into stream for {kw}");
         }
         assert!(!slot.is_poisoned());
     }
@@ -543,6 +567,37 @@ mod tests {
         assert_eq!(seg.rm(&d("0.0.1")), None);
         assert!(slot.is_poisoned());
         assert!(matches!(slot.take(), Some(SegmentError::Corrupt(_))));
+    }
+
+    #[test]
+    fn corrupt_block_ends_the_stream() {
+        let lists = corpus();
+        let pager = Arc::new(MemPager::new(256));
+        seal(pager.as_ref(), &SealSpec { seq: 1, seal_epoch: 0 }, &lists).unwrap();
+        let r = SegmentReader::open(Arc::clone(&pager) as Arc<dyn Pager>, None).unwrap();
+        let chunks = &r.entry(r.by_name["alpha"]).chunks;
+        assert!(chunks.len() > 2, "alpha spans several chunks");
+        // Corrupt the block holding alpha's second chunk; every posting
+        // of the chunks before that block still streams.
+        let bad = chunks[1].block;
+        let first_bad = chunks.iter().position(|c| c.block == bad).unwrap();
+        let before_bad: u32 = chunks[..first_bad].iter().map(|c| c.entries).sum();
+        let mut buf = vec![0u8; 256];
+        pager.read_page(xk_storage::PageId(bad), &mut buf).unwrap();
+        buf[40] ^= 0xFF;
+        pager.write_page(xk_storage::PageId(bad), &buf).unwrap();
+        let r = SegmentReader::open(pager, None).unwrap();
+        let slot = ErrorSlot::new();
+        let mut s = r.stream_list("alpha", slot.clone()).unwrap();
+        let mut buf = Vec::new();
+        let mut read = 0;
+        while s.next_into(&mut buf) {
+            read += 1;
+        }
+        assert_eq!(read, before_bad as usize, "the stream stops at the bad block");
+        assert!(matches!(slot.take(), Some(SegmentError::Corrupt(_))));
+        assert!(!s.next_into(&mut buf), "and stays ended");
+        assert!(matches!(slot.take(), Some(SegmentError::Corrupt(_))), "the retry fails too");
     }
 
     #[test]

@@ -88,17 +88,14 @@ pub enum Algorithm {
     /// [`AUTO_RATIO_THRESHOLD`], Scan Eager otherwise — following the
     /// paper's guidance that IL wins by orders of magnitude on skewed
     /// frequencies while Scan Eager is the best variant for similar ones.
-    /// (In this implementation the two run the same probe loop, see
-    /// [`Algorithm::ScanEager`]; the choice only changes the reported
-    /// name.)
     Auto,
     /// The paper's core algorithm (Section 3.1).
     IndexedLookupEager,
-    /// The paper's Section 3.2 name, **not** its cursor-advance
-    /// algorithm: this runs Indexed Lookup Eager, with the `lm`/`rm`
-    /// probes served by anchored (B+tree) or sequential (segment)
-    /// cursors behind the list adapters (`xk_slca::scan_eager`). Its
-    /// operation counts equal IL's on every query.
+    /// The paper's Section 3.2 variant (`xk_slca::scan_eager`): the
+    /// eager loop of IL with every match step answered by a forward-only
+    /// cursor over the keyword's posting stream, so each list is read
+    /// once, front to back, and no `lm`/`rm` lookup is issued. Costs
+    /// `O(d·Σ|S_i| + k·d·|S_1|)`.
     ScanEager,
     /// The XRANK-style sort-merge baseline (Section 3.3).
     Stack,

@@ -272,12 +272,13 @@ impl Engine {
         };
         let algorithm = resolve(algorithm, &frequencies);
 
-        // Every adapter is a chain over the keyword's sources. In the
-        // reference layout each non-smallest list holds one anchored
-        // cursor for the whole candidate loop: the probes are
+        // Every adapter is a chain over the keyword's sources. For IL,
+        // in the reference layout each non-smallest list holds one
+        // anchored cursor for the whole candidate loop: the probes are
         // near-sorted, so most lm/rm pairs resolve inside the pinned
         // leaf or a leaf-chain hop away. Segment parts answer the same
         // probes from the skip table plus at most one decoded block.
+        // Scan Eager and Stack only stream.
         let mut slcas = Vec::new();
         let stats = match algorithm {
             Algorithm::Stack => {
@@ -294,7 +295,8 @@ impl Engine {
             // `resolve` maps Auto to IL or to Scan Eager, never to itself.
             Algorithm::ScanEager | Algorithm::Auto => {
                 let mut s1 = view.stream_of(&ordered[0]);
-                scan_eager(s1.as_mut(), view.ranked_of(&ordered[1..]), |d| slcas.push(d))
+                let others = ordered[1..].iter().map(|k| view.stream_of(k)).collect();
+                scan_eager(s1.as_mut(), others, |d| slcas.push(d))
             }
         };
         let io = view.io_stats().delta_since(&io_before);
@@ -560,6 +562,53 @@ mod tests {
         assert_eq!(john.rm(&d("0")), None, "the failed probe looks like 'no match'");
         let err = slot.take().expect("and the slot says why");
         assert!(matches!(err, IndexError::Storage(_)), "{err:?}");
+    }
+
+    #[test]
+    fn scan_eager_reports_a_corrupt_block_only_a_later_list_streams() {
+        use super::super::DurabilityOptions;
+        use xk_storage::{MemPager, PageId, Pager};
+        // "alpha" in every other element, "beta" in all of them: beta is
+        // never S1, and Scan Eager's cursor streams it to the last
+        // witness, across every one of its blocks.
+        let mut t = xk_xmltree::XmlTree::new("r");
+        for i in 0..400 {
+            let e = t.append_element(xk_xmltree::NodeId::ROOT, "e");
+            t.append_text(e, if i % 2 == 0 { "alpha beta" } else { "beta" });
+        }
+        let lists: BTreeMap<String, Vec<Dewey>> =
+            xk_index::MemIndex::build(&t).into_sorted_lists().into_iter().collect();
+        let oracle = xk_slca::brute_force_slca(&[lists["alpha"].clone(), lists["beta"].clone()]);
+        assert_eq!(oracle.len(), 200);
+
+        let (db, io) = seeded_pagers_with(&t);
+        let wal = Arc::new(MemPager::new(512));
+        let (e, _) =
+            Engine::open_durable_with_pagers(db, wal, 128, DurabilityOptions::default(), io.clone())
+                .unwrap();
+        let blob = io.open(e.segment_metas()[0].seq).unwrap();
+        let reader = xk_segment::SegmentReader::open(Arc::clone(&blob), None).unwrap();
+        let mut beta_only = 0;
+        for b in 1..=reader.header().data_blocks {
+            let mut clean = vec![0u8; blob.page_size()];
+            blob.read_page(PageId(b), &mut clean).unwrap();
+            let mut bad = clean.clone();
+            bad[0] ^= 0x40; // the stored CRC
+            blob.write_page(PageId(b), &bad).unwrap();
+            if reader.postings("alpha").is_ok() && reader.postings("beta").is_err() {
+                beta_only += 1;
+                let err = e.query(&["alpha", "beta"], Algorithm::ScanEager).unwrap_err();
+                assert!(
+                    matches!(err, EngineError::Segment(SegmentError::Corrupt(_))),
+                    "block {b}: {err:?}"
+                );
+            }
+            blob.write_page(PageId(b), &clean).unwrap();
+            let out = e.query(&["alpha", "beta"], Algorithm::ScanEager).unwrap();
+            assert_eq!(out.keywords, ["alpha", "beta"]);
+            assert_eq!(out.slcas, oracle, "clean re-query after block {b}");
+        }
+        assert!(beta_only >= 2, "beta spans several blocks of its own ({beta_only})");
     }
 
     #[test]
