@@ -6,21 +6,15 @@
 //! single `0` terminator bit is written, and the result is zero-padded to
 //! a byte boundary. The paper compresses Dewey numbers with exactly these
 //! per-level widths; the continuation/terminator bits are our addition so
-//! the packed form can serve directly as a B+tree key:
-//!
-//! * **raw fixed-width packing is *not* `memcmp`-safe**: the padded
-//!   encoding of an ancestor ties with the encoding of its `0.0...0`
-//!   descendant, and any scheme that appends the length breaks ordering
-//!   (a longer key's payload bits collide with a shorter key's length
-//!   field);
-//! * with a continuation bit per level, an ancestor diverges from every
-//!   proper descendant exactly at its terminator (`0` vs the descendant's
-//!   next `1`), so byte-wise comparison of the padded encodings orders
-//!   keys identically to Dewey (= preorder document) order, and equal
-//!   byte strings imply equal Dewey numbers.
+//! the packed form can serve directly as a B+tree key — raw fixed-width
+//! packing is *not* `memcmp`-safe (an ancestor ties with its `0.0...0`
+//! descendant). The bit packer itself is [`xk_xmltree::packed`], shared
+//! with the segment posting blocks; this module binds it to the
+//! document's [`LevelTable`] and adds the probe encoding.
 
 use crate::leveltable::LevelTable;
 use std::fmt;
+use xk_xmltree::packed::{self, PackError};
 use xk_xmltree::Dewey;
 
 /// Errors from packing or unpacking Dewey numbers.
@@ -51,48 +45,31 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<PackError> for CodecError {
+    fn from(e: PackError) -> Self {
+        match e {
+            PackError::TooDeep { depth, max_depth } => CodecError::TooDeep { depth, max_depth },
+            PackError::TooLarge { level, component, width } => {
+                CodecError::ComponentTooLarge { level, component, width }
+            }
+        }
+    }
+}
+
 /// Packs a Dewey number using the level table's widths. The result
 /// compares with `memcmp` exactly like the Dewey numbers themselves.
 pub fn encode_dewey(dewey: &Dewey, table: &LevelTable) -> Result<Vec<u8>, CodecError> {
-    let mut w = BitWriter::with_bit_capacity(table.max_packed_bits());
-    for (level, &component) in dewey.components().iter().enumerate() {
-        let width = table.width(level).ok_or(CodecError::TooDeep {
-            depth: dewey.depth(),
-            max_depth: table.depth(),
-        })?;
-        if width < 32 && component >= (1u32 << width) {
-            return Err(CodecError::ComponentTooLarge { level, component, width });
-        }
-        w.push_bit(true); // continuation
-        w.push_bits(component, width);
-    }
-    w.push_bit(false); // terminator
-    Ok(w.finish())
+    let mut out = Vec::with_capacity(table.max_packed_bits().div_ceil(8));
+    packed::pack(dewey.components(), table.widths(), &mut out)?;
+    Ok(out)
 }
 
 /// Unpacks a Dewey number produced by [`encode_dewey`] with the same
 /// level table.
 pub fn decode_dewey(bytes: &[u8], table: &LevelTable) -> Result<Dewey, CodecError> {
-    let mut r = BitReader::new(bytes);
     let mut components = Vec::new();
-    loop {
-        match r.read_bit() {
-            Some(false) => break, // terminator
-            Some(true) => {
-                let width = table
-                    .width(components.len())
-                    .ok_or(CodecError::Malformed)?;
-                let c = r.read_bits(width).ok_or(CodecError::Malformed)?;
-                components.push(c);
-            }
-            None => return Err(CodecError::Malformed),
-        }
-    }
-    // Remaining padding must be zero bits.
-    while let Some(bit) = r.read_bit() {
-        if bit {
-            return Err(CodecError::Malformed);
-        }
+    if !packed::unpack(bytes, table.widths(), &mut components) {
+        return Err(CodecError::Malformed);
     }
     Ok(Dewey::from_components(components))
 }
@@ -131,89 +108,14 @@ pub fn encode_probe(dewey: &Dewey, table: &LevelTable) -> Result<Probe, CodecErr
 
 /// A byte string strictly greater than the packed encoding of every node
 /// in `subtree(dewey)` and strictly smaller than that of every node after
-/// the subtree: the node's continuation/component bits followed by ones.
-/// The result is never a valid packed key itself.
+/// the subtree: the node's continuation/component bits followed by ones,
+/// one byte past the longest key so the bound is longer (hence greater)
+/// than any equal-prefix key. The result is never a valid packed key.
 pub fn encode_upper_bound(dewey: &Dewey, table: &LevelTable) -> Result<Vec<u8>, CodecError> {
-    let mut w = BitWriter::with_bit_capacity(table.max_packed_bits() + 8);
-    for (level, &component) in dewey.components().iter().enumerate() {
-        let width = table.width(level).ok_or(CodecError::TooDeep {
-            depth: dewey.depth(),
-            max_depth: table.depth(),
-        })?;
-        if width < 32 && component >= (1u32 << width) {
-            return Err(CodecError::ComponentTooLarge { level, component, width });
-        }
-        w.push_bit(true);
-        w.push_bits(component, width);
-    }
-    // Fill with ones past the longest possible key, plus one extra byte so
-    // the bound is longer (hence greater) than any equal-prefix key.
-    let target_bits = table.max_packed_bits() + 8;
-    while w.bit_len < target_bits {
-        w.push_bit(true);
-    }
-    Ok(w.finish())
-}
-
-/// MSB-first bit writer.
-struct BitWriter {
-    bytes: Vec<u8>,
-    bit_len: usize,
-}
-
-impl BitWriter {
-    fn with_bit_capacity(bits: usize) -> BitWriter {
-        BitWriter { bytes: Vec::with_capacity(bits.div_ceil(8)), bit_len: 0 }
-    }
-
-    // xk-analyze: allow(panic_path, reason = "a fresh byte is pushed whenever bit_len crosses a byte boundary, so bit_len / 8 is always in bounds")
-    fn push_bit(&mut self, bit: bool) {
-        if self.bit_len.is_multiple_of(8) {
-            self.bytes.push(0);
-        }
-        if bit {
-            let byte = self.bit_len / 8;
-            self.bytes[byte] |= 0x80 >> (self.bit_len % 8);
-        }
-        self.bit_len += 1;
-    }
-
-    fn push_bits(&mut self, value: u32, width: u8) {
-        for i in (0..width).rev() {
-            self.push_bit(value & (1 << i) != 0);
-        }
-    }
-
-    fn finish(self) -> Vec<u8> {
-        self.bytes
-    }
-}
-
-/// MSB-first bit reader.
-struct BitReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8]) -> BitReader<'a> {
-        BitReader { bytes, pos: 0 }
-    }
-
-    fn read_bit(&mut self) -> Option<bool> {
-        let byte = self.bytes.get(self.pos / 8)?;
-        let bit = byte & (0x80 >> (self.pos % 8)) != 0;
-        self.pos += 1;
-        Some(bit)
-    }
-
-    fn read_bits(&mut self, width: u8) -> Option<u32> {
-        let mut v = 0u32;
-        for _ in 0..width {
-            v = (v << 1) | self.read_bit()? as u32;
-        }
-        Some(v)
-    }
+    let bits = table.max_packed_bits() + 8;
+    let mut out = Vec::with_capacity(bits.div_ceil(8));
+    packed::pack_upper_bound(dewey.components(), table.widths(), bits, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]

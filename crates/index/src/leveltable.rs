@@ -39,6 +39,12 @@ impl LevelTable {
         self.bits.get(component_index).copied()
     }
 
+    /// Every level's width, root side first (the widths
+    /// `xk_xmltree::packed` packs at).
+    pub fn widths(&self) -> &[u8] {
+        &self.bits
+    }
+
     /// Number of levels below the root (the document's maximum depth).
     pub fn depth(&self) -> usize {
         self.bits.len()
@@ -47,7 +53,7 @@ impl LevelTable {
     /// Total bits of the longest possible packed Dewey number, including
     /// the per-level continuation bits and the terminator (see the codec).
     pub fn max_packed_bits(&self) -> usize {
-        self.bits.iter().map(|&b| b as usize + 1).sum::<usize>() + 1
+        xk_xmltree::packed::max_packed_bits(&self.bits)
     }
 
     /// Serializes the table (for the storage meta page).

@@ -15,8 +15,9 @@ use xk_storage::StorageError;
 pub enum SegmentError {
     /// Underlying pager / file I/O failure.
     Storage(StorageError),
-    /// The blob violates the XKSEG1 format (bad magic, CRC mismatch,
-    /// truncated dictionary, non-monotone postings, ...).
+    /// The blob violates the XKSEG2 format (bad magic or version, CRC
+    /// mismatch, truncated dictionary, a malformed or out-of-order key,
+    /// ...).
     Corrupt(String),
 }
 

@@ -1,33 +1,40 @@
-//! The XKSEG1 on-disk blob format.
+//! The XKSEG2 on-disk blob format.
 //!
 //! A sealed segment is one immutable blob, laid out in fixed-size blocks
 //! (one block = one page of the blob's pager):
 //!
 //! ```text
 //! block 0                      header (magic, version, counts, CRCs)
-//! blocks 1..=data_blocks       posting blocks, delta-encoded entries
+//! blocks 1..=data_blocks       posting blocks: chunks of fixed-stride packed keys
 //! blocks ..+dict_blocks        keyword dictionary (skip table)
 //! last block                   trailer (end magic, counts, meta CRC)
 //! ```
 //!
-//! Posting and dictionary blocks carry their own CRC-32 over the framed
-//! payload, so a probe verifies exactly the one block it decodes and a
-//! corrupt block yields a typed error without touching its neighbours.
-//! The header CRC covers the header fields; `meta_crc` covers the
-//! concatenated dictionary payload and is repeated in the trailer, so a
-//! truncated blob (missing trailer) and a stale blob (fencing, see
-//! [`crate::manifest`]) are both detected before any posting is served.
+//! Every checksum in the blob is a CRC-32C ([`xk_storage::crc32c`],
+//! hardware-assisted where the CPU has it). Posting and dictionary
+//! blocks carry their own over the framed payload, so a probe verifies
+//! exactly the one block it loads and a corrupt block yields a typed
+//! error without touching its neighbours. The header CRC covers the
+//! header fields; `meta_crc` covers the concatenated dictionary payload
+//! and is repeated in the trailer, so a truncated blob (missing trailer)
+//! and a stale blob (fencing, see [`crate::manifest`]) are both detected
+//! before any posting is served. A posting block's chunk layout is in
+//! [`crate::codec`].
+//!
+//! There is one format: a blob of any other version (XKSEG1's
+//! delta-varint blocks) is rejected as corrupt, and its store is rebuilt
+//! from the document.
 
 use crate::error::{Result, SegmentError};
-use xk_storage::{crc32, PageId, Pager};
+use xk_storage::{crc32c, PageId, Pager};
 
 /// Magic bytes of the header block.
-pub const MAGIC: &[u8; 8] = b"XKSEG1\r\n";
+pub const MAGIC: &[u8; 8] = b"XKSEG2\r\n";
 /// Magic bytes of the trailer block.
 pub const END_MAGIC: &[u8; 8] = b"XKSEGEND";
 /// Current format version.
-pub const VERSION: u16 = 1;
-/// Bytes of framing at the start of each data/dict block: CRC-32 over
+pub const VERSION: u16 = 2;
+/// Bytes of framing at the start of each data/dict block: CRC-32C over
 /// the payload, then the payload length.
 pub const BLOCK_FRAME: usize = 6;
 /// Fixed byte length of the encoded header fields (the rest of block 0
@@ -72,7 +79,7 @@ impl Header {
         b[44..48].copy_from_slice(&self.data_blocks.to_le_bytes());
         b[48..52].copy_from_slice(&self.dict_blocks.to_le_bytes());
         b[52..56].copy_from_slice(&self.meta_crc.to_le_bytes());
-        let crc = crc32(&b[..56]);
+        let crc = crc32c(&b[..56]);
         b[56..60].copy_from_slice(&crc.to_le_bytes());
         b
     }
@@ -83,21 +90,27 @@ impl Header {
         if block.len() < HEADER_BYTES {
             return Err(SegmentError::Corrupt("header block too small".into()));
         }
-        if &block[..8] != MAGIC {
+        if &block[..5] != b"XKSEG" {
             return Err(SegmentError::Corrupt("bad segment magic".into()));
         }
         let version = u16::from_le_bytes(block[8..10].try_into().unwrap());
         if version != VERSION {
-            return Err(SegmentError::Corrupt(format!("unsupported segment version {version}")));
+            return Err(SegmentError::Corrupt(format!(
+                "unsupported segment version {version} (this build reads XKSEG{VERSION} only): \
+                 rebuild the store from its document"
+            )));
+        }
+        if &block[..8] != MAGIC {
+            return Err(SegmentError::Corrupt("bad segment magic".into()));
         }
         let stored = u32::from_le_bytes(block[56..60].try_into().unwrap());
-        let actual = crc32(&block[..56]);
+        let actual = crc32c(&block[..56]);
         if stored != actual {
             return Err(SegmentError::Corrupt(format!(
                 "header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
             )));
         }
-        Ok(Header {
+        let header = Header {
             block_size: u32::from_le_bytes(block[12..16].try_into().unwrap()),
             seq: u64::from_le_bytes(block[16..24].try_into().unwrap()),
             seal_epoch: u64::from_le_bytes(block[24..32].try_into().unwrap()),
@@ -106,10 +119,20 @@ impl Header {
             data_blocks: u32::from_le_bytes(block[44..48].try_into().unwrap()),
             dict_blocks: u32::from_le_bytes(block[48..52].try_into().unwrap()),
             meta_crc: u32::from_le_bytes(block[52..56].try_into().unwrap()),
-        })
+        };
+        // The counts are untrusted: every block id must fit a u32.
+        let blocks = header.data_blocks.checked_add(header.dict_blocks);
+        if blocks.and_then(|n| n.checked_add(2)).is_none() {
+            return Err(SegmentError::Corrupt(format!(
+                "header block counts overflow: {} data + {} dictionary blocks",
+                header.data_blocks, header.dict_blocks
+            )));
+        }
+        Ok(header)
     }
 
-    /// Total number of blocks in the blob (header + data + dict + trailer).
+    /// Total number of blocks in the blob (header + data + dict + trailer;
+    /// [`Header::decode`] rejects counts whose sum overflows).
     pub fn total_blocks(&self) -> u32 {
         1 + self.data_blocks + self.dict_blocks + 1
     }
@@ -126,7 +149,7 @@ pub fn encode_trailer(h: &Header, block_size: usize) -> Vec<u8> {
     b[..8].copy_from_slice(END_MAGIC);
     b[8..16].copy_from_slice(&h.posting_count.to_le_bytes());
     b[16..20].copy_from_slice(&h.meta_crc.to_le_bytes());
-    let crc = crc32(&b[..20]);
+    let crc = crc32c(&b[..20]);
     b[20..24].copy_from_slice(&crc.to_le_bytes());
     b
 }
@@ -139,7 +162,7 @@ pub fn check_trailer(h: &Header, block: &[u8]) -> Result<()> {
         return Err(SegmentError::Corrupt("missing segment trailer".into()));
     }
     let stored = u32::from_le_bytes(block[20..24].try_into().unwrap());
-    let actual = crc32(&block[..20]);
+    let actual = crc32c(&block[..20]);
     if stored != actual {
         return Err(SegmentError::Corrupt("trailer CRC mismatch".into()));
     }
@@ -153,12 +176,12 @@ pub fn check_trailer(h: &Header, block: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Frames `payload` into a zero-padded block: `[crc32][len u16][payload]`.
+/// Frames `payload` into a zero-padded block: `[crc32c][len u16][payload]`.
 // xk-analyze: allow(panic_path, reason = "payloads come from the writer, which caps them at block_size - BLOCK_FRAME (debug_asserted); disk bytes never reach this path")
 pub fn frame_block(payload: &[u8], block_size: usize) -> Vec<u8> {
     debug_assert!(payload.len() <= block_size - BLOCK_FRAME);
     let mut b = vec![0u8; block_size];
-    b[..4].copy_from_slice(&crc32(payload).to_le_bytes());
+    b[..4].copy_from_slice(&crc32c(payload).to_le_bytes());
     b[4..6].copy_from_slice(&(payload.len() as u16).to_le_bytes());
     b[6..6 + payload.len()].copy_from_slice(payload);
     b
@@ -176,7 +199,7 @@ pub fn unframe_block(block: &[u8], block_no: u32) -> Result<&[u8]> {
     let payload = block
         .get(BLOCK_FRAME..BLOCK_FRAME + len)
         .ok_or_else(|| SegmentError::Corrupt(format!("block {block_no} length {len} overflows")))?;
-    let actual = crc32(payload);
+    let actual = crc32c(payload);
     if stored != actual {
         return Err(SegmentError::Corrupt(format!(
             "block {block_no} CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
@@ -225,6 +248,33 @@ mod tests {
         let mut bad_magic = h.encode(512);
         bad_magic[0] = b'Z';
         assert!(matches!(Header::decode(&bad_magic), Err(SegmentError::Corrupt(_))));
+    }
+
+    #[test]
+    fn version_one_blobs_are_refused_with_a_rebuild_hint() {
+        let mut v1 = header().encode(512);
+        v1[..8].copy_from_slice(b"XKSEG1\r\n");
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        match Header::decode(&v1) {
+            Err(SegmentError::Corrupt(m)) => {
+                assert!(m.starts_with("unsupported segment version 1 "), "{m}");
+                assert!(m.contains("rebuild"), "{m}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_block_counts_are_corrupt_not_a_panic() {
+        for (data_blocks, dict_blocks) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX - 1, 1)] {
+            let h = Header { data_blocks, dict_blocks, ..header() };
+            match Header::decode(&h.encode(512)) {
+                Err(SegmentError::Corrupt(m)) => assert!(m.contains("overflow"), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        let edge = Header { data_blocks: u32::MAX - 2, dict_blocks: 0, ..header() };
+        assert_eq!(Header::decode(&edge.encode(512)).unwrap().total_blocks(), u32::MAX);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! LSM-flavoured alternative to updating the B+tree posting lists in
 //! place. Fresh `append_subtree` batches are journaled and absorbed into
 //! a mutable [`MemSegment`]; once it grows past a threshold the engine
-//! seals it into an immutable packed blob (the **XKSEG1** format — see
-//! [`mod@format`]) where postings are delta-encoded against their
-//! predecessor (shared Dewey prefix length + varint suffix) in
-//! fixed-size blocks with per-block CRCs and skip entries. A sealed blob
+//! seals it into an immutable packed blob (the **XKSEG2** format — see
+//! [`mod@format`] and [`codec`]) where each keyword's postings are cut
+//! into chunks of fixed-stride keys, bit-packed at the chunk's own
+//! per-level widths so that they compare as integers, in fixed-size
+//! blocks with per-block CRC-32Cs and skip entries. A sealed blob
 //! is written, fsynced, and atomically renamed before the transaction
 //! that publishes it commits, mirroring the crash discipline of the
 //! engine's index build.
@@ -15,9 +16,10 @@
 //! [`SegmentReader`] serves the four SLCA algorithms through the same
 //! `RankedList`/`StreamList` traits the B+tree adapters implement: an
 //! `lm`/`rm` probe binary-searches the in-memory skip table, then makes
-//! at most one verified chunk decode (one block read + CRC + one checked
-//! pass) into buffers the list reuses, and searches those in place —
-//! one allocation per answer. [`merge`] folds runs of small adjacent segments
+//! at most one chunk load (one block read + CRC + one integer check
+//! pass) into a buffer the list reuses, binary-searches the packed keys
+//! where they lie, and unpacks only its answer — one allocation per
+//! answer. [`merge`] folds runs of small adjacent segments
 //! together (size-tiered), and [`verify`] deep-checks a whole store for
 //! `xksearch verify`.
 
@@ -43,4 +45,4 @@ pub use mem::{MemSegment, MemView};
 pub use merge::{merged_lists, plan_merge, size_class, MERGE_FANOUT, MERGE_MAX_RUN};
 pub use reader::{KwEntry, SegRankedList, SegStreamList, SegmentReader};
 pub use verify::{verify_store, SegmentVerifyReport};
-pub use writer::{seal, Chunk, SealSpec};
+pub use writer::{seal, unsealable, Chunk, SealSpec};

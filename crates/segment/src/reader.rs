@@ -1,23 +1,25 @@
-//! Opening and querying a sealed XKSEG1 blob.
+//! Opening and querying a sealed XKSEG2 blob.
 //!
 //! `SegmentReader::open` validates the header, trailer, and dictionary
 //! CRCs and parses the full skip table into memory (the dictionary is a
 //! few bytes per chunk; posting blocks stay on disk).
 //!
 //! An `lm`/`rm` probe costs a binary search of the skip table plus at
-//! most one verified chunk decode: one block read into the list's own
-//! block buffer, its CRC, and one pass that delta-decodes and checks the
-//! chunk into the list's reused flat buffer. The probe then
-//! binary-searches that buffer in place; its only allocation is the
-//! `Dewey` it returns. The list keeps the last decoded chunk, so a run
-//! of probes over the same region touches the pager once. Streams decode
-//! the same way and copy each posting out of the flat buffer, into a
-//! `Dewey` (`next_node`) or into the caller's reused buffer (`next_into`,
-//! allocation-free). Every read of posting data —
-//! probes, streams, [`SegmentReader::postings`], `verify` — goes through
-//! the one decoder, so every check runs on every path.
+//! most one chunk load: one block read into the list's own block
+//! buffer, its CRC-32C, and the one linear check pass of
+//! [`crate::codec`]'s `PackedChunk::check`. Nothing is decoded: the probe
+//! binary-searches the chunk's fixed-stride keys where they lie in the
+//! buffer, comparing integers, and unpacks only the posting it returns —
+//! the `Dewey` it allocates. The list keeps the last loaded chunk, so a
+//! run of probes over the same region touches the pager once; nothing
+//! is kept across lists, so every query checks every block it reads.
+//! Streams load chunks the same way and unpack one key per step, into a
+//! `Dewey` (`next_node`) or into the caller's reused buffer
+//! (`next_into`, allocation-free). Every read of posting data — probes,
+//! streams, [`SegmentReader::postings`], `verify` — goes through the one
+//! `PackedChunk` view, so every check runs on every path.
 
-use crate::codec::{get_varint, FlatChunk};
+use crate::codec::{get_varint, PackedChunk};
 use crate::error::{ErrorSlot, Result, SegmentError};
 use crate::format::{check_trailer, read_block, unframe_block, Header, BLOCK_FRAME};
 use crate::manifest::Fence;
@@ -172,7 +174,7 @@ impl SegmentReader {
             read_block(pager.as_ref(), block_no, &mut buf)?;
             dict.extend_from_slice(unframe_block(&buf, block_no)?);
         }
-        let actual = xk_storage::crc32(&dict);
+        let actual = xk_storage::crc32c(&dict);
         if actual != header.meta_crc {
             return Err(SegmentError::Corrupt(format!(
                 "dictionary CRC mismatch: stored {:#010x}, computed {actual:#010x}",
@@ -225,43 +227,35 @@ impl SegmentReader {
         self.block_reads.load(Ordering::Relaxed)
     }
 
-    /// The one chunk decoder: reads `chunk`'s block into `block` and
+    /// The one chunk load: reads `chunk`'s block into `block` and
     /// CRC-checks it (unless `block` already holds it verified), then
-    /// decodes the chunk into `out`, checking every entry (see
-    /// `FlatChunk::decode`). On error `out` is empty and `block` is
-    /// dropped, so a retry re-reads the block and never answers from a
-    /// half-filled buffer.
-    pub(crate) fn load_chunk(
-        &self,
-        chunk: &Chunk,
-        block: &mut BlockBuf,
-        out: &mut FlatChunk,
-    ) -> Result<()> {
-        let loaded = self.payload(chunk.block, block).and_then(|p| out.decode(p, chunk));
+    /// runs the chunk's check pass (see `PackedChunk::check`). On error
+    /// `block` is dropped, so a retry re-reads the block and nothing
+    /// answers from a chunk that failed.
+    pub(crate) fn load_chunk(&self, chunk: &Chunk, block: &mut BlockBuf) -> Result<PackedChunk> {
+        let loaded = self.fetch(chunk.block, block).and_then(|()| {
+            let (payload, scratch) = block.parts();
+            PackedChunk::check(payload, chunk, scratch)
+        });
         if loaded.is_err() {
-            out.clear();
             block.held = None;
         }
         loaded
     }
 
-    /// The CRC-checked payload of posting block `block_no`, read into
-    /// `buf` (and counted) unless `buf` already holds it.
-    fn payload<'b>(&self, block_no: u32, buf: &'b mut BlockBuf) -> Result<&'b [u8]> {
-        let len = match buf.held {
-            Some((held, len)) if held == block_no => len,
-            _ => {
-                buf.held = None;
-                buf.bytes.resize(self.header.block_size as usize, 0);
-                read_block(self.pager.as_ref(), block_no, &mut buf.bytes)?;
-                self.block_reads.fetch_add(1, Ordering::Relaxed);
-                let len = unframe_block(&buf.bytes, block_no)?.len();
-                buf.held = Some((block_no, len));
-                len
-            }
-        };
-        let overflow = || SegmentError::Corrupt(format!("block {block_no} length {len} overflows"));
-        buf.bytes.get(BLOCK_FRAME..BLOCK_FRAME + len).ok_or_else(overflow)
+    /// Reads posting block `block_no` into `buf` (and counts it) and
+    /// checks its CRC, unless `buf` already holds it.
+    fn fetch(&self, block_no: u32, buf: &mut BlockBuf) -> Result<()> {
+        if buf.held.is_some_and(|(held, _)| held == block_no) {
+            return Ok(());
+        }
+        buf.held = None;
+        buf.bytes.resize(self.header.block_size as usize, 0);
+        read_block(self.pager.as_ref(), block_no, &mut buf.bytes)?;
+        self.block_reads.fetch_add(1, Ordering::Relaxed);
+        let len = unframe_block(&buf.bytes, block_no)?.len();
+        buf.held = Some((block_no, len));
+        Ok(())
     }
 
     /// Fully decodes `keyword`'s posting list (used by merge and tests;
@@ -272,10 +266,12 @@ impl SegmentReader {
         };
         let entry = self.entry(i);
         let mut out = Vec::with_capacity(entry.count as usize);
-        let (mut block, mut flat) = (BlockBuf::default(), FlatChunk::default());
+        let mut block = BlockBuf::default();
         for chunk in &entry.chunks {
-            self.load_chunk(chunk, &mut block, &mut flat)?;
-            out.extend(flat.iter().map(|c| Dewey::from_components(c.to_vec())));
+            let c = self.load_chunk(chunk, &mut block)?;
+            for i in 0..c.len() {
+                out.push(c.dewey(block.payload(), i).ok_or_else(|| unpack_failed(i))?);
+            }
         }
         Ok(out)
     }
@@ -289,7 +285,6 @@ impl SegmentReader {
             kw,
             slot,
             block: BlockBuf::default(),
-            flat: FlatChunk::default(),
             cached: None,
         })
     }
@@ -303,7 +298,7 @@ impl SegmentReader {
             slot,
             next_chunk: 0,
             block: BlockBuf::default(),
-            flat: FlatChunk::default(),
+            chunk: PackedChunk::default(),
             pos: 0,
         })
     }
@@ -319,6 +314,12 @@ impl SegmentReader {
     }
 }
 
+/// A key the check pass admitted did not unpack: never expected, but
+/// reported rather than skipped.
+fn unpack_failed(i: usize) -> SegmentError {
+    SegmentError::Corrupt(format!("key {i} of a checked chunk does not unpack"))
+}
+
 /// A caller-owned posting-block buffer, remembering which block it holds
 /// once that block's CRC has passed.
 #[derive(Debug, Default)]
@@ -326,38 +327,67 @@ pub(crate) struct BlockBuf {
     bytes: Vec<u8>,
     /// The verified block's id and payload length.
     held: Option<(u32, usize)>,
+    /// Reused for packing probes and chunk minima.
+    scratch: Vec<u8>,
+}
+
+impl BlockBuf {
+    /// The held block's payload (empty when none is held).
+    pub(crate) fn payload(&self) -> &[u8] {
+        let len = self.held.map_or(0, |(_, len)| len);
+        self.bytes.get(BLOCK_FRAME..BLOCK_FRAME + len).unwrap_or(&[])
+    }
+
+    /// The payload, beside the scratch buffer.
+    fn parts(&mut self) -> (&[u8], &mut Vec<u8>) {
+        let len = self.held.map_or(0, |(_, len)| len);
+        (self.bytes.get(BLOCK_FRAME..BLOCK_FRAME + len).unwrap_or(&[]), &mut self.scratch)
+    }
 }
 
 /// `lm`/`rm` probes over one keyword of one segment: binary-search the
-/// skip table, decode (at most) one chunk into the list's reused
-/// buffers, and binary-search its entries in place. The only allocation
-/// of a probe that hits the cached chunk is the `Dewey` it returns.
+/// skip table, load (at most) one chunk into the list's block buffer,
+/// and binary-search its packed keys in place. The only allocation of a
+/// probe that hits the cached chunk is the `Dewey` it returns.
 pub struct SegRankedList {
     reader: Arc<SegmentReader>,
     kw: usize,
     slot: ErrorSlot,
     block: BlockBuf,
-    flat: FlatChunk,
-    /// The chunk `flat` holds; set only once its decode fully succeeded.
-    cached: Option<usize>,
+    /// The chunk `block` holds, with its index; set only once its load
+    /// fully succeeded.
+    cached: Option<(usize, PackedChunk)>,
 }
 
 impl SegRankedList {
-    /// Chunk `idx` decoded, via the one-chunk cache.
-    fn chunk(&mut self, idx: usize) -> Option<&FlatChunk> {
-        if self.cached != Some(idx) {
-            self.cached = None;
-            let chunk = self.reader.entry(self.kw).chunks.get(idx)?;
-            self.slot.ok(self.reader.load_chunk(chunk, &mut self.block, &mut self.flat))?;
-            self.cached = Some(idx);
+    /// Chunk `idx`, loaded via the one-chunk cache.
+    fn chunk(&mut self, idx: usize) -> Option<PackedChunk> {
+        match self.cached {
+            Some((held, c)) if held == idx => Some(c),
+            _ => {
+                self.cached = None;
+                let chunk = self.reader.entry(self.kw).chunks.get(idx)?;
+                let c = self.slot.ok(self.reader.load_chunk(chunk, &mut self.block))?;
+                self.cached = Some((idx, c));
+                Some(c)
+            }
         }
-        Some(&self.flat)
     }
 
     /// Index of the first chunk whose min is **greater than** `v`
     /// (i.e. `v`, if present, lives in chunk `idx - 1`).
     fn upper_chunk(&self, v: &Dewey) -> usize {
         self.reader.entry(self.kw).chunks.partition_point(|c| c.min <= *v)
+    }
+
+    /// How many of chunk `c`'s keys lie below `v` (or at or below it).
+    fn rank(&mut self, c: PackedChunk, v: &Dewey, inclusive: bool) -> Option<usize> {
+        let (payload, scratch) = self.block.parts();
+        let at = c.rank(payload, v.components(), inclusive, scratch);
+        if at.is_none() {
+            self.slot.poison(SegmentError::Corrupt(format!("probe {v} has no bound in its chunk")));
+        }
+        at
     }
 }
 
@@ -373,10 +403,10 @@ impl RankedList for SegRankedList {
             // available straight from the skip table — no block read.
             return self.reader.entry(self.kw).chunks.first().map(|c| c.min.clone());
         };
-        let key = v.components();
-        let flat = self.chunk(within)?;
-        if let Some(n) = flat.get(flat.partition_point(|n| n < key)) {
-            return Some(Dewey::from_components(n.to_vec()));
+        let c = self.chunk(within)?;
+        let at = self.rank(c, v, false)?;
+        if at < c.len() {
+            return c.dewey(self.block.payload(), at);
         }
         // Ran off the chunk: the successor opens the next one.
         self.reader.entry(self.kw).chunks.get(idx).map(|c| c.min.clone())
@@ -385,41 +415,47 @@ impl RankedList for SegRankedList {
     fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
         // v precedes the whole list when idx is 0.
         let within = self.upper_chunk(v).checked_sub(1)?;
-        let key = v.components();
-        let flat = self.chunk(within)?;
-        // chunk.min <= v, so at least one entry qualifies.
-        let at = flat.partition_point(|n| n <= key);
-        at.checked_sub(1).and_then(|i| flat.get(i)).map(|n| Dewey::from_components(n.to_vec()))
+        let c = self.chunk(within)?;
+        // chunk.min <= v, so at least one key qualifies.
+        let at = self.rank(c, v, true)?;
+        c.dewey(self.block.payload(), at.checked_sub(1)?)
     }
 }
 
-/// Sequential scan over one keyword of one segment, decoding each chunk
-/// into the list's reused buffers as the cursor crosses into it. A
-/// failed chunk load poisons the slot and ends the stream: every later
-/// call re-reads the bad block and fails again, so a reader never sees
-/// postings past it.
+/// Sequential scan over one keyword of one segment, loading each chunk
+/// into the list's block buffer as the cursor crosses into it and
+/// unpacking one key per step. A failed chunk load poisons the slot and
+/// ends the stream: every later call re-reads the bad block and fails
+/// again, so a reader never sees postings past it.
 pub struct SegStreamList {
     reader: Arc<SegmentReader>,
     kw: usize,
     slot: ErrorSlot,
-    /// The chunk to decode once `flat` is drained.
+    /// The chunk to load once `chunk` is drained.
     next_chunk: usize,
     block: BlockBuf,
-    flat: FlatChunk,
+    chunk: PackedChunk,
     pos: usize,
 }
 
 impl SegStreamList {
-    /// The next posting's components, borrowed from the decoded chunk.
-    fn advance(&mut self) -> Option<&[u32]> {
-        while self.pos >= self.flat.len() {
+    /// The chunk and index of the next posting, loading chunks as the
+    /// cursor crosses into them; `None` at the end or on a failed load
+    /// (reported through the slot).
+    fn advance(&mut self) -> Option<(PackedChunk, usize)> {
+        while self.pos >= self.chunk.len() {
             let chunk = self.reader.entry(self.kw).chunks.get(self.next_chunk)?;
-            self.slot.ok(self.reader.load_chunk(chunk, &mut self.block, &mut self.flat))?;
+            self.chunk = self.slot.ok(self.reader.load_chunk(chunk, &mut self.block))?;
             self.pos = 0;
             self.next_chunk += 1;
         }
         self.pos += 1;
-        self.flat.get(self.pos - 1)
+        Some((self.chunk, self.pos - 1))
+    }
+
+    /// Reports a key the check pass admitted that then failed to unpack.
+    fn lost(&self, i: usize) {
+        self.slot.poison(unpack_failed(i));
     }
 }
 
@@ -430,19 +466,26 @@ impl StreamList for SegStreamList {
 
     fn rewind(&mut self) {
         self.next_chunk = 0;
-        self.flat.clear();
+        self.chunk = PackedChunk::default();
         self.pos = 0;
     }
 
     fn next_node(&mut self) -> Option<Dewey> {
-        self.advance().map(Dewey::from)
+        let (c, i) = self.advance()?;
+        let d = c.dewey(self.block.payload(), i);
+        if d.is_none() {
+            self.lost(i);
+        }
+        d
     }
 
     fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        let Some(n) = self.advance() else { return false };
-        buf.clear();
-        buf.extend_from_slice(n);
-        true
+        let Some((c, i)) = self.advance() else { return false };
+        let ok = c.unpack(self.block.payload(), i, buf);
+        if !ok {
+            self.lost(i);
+        }
+        ok
     }
 }
 
@@ -541,11 +584,11 @@ mod tests {
         let slot = ErrorSlot::new();
         let mut seg = r.ranked_list("alpha", slot.clone()).unwrap();
         let before = r.block_reads();
-        seg.rm(&d("0.35"));
+        seg.rm(&d("0.10"));
         let after_first = r.block_reads();
         assert_eq!(after_first - before, 1, "one probe = one block read");
-        seg.rm(&d("0.35.1"));
-        seg.lm(&d("0.35.2"));
+        seg.rm(&d("0.10.1"));
+        seg.lm(&d("0.10.2"));
         assert_eq!(r.block_reads(), after_first, "cached chunk re-used");
     }
 
@@ -616,6 +659,20 @@ mod tests {
         let err =
             SegmentReader::open(Arc::clone(&pager) as Arc<dyn Pager>, Some(&good)).unwrap_err();
         assert!(err.to_string().contains("generation fence"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_header_counts_are_corrupt_at_open() {
+        // A CRC-valid header whose block counts overflow u32 once summed:
+        // a typed error, never an arithmetic panic or a wrapped count.
+        let pager = Arc::new(MemPager::new(256));
+        let h = seal(pager.as_ref(), &SealSpec { seq: 1, seal_epoch: 0 }, &corpus()).unwrap();
+        let planted = Header { data_blocks: u32::MAX, ..h };
+        pager.write_page(xk_storage::PageId(0), &planted.encode(256)).unwrap();
+        match SegmentReader::open(pager, None) {
+            Err(SegmentError::Corrupt(m)) => assert!(m.contains("overflow"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! `xksearch verify` calls [`verify_store`] after its page-checksum
 //! sweep: every sealed blob is opened with its manifest fence, every
-//! block CRC re-checked once, every posting chunk decoded and reconciled
+//! block CRC re-checked once, every posting chunk checked and reconciled
 //! against the dictionary, and the journal replayed. Problems are
 //! *reported*, never panicked on — one corrupt blob doesn't stop the
 //! sweep from checking the rest.
 
-use crate::codec::FlatChunk;
 use crate::error::Result;
 use crate::io::SegmentIo;
 use crate::manifest::{read_manifest, replay_journal, SegExt};
@@ -21,7 +20,7 @@ pub struct SegmentVerifyReport {
     pub segments: usize,
     /// Blocks whose CRCs were re-verified.
     pub blocks_checked: u64,
-    /// Postings decoded and reconciled across all sealed segments.
+    /// Postings checked and reconciled across all sealed segments.
     pub postings_checked: u64,
     /// Postings replayed from the journal chain.
     pub journal_postings: u64,
@@ -37,26 +36,27 @@ impl SegmentVerifyReport {
 }
 
 /// Deep-checks one sealed blob that is already open (header, trailer,
-/// and dictionary validated): decodes every chunk of every keyword and
-/// reconciles counts. Keyword runs are packed back to back in keyword
-/// order, so walking the dictionary visits posting blocks in order and
-/// each block is read and CRC-checked once, then every chunk in it is
-/// decoded against it. Returns `(blocks, postings)` checked.
+/// and dictionary validated): loads every chunk of every keyword — the
+/// same check pass every query runs — and reconciles counts. Keyword
+/// runs are packed back to back in keyword order, so walking the
+/// dictionary visits posting blocks in order and each block is read and
+/// CRC-checked once, then every chunk in it is checked against it.
+/// Returns `(blocks, postings)` checked.
 fn deep_check(r: &SegmentReader, issues: &mut Vec<String>) -> (u64, u64) {
     let seq = r.seq();
     let reads_before = r.block_reads();
-    let (mut block, mut flat) = (BlockBuf::default(), FlatChunk::default());
+    let mut block = BlockBuf::default();
     let mut postings = 0u64;
     for (kw, entry) in r.entries() {
         let decoded = entry.chunks.iter().try_fold(0u64, |n, chunk| {
-            r.load_chunk(chunk, &mut block, &mut flat).map(|()| n + flat.len() as u64)
+            r.load_chunk(chunk, &mut block).map(|c| n + c.len() as u64)
         });
         match decoded {
             Ok(n) => {
                 postings += n;
                 if n != entry.count {
                     issues.push(format!(
-                        "segment {seq}: dictionary count {} for {kw:?} but {n} decoded",
+                        "segment {seq}: dictionary count {} for {kw:?} but {n} checked",
                         entry.count
                     ));
                 }
@@ -66,7 +66,7 @@ fn deep_check(r: &SegmentReader, issues: &mut Vec<String>) -> (u64, u64) {
     }
     if postings != r.header().posting_count {
         issues.push(format!(
-            "segment {seq}: header claims {} postings, {postings} decoded",
+            "segment {seq}: header claims {} postings, {postings} checked",
             r.header().posting_count
         ));
     }

@@ -1,7 +1,10 @@
-//! Property test of the chunk decoder behind every segment read: random
-//! strictly ascending keyword lists (depth 0–8, ordinals up to
-//! `u32::MAX`, several keywords sharing blocks) sealed at three block
-//! sizes must probe, stream and materialize exactly like the input.
+//! Property test of the chunk check and search behind every segment
+//! read: random strictly ascending keyword lists (depth 0–8, ordinals up
+//! to `u32::MAX`, several keywords sharing blocks) sealed at three block
+//! sizes must probe, stream and materialize exactly like the input. Small
+//! ordinals give keys of at most 8 bytes (the integer path), the extremes
+//! wider ones (the byte-slot path). A fixed case pins the tie that raw
+//! fixed-width packing gets wrong: ancestors and descendants in one chunk.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,6 +39,41 @@ fn sealed(lists: &BTreeMap<String, Vec<Dewey>>, block: usize) -> Arc<SegmentRead
     let pager = Arc::new(MemPager::new(block));
     seal(pager.as_ref(), &SealSpec { seq: 1, seal_epoch: 0 }, lists).unwrap();
     SegmentReader::open(pager, None).unwrap()
+}
+
+#[test]
+fn ancestors_and_descendants_in_one_chunk() {
+    // Padded to one stride without continuation bits, `0.5`, `0.5.0` and
+    // `0.5.0.0` would pack identically.
+    let d = |s: &str| s.parse::<Dewey>().unwrap();
+    let nodes = vec![d("0.5"), d("0.5.0"), d("0.5.0.0"), d("0.6")];
+    let r = sealed(&BTreeMap::from([("k".to_string(), nodes.clone())]), 256);
+    assert_eq!(r.postings("k").unwrap(), nodes);
+    let slot = ErrorSlot::new();
+    let mut seg = r.ranked_list("k", slot.clone()).unwrap();
+    let mut mem = MemList::from_sorted(nodes.clone());
+    let probes = [
+        "/",
+        "0",
+        "0.4.9",
+        "0.5",
+        "0.5.0",
+        "0.5.0.0",
+        "0.5.0.0.0",
+        "0.5.0.1",
+        "0.5.1",
+        "0.6",
+        "0.6.0",
+        "0.7",
+        "1",
+    ];
+    for p in probes.map(d) {
+        assert_eq!(seg.rm(&p), mem.rm(&p), "rm({p})");
+        assert_eq!(seg.lm(&p), mem.lm(&p), "lm({p})");
+    }
+    let mut s = r.stream_list("k", slot.clone()).unwrap();
+    assert_eq!(std::iter::from_fn(|| s.next_node()).collect::<Vec<_>>(), nodes);
+    assert!(!slot.is_poisoned(), "{:?}", slot.take());
 }
 
 proptest! {

@@ -15,7 +15,8 @@
 //! * [`liststore`] — sequential page chains for the Scan/Stack keyword-
 //!   list layout;
 //! * [`checksum`] — the CRC-32 stamped into every page's trailer and
-//!   verified on buffer-pool misses (format v2, `XKSTORE2`);
+//!   verified on buffer-pool misses (format v2, `XKSTORE2`), and the
+//!   CRC-32C ([`crc32c`], SSE4.2 when present) of segment blocks;
 //! * [`fault`] — [`FaultPager`]: deterministic, seeded fault injection
 //!   (failed I/O, torn writes, bit flips) for crash-simulation tests;
 //! * [`wal`] — [`Wal`]: a checksummed, length-prefixed write-ahead log
@@ -44,7 +45,7 @@ pub mod stats;
 pub mod wal;
 
 pub use btree::{BTree, BTreeCursor, Cursor};
-pub use checksum::crc32;
+pub use checksum::{crc32, crc32c};
 pub use env::{EnvOptions, StorageEnv, TxnCommit, FORMAT_VERSION, PAGE_TRAILER, ROOT_SLOTS};
 pub use error::{Result, StorageError};
 pub use recovery::{recover, recover_files, RecoveryReport};

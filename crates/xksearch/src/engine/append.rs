@@ -56,7 +56,9 @@ impl Engine {
     ///   root-to-leaf path**, so every new node follows every indexed
     ///   node in document order (each keyword's segment parts stay
     ///   id-disjoint and time-ordered);
-    /// * the index must embed its document (`store_document = true`).
+    /// * the index must embed its document (`store_document = true`);
+    /// * every posting of the fragment must fit a sealed blob
+    ///   ([`xk_segment::unsealable`]), else [`EngineError::BadQuery`].
     ///
     /// On a durable engine the call returns once the commit record is
     /// fsynced (inline under [`CommitMode::SyncEachCommit`], by the
@@ -84,6 +86,16 @@ impl Engine {
                 (Dewey::from_components(dewey), xk_index::node_tokens(&fragment, n))
             })
             .collect();
+        // A posting no blob could hold would be journaled now and then
+        // fail every later seal: refuse the fragment instead.
+        let block_size = seg.io.block_size();
+        let unsealable = added
+            .iter()
+            .filter(|(_, tokens)| !tokens.is_empty())
+            .find_map(|(d, _)| Some((d, xk_segment::unsealable(d, block_size)?)));
+        if let Some((dewey, why)) = unsealable {
+            return Err(EngineError::BadQuery(format!("fragment node {dewey} {why}")));
+        }
 
         // Nothing the transaction writes is visible to queries — they
         // read only the published snapshot — until the publish after
@@ -517,6 +529,52 @@ mod tests {
             sorted.sort();
             assert_eq!(out.slcas, sorted, "{algo}");
         }
+    }
+
+    /// `depth` nested elements around `word`.
+    fn nest(depth: usize, word: &str) -> String {
+        format!("{}{word}{}", "<n>".repeat(depth), "</n>".repeat(depth))
+    }
+
+    #[test]
+    fn postings_deeper_than_a_byte_build_journal_and_seal() {
+        let dir = std::env::temp_dir().join(format!("xk-seg-deep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = EnvOptions { page_size: 4096, pool_pages: 64 };
+        let tree = xk_xmltree::parse(&nest(300, "abyss")).unwrap();
+        let e = Engine::build_segmented(&tree, dir.join("deep.db"), opts, true).unwrap();
+        // A 300-deep fragment is journaled, then sealed with the next append.
+        e.set_seal_threshold(u64::MAX);
+        assert_eq!(e.append_subtree(&Dewey::root(), &nest(300, "trench")).unwrap().root, d("1"));
+        e.set_seal_threshold(1);
+        e.append_subtree(&Dewey::root(), "<memo>crest</memo>").unwrap();
+        assert_eq!(e.segment_metas().len(), 2, "the threshold seal went through");
+        for (kw, depth) in [("abyss", 300), ("trench", 301), ("crest", 2)] {
+            for algo in [Algorithm::IndexedLookupEager, Algorithm::ScanEager, Algorithm::Stack] {
+                let out = e.query(&[kw], algo).unwrap();
+                assert_eq!(out.slcas.len(), 1, "{kw} {algo}");
+                assert_eq!(out.slcas[0].depth(), depth, "{kw} {algo}");
+            }
+        }
+        let report = e.verify_segments().unwrap().unwrap();
+        assert!(report.clean(), "{:?}", report.issues);
+        drop(e);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_fragment_no_blob_could_hold_is_refused_before_it_is_journaled() {
+        let e = seg_engine();
+        e.set_seal_threshold(u64::MAX);
+        // 600 levels need more than a 512-byte block holds.
+        let err = e.append_subtree(&Dewey::root(), &nest(600, "sunk")).unwrap_err();
+        assert!(matches!(err, EngineError::BadQuery(_)), "{err}");
+        assert!(err.to_string().contains("exceeding the"), "{err}");
+        // Nothing was journaled, so the store still seals.
+        e.set_seal_threshold(1);
+        e.append_subtree(&Dewey::root(), "<memo>afloat</memo>").unwrap();
+        assert_eq!(e.segment_metas().len(), 2);
+        assert_eq!(e.query(&["afloat"], Algorithm::Auto).unwrap().slcas, vec![d("4.0")]);
     }
 
     #[test]

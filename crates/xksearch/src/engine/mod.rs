@@ -14,7 +14,7 @@
 //! layout (posting B+trees plus sequential list chains) and it is
 //! **read-only** from then on: the paper-fidelity reference the figure
 //! benches and the differential tests read. [`Engine::build_segmented`]
-//! puts the postings into packed XKSEG1 segments instead, and that is
+//! puts the postings into packed XKSEG2 segments instead, and that is
 //! the only layout [`Engine::append_subtree`] accepts — every append
 //! goes journal → mem segment → sealed blob, whatever the front end.
 //!
@@ -432,7 +432,7 @@ impl Engine {
     }
 
     /// [`Engine::build`] with the **segment layout** — the one that
-    /// serves and grows: postings go into one packed XKSEG1 blob under
+    /// serves and grows: postings go into one packed XKSEG2 blob under
     /// `<db_path>.segments/` instead of B+tree posting trees; the
     /// structural index (level table, document) is built as usual and
     /// its posting trees stay empty. Same crash discipline

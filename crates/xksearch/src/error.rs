@@ -12,7 +12,7 @@ pub enum EngineError {
     Storage(StorageError),
     Index(IndexError),
     Parse(ParseError),
-    /// Segment-store failures: blob I/O, XKSEG1 corruption, fence
+    /// Segment-store failures: blob I/O, XKSEG2 corruption, fence
     /// mismatches ([`xk_segment::SegmentError`]).
     Segment(SegmentError),
     /// Query-shape problems: no keywords, keyword with no token characters.

@@ -10,6 +10,8 @@
 //! * [`XmlTree`] — arena-based labeled ordered tree with Dewey navigation.
 //! * [`parse`] / [`serialize`] — XML text ↔ tree.
 //! * [`tokenize()`] — label → lowercase keyword tokens.
+//! * [`packed`] — Dewey numbers bit-packed at per-level widths in
+//!   `memcmp` order (B+tree keys and segment posting blocks).
 //!
 //! ```
 //! use xk_xmltree::{parse, NodeId};
@@ -19,6 +21,7 @@
 //! ```
 
 pub mod dewey;
+pub mod packed;
 pub mod parser;
 pub mod serialize;
 pub mod tokenize;

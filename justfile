@@ -12,6 +12,7 @@ test:
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     ! grep -rn '^\[\[bench\]\]' crates/*/Cargo.toml
+    ! grep -rn 'FlatChunk' crates/*/src
     ! grep -rn 'thread_local!' crates/*/src
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 

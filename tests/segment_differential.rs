@@ -1,5 +1,5 @@
 //! Differential property test for the segment layout: a document grown
-//! through `append_subtree` in packed XKSEG1 segments must be
+//! through `append_subtree` in packed XKSEG2 segments must be
 //! indistinguishable from the **bulk-built B+tree reference** of the
 //! same final document through **both** list traits — identical posting
 //! streams, identical `rm`/`lm` probe answers — and through all four

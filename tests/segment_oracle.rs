@@ -1,5 +1,5 @@
 //! Brute-force oracle over a **multi-segment** store: a deterministic
-//! document plus an append history sealed into many XKSEG1 blobs (seal
+//! document plus an append history sealed into many XKSEG2 blobs (seal
 //! threshold 1 → one blob per append) must answer every algorithm —
 //! Indexed Lookup Eager, Scan Eager, Stack, Auto, and the all-LCAs
 //! extension — exactly like `brute_force_slca`/`brute_force_all_lcas`
@@ -8,8 +8,8 @@
 //! the sealed set down, pinning that merges rewrite bytes but never
 //! answers.
 
-use xk_index::MemIndex;
-use xk_slca::{brute_force_all_lcas, brute_force_slca};
+use xk_index::{LevelTable, MemIndex};
+use xk_slca::{brute_force_all_lcas, brute_force_slca, MemList, RankedList};
 use xk_storage::EnvOptions;
 use xk_xmltree::{Dewey, NodeContent, NodeId, XmlTree};
 use xksearch::{Algorithm, Engine};
@@ -106,6 +106,24 @@ fn assert_matches_oracle(engine: &Engine, mirror: &XmlTree, ctx: &str) {
     }
 }
 
+/// Every keyword's `rm`/`lm` through the engine, at every posting, at
+/// its first child and next sibling, and past the last root child, vs a
+/// `MemList` over the mirror.
+fn assert_probes_match(engine: &Engine, mirror: &XmlTree, ctx: &str) {
+    let idx = MemIndex::build(mirror);
+    let past = Dewey::root().child(mirror.children(NodeId::ROOT).len() as u32 + 40);
+    for kw in WORDS.iter().chain(&["shelf", "book"]) {
+        let nodes = idx.keyword_list(kw).unwrap().to_vec();
+        let mut mem = MemList::from_sorted(nodes.clone());
+        let around =
+            nodes.iter().flat_map(|n| [n.clone(), n.child(0)].into_iter().chain(n.uncle()));
+        for p in around.chain([Dewey::root(), past.clone(), past.child(3)]) {
+            let want = (mem.rm(&p), mem.lm(&p));
+            assert_eq!(engine.posting_probe(kw, &p).unwrap(), Some(want), "{ctx}: {kw} at {p}");
+        }
+    }
+}
+
 #[test]
 fn multi_segment_store_matches_brute_force_before_and_after_merge() {
     let tree = base_tree();
@@ -125,7 +143,13 @@ fn multi_segment_store_matches_brute_force_before_and_after_merge() {
     }
     let sealed = engine.segment_metas().len();
     assert!(sealed >= 8, "expected a wide sealed set, got {sealed} segments");
+    let root_width = LevelTable::build(&tree).width(0).unwrap();
+    assert!(
+        mirror.children(NodeId::ROOT).len() > 1 << root_width,
+        "the appends must outgrow the build's {root_width}-bit root width"
+    );
     assert_matches_oracle(&engine, &mirror, "sealed fan-out");
+    assert_probes_match(&engine, &mirror, "sealed fan-out");
 
     // Fold the whole set through the tiered merge and re-check: the
     // compacted store must be byte-different but answer-identical.
@@ -140,6 +164,7 @@ fn multi_segment_store_matches_brute_force_before_and_after_merge() {
         "compaction did not shrink the sealed set"
     );
     assert_matches_oracle(&engine, &mirror, "after compaction");
+    assert_probes_match(&engine, &mirror, "after compaction");
 
     // Appends keep landing correctly on the compacted store.
     let tail = "<shelf><book>apple plum date</book></shelf>";
