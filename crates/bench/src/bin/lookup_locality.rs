@@ -1,13 +1,14 @@
 //! Measures what anchoring buys the IL probe loop: page reads per
-//! `lm`/`rm` probe against the big list `S_2`, anchored cursor versus
-//! fresh root-to-leaf descent, on a cold buffer pool.
+//! `lm`/`rm` probe against the big list `S_2`, one anchored cursor versus
+//! a fresh root-to-leaf descent per lookup, on a cold buffer pool.
 //!
 //! One document carries every sweep point: keywords `s1a..s1d` planted at
 //! frequencies 10, 100, 1 000, 10 000 and `s2` at 100 000. For each
 //! `|S_1|` the probe loop replays exactly what Indexed Lookup Eager does —
-//! one `deepest_dominator_ranked` call per `S_1` witness against the
-//! `S_2` ranked list — with the witnesses pre-materialized so the
-//! measured I/O window contains *only* the probes.
+//! one `seek_dominator` call per `S_1` witness against the `S_2` cursor —
+//! with the witnesses pre-materialized so the measured I/O window
+//! contains *only* the probes. The fresh series makes the same lookups,
+//! each through a cursor of its own.
 //!
 //! ```text
 //! lookup_locality [--smoke]
@@ -21,8 +22,8 @@
 use std::time::{Duration, Instant};
 use xk_bench::trial::Suite;
 use std::sync::Arc;
-use xk_index::{build_disk_index, BuildOptions, DiskIndex, IndexError};
-use xk_slca::{deepest_dominator_ranked, AlgoStats, ErrorSlot, StreamList};
+use xk_index::{build_disk_index, BuildOptions, DiskCursor, DiskIndex, IndexError};
+use xk_slca::{seek_dominator, AlgoStats, ErrorSlot, PostingCursor, StreamList};
 use xk_storage::{EnvOptions, IoStats, StorageEnv};
 use xk_workload::{generate, DblpSpec, Planted};
 use xk_xmltree::Dewey;
@@ -40,7 +41,7 @@ struct Measured {
     elapsed: Duration,
 }
 
-/// Replays the IL probe loop for one `S_1` over the `S_2` ranked list and
+/// Replays the IL probe loop for one `S_1` over the `S_2` cursor and
 /// returns the I/O charged to the probes alone (cold pool, witnesses in
 /// memory).
 fn probe_run(
@@ -51,21 +52,20 @@ fn probe_run(
     s2_keyword: &str,
     anchored: bool,
 ) -> Measured {
-    let mut list = index
-        .ranked_list(env, s2_keyword, slot.clone())
-        .expect("planted keyword present");
-    if anchored {
-        list = list.anchored();
-    }
+    let open = || index.cursor(env, s2_keyword, slot.clone()).expect("planted keyword present");
+    let mut list = open();
     env.clear_cache().expect("cache clear");
     let before = env.stats();
     let start = Instant::now();
     let mut stats = AlgoStats::default();
     let mut sink = 0u64;
     for w in witnesses {
-        if let Some(d) = deepest_dominator_ranked(&mut list, w, &mut stats) {
-            sink = sink.wrapping_add(d.depth() as u64);
-        }
+        let depth = if anchored {
+            seek_dominator(&mut list, w.components(), &mut stats)
+        } else {
+            fresh_dominator(open, w.components(), &mut stats)
+        };
+        sink = sink.wrapping_add(depth.unwrap_or(0) as u64);
     }
     std::hint::black_box(sink);
     let elapsed = start.elapsed();
@@ -76,20 +76,37 @@ fn probe_run(
     Measured { probes: witnesses.len() as u64, match_lookups: stats.match_lookups, io, elapsed }
 }
 
+/// [`seek_dominator`]'s two lookups, each through a fresh cursor, so
+/// each descends from the root: `rm(q)` one `seek_ge`, then on a miss
+/// `lm(q)` one `seek_le`.
+fn fresh_dominator(
+    open: impl Fn() -> DiskCursor,
+    q: &[u32],
+    stats: &mut AlgoStats,
+) -> Option<usize> {
+    let lcp = |n: &[u32]| q.iter().zip(n).take_while(|(a, b)| a == b).count();
+    stats.match_lookups += 1;
+    let mut rm = open();
+    rm.seek(q);
+    let right = rm.current().map(|n| (n == q, lcp(n)));
+    if let Some((true, _)) = right {
+        return Some(q.len());
+    }
+    stats.match_lookups += 1;
+    let mut lm = open();
+    lm.seek(q);
+    let left = lm.before().map(lcp);
+    left.max(right.map(|(_, depth)| depth))
+}
+
 fn collect_witnesses(
     env: &Arc<StorageEnv>,
     slot: &ErrorSlot<IndexError>,
     index: &DiskIndex,
     keyword: &str,
 ) -> Vec<Dewey> {
-    let mut stream = index
-        .stream_list(env, keyword, slot.clone())
-        .expect("planted keyword present");
-    let mut out = Vec::new();
-    while let Some(d) = stream.next_node() {
-        out.push(d);
-    }
-    out
+    let mut stream = index.cursor(env, keyword, slot.clone()).expect("planted keyword present");
+    std::iter::from_fn(|| stream.next_node()).collect()
 }
 
 fn main() {

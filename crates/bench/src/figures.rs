@@ -219,8 +219,8 @@ pub fn ablation_beta(corpus: &Corpus) -> String {
         corpus.engine.query(&[&query[0], &query[1]], xksearch::Algorithm::IndexedLookupEager)
             .expect("warm query");
         let slot = ErrorSlot::new();
-        let mut s1 = corpus.engine.stream_list(&query[0], slot.clone()).expect("planted keyword");
-        let mut other = corpus.engine.ranked_list(&query[1], slot.clone()).expect("planted keyword");
+        let mut s1 = corpus.engine.cursor(&query[0], slot.clone()).expect("planted keyword");
+        let mut other = corpus.engine.cursor(&query[1], slot.clone()).expect("planted keyword");
         let mut refs: Vec<&mut dyn RankedList> = vec![&mut other];
         let started = Instant::now();
         let mut first: Option<Duration> = None;

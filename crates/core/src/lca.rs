@@ -34,97 +34,87 @@ pub enum LcaKind {
 
 /// Computes `lca(S_1, …, S_k)` (Algorithm 3).
 ///
-/// `s1` streams the smallest list; `all` gives indexed access to **all**
-/// `k` lists, with `all[0]` the same list `s1` streams. Results are
-/// emitted as they are discovered: SLCAs in document order, each followed
-/// by the confirmed ancestors it is responsible for (bottom-up), so the
-/// overall order is not document order; the collect wrapper sorts.
-// xk-analyze: allow(panic_path, reason = "k >= 2 is established by the early returns above; slca indices are in bounds by construction")
+/// `s1` streams the smallest list; `all` seeks **all** `k` lists, with
+/// `all[0]` the same list `s1` streams. Results are emitted as they are
+/// discovered: SLCAs in document order, each followed by the confirmed
+/// ancestors it is responsible for (bottom-up), so the overall order is
+/// not document order; the collect wrapper sorts.
+// xk-analyze: allow(panic_path, reason = "the assert documents the caller contract: k >= 1 lists")
 pub fn all_lcas(
     s1: &mut dyn StreamList,
     all: &mut [&mut dyn RankedList],
     mut emit: impl FnMut(Dewey, LcaKind),
 ) -> AlgoStats {
     assert!(!all.is_empty(), "at least one keyword list is required");
-    if all.len() == 1 {
+    let rest = all.get_mut(1..).unwrap_or_default();
+    if rest.is_empty() {
         // k = 1: lca(n) = n, so every node of S_1 is an LCA; the SLCAs are
         // the ones without descendants in S_1.
         return all_lcas_single_list(s1, emit);
     }
 
-    // Phase 1: SLCAs via Indexed Lookup Eager over the other lists.
+    // Phase 1: SLCAs via Indexed Lookup Eager over the other lists (S_1's
+    // own cursor is only needed for checkLCA below).
     let mut slcas: Vec<Dewey> = Vec::new();
-    let (first, rest) = all.split_first_mut().expect("k >= 2");
-    let _ = first; // S_1's indexed access is only needed for checkLCA below
     let mut stats = indexed_lookup_eager(s1, rest, |d| slcas.push(d));
 
     // Phase 2: walk ancestors, each exactly once. Ancestors of slcas[i]
     // strictly deeper than lca(slcas[i], slcas[i+1]) belong to slcas[i];
     // the rest are also ancestors of slcas[i+1] and are deferred. The last
     // SLCA owns its whole remaining path up to the root.
-    for i in 0..slcas.len() {
-        let x = &slcas[i];
+    let mut uncle = Vec::new();
+    for (i, x) in slcas.iter().enumerate() {
         emit(x.clone(), LcaKind::Smallest);
-        let stop_depth = match slcas.get(i + 1) {
+        let owned_below = match slcas.get(i + 1) {
             Some(next) => {
                 stats.lca_computations += 1;
-                x.lca_depth(next)
+                x.lca_depth(next) + 1
             }
             None => 0,
         };
-        // Ancestors of x from the parent down to depth `stop_depth`
-        // (exclusive for non-last, inclusive of the root for the last).
-        let mut u = x.clone();
-        while let Some(parent) = u.parent() {
-            let include = if slcas.get(i + 1).is_some() {
-                parent.depth() > stop_depth
-            } else {
-                true
-            };
-            if !include {
-                break;
-            }
-            if check_lca(&parent, x, all, &mut stats) {
+        // x's ancestors, parent first, as prefix lengths of x.
+        for depth in (owned_below..x.depth()).rev() {
+            if check_lca(x.components(), depth, &mut uncle, all, &mut stats) {
                 stats.results += 1;
-                emit(parent.clone(), LcaKind::Ancestor);
+                emit(x.prefix(depth), LcaKind::Ancestor);
             }
-            u = parent;
         }
     }
     stats
 }
 
-/// `checkLCA(u, x)` from Algorithm 3: `u` is a proper ancestor of the
-/// SLCA `x`; returns true iff `u` is an LCA.
+/// `checkLCA(u, x)` from Algorithm 3, for `u` the ancestor of the SLCA
+/// `x` at `depth < x.len()`: true iff `u` is an LCA. `uncle` is a reused
+/// buffer.
 fn check_lca(
-    u: &Dewey,
-    x: &Dewey,
+    x: &[u32],
+    depth: usize,
+    uncle: &mut Vec<u32>,
     all: &mut [&mut dyn RankedList],
     stats: &mut AlgoStats,
 ) -> bool {
-    let c = u
-        .child_towards(x)
-        .expect("check_lca requires u to be a proper ancestor of x");
-    // `None` iff c's ordinal is u32::MAX: no position exists to c's
-    // right, so the right region below is empty and only the left region
-    // can certify u.
-    let uncle = c.uncle();
+    // c: the child of u towards x.
+    let (Some(u), Some(c)) = (x.get(..depth), x.get(..depth + 1)) else { return false };
+    // The uncle position: c's right sibling. `None` iff c's ordinal is
+    // u32::MAX: no position exists to c's right, so the right region
+    // below is empty and only the left region can certify u.
+    uncle.clear();
+    uncle.extend_from_slice(u);
+    let has_uncle = c.last().and_then(|o| o.checked_add(1)).map(|o| uncle.push(o)).is_some();
     for list in all.iter_mut() {
         // Left region: [u, c) in preorder — u itself and the subtrees of
         // c's left siblings.
         stats.match_lookups += 1;
-        if let Some(n) = list.rm(u) {
-            if n < c {
-                return true;
-            }
+        list.seek(u);
+        if list.current().is_some_and(|n| n < c) {
+            return true;
         }
         // Right region: descendants of u at or after the uncle position.
-        if let Some(uncle) = &uncle {
+        if has_uncle {
             stats.match_lookups += 1;
-            if let Some(n) = list.rm(uncle) {
-                if u.is_ancestor_of(&n) {
-                    return true;
-                }
+            list.seek(uncle);
+            if list.current().is_some_and(|n| n.starts_with(u)) {
+                return true;
             }
         }
     }
@@ -137,7 +127,6 @@ fn all_lcas_single_list(
     mut emit: impl FnMut(Dewey, LcaKind),
 ) -> AlgoStats {
     let mut stats = AlgoStats::default();
-    s1.rewind();
     // A node is an SLCA iff no later node is its descendant; with the
     // stream sorted in preorder, that is "the immediate successor is not a
     // descendant".

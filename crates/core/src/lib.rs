@@ -8,8 +8,9 @@
 //!   IL): `O(k·d·|S_1|·log|S_max|)`, orders of magnitude faster than the
 //!   alternatives when keyword frequencies differ;
 //! * [`scan_eager`] — the variant tuned for similar frequencies: the same
-//!   eager loop, with every match step answered by a forward-only
-//!   [`ScanCursor`] that reads each list once, front to back, so the
+//!   eager loop, with every match step answered by advancing the list's
+//!   cursor ([`scan_dominator`]) instead of seeking it
+//!   ([`seek_dominator`]), so each list is read once, front to back, the
 //!   query costs `O(d·Σ|S_i| + k·d·|S_1|)` and no indexed lookup;
 //! * [`stack_merge`] — the prior-work sort-merge Stack algorithm (XRANK's
 //!   DIL adapted to SLCA semantics), `O(k·d·Σ|S_i|)`;
@@ -17,12 +18,14 @@
 //! * [`all_lcas`] — the Section 5 extension enumerating *all* LCAs with
 //!   exactly one `checkLCA` per SLCA ancestor.
 //!
-//! Keyword lists are abstracted by [`RankedList`] (indexed left/right
-//! match) and [`StreamList`] (sequential scan, allocation-free through
-//! [`StreamList::next_into`]); [`MemList`] implements
-//! both in memory; `xk-index` and `xk-segment` provide disk-backed
-//! implementations, which report storage failures through an
-//! [`ErrorSlot`] because the traits are infallible.
+//! Every algorithm reads keyword lists through one [`PostingCursor`]:
+//! `seek` positions at the first posting `>= v`, `step` steps, and
+//! `current`/`before` borrow the right and left matches as slices, so a
+//! query allocates only its results. [`MemList`] is the in-memory
+//! cursor; `xk-index` and `xk-segment` provide the disk-backed ones,
+//! which report storage failures through an [`ErrorSlot`] because the
+//! cursor is infallible. [`RankedList`] (`rm`/`lm`) and [`StreamList`]
+//! (`next_node`) are extension traits every cursor has.
 //!
 //! ```
 //! use xk_slca::{MemList, RankedList, indexed_lookup_eager_collect};
@@ -46,10 +49,8 @@ pub mod stats;
 
 pub use brute::{brute_force_all_lcas, brute_force_slca, remove_ancestors};
 pub use lca::{all_lcas, all_lcas_collect, LcaKind};
-pub use lists::{
-    ChainedRankedList, ChainedStreamList, ErrorSlot, MemList, RankedList, StreamList,
-};
-pub use matching::{deeper, deepest_dominator_ranked, EagerFilter, ScanCursor};
+pub use lists::{ChainedCursor, ErrorSlot, MemList, PostingCursor, RankedList, StreamList};
+pub use matching::{scan_dominator, seek_dominator, EagerFilter};
 pub use slca::{
     indexed_lookup_eager, indexed_lookup_eager_buffered, indexed_lookup_eager_collect,
     scan_eager, scan_eager_collect, stack_merge, stack_merge_collect,

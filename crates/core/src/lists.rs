@@ -1,28 +1,31 @@
-//! Keyword-list abstractions.
+//! Keyword-list access: one cursor per backend.
 //!
-//! The paper's algorithms access keyword lists in two ways:
+//! The paper's algorithms ask one question of a keyword list: what are
+//! the closest left and right matches of `v`? Indexed Lookup Eager and
+//! all-LCA ask it by random access (`lm`/`rm`, Section 3.1); Scan Eager
+//! and Stack ask it by advancing through the list (Sections 3.2–3.3).
+//! [`PostingCursor`] is that one primitive: [`PostingCursor::seek`]
+//! positions at the first posting `>= v` — the right match — and
+//! [`PostingCursor::before`] is the posting just before it, the left
+//! match whenever the right one is not `v` itself;
+//! [`PostingCursor::step`] steps. Postings are borrowed as component
+//! slices, so reading a list allocates nothing.
 //!
-//! * **indexed** — the left/right match operations `lm(v, S)` / `rm(v, S)`
-//!   (Indexed Lookup Eager, all-LCA): [`RankedList`];
-//! * **sequential** — front-to-back streaming (Scan Eager, Stack, and the
-//!   `S_1` iteration of every eager algorithm): [`StreamList`], whose
-//!   [`StreamList::next_into`] fills a caller-owned buffer instead of
-//!   allocating a `Dewey` per node.
-//!
-//! [`MemList`] implements both over an in-memory sorted `Vec<Dewey>`.
-//! Disk-backed implementations live in `xk-index` (B+tree `seek_ge` /
-//! `seek_le` and the sequential list store) and `xk-segment` (packed
-//! blobs). Both traits are infallible — the algorithms are
-//! storage-agnostic — so a fallible adapter reports through an
-//! [`ErrorSlot`] instead.
+//! [`MemList`] is the in-memory cursor and [`ChainedCursor`] joins a
+//! segment store's time-ordered parts. The disk-backed cursors live in
+//! `xk-segment` (packed blobs) and `xk-index` (the B+tree reference).
+//! [`RankedList`] (`rm`/`lm` as owned ids) and [`StreamList`]
+//! (`next_node`) are extension traits every cursor has, for tools and
+//! tests. Cursors are infallible — the algorithms are storage-agnostic —
+//! so a fallible one reports through an [`ErrorSlot`] instead.
 
 use std::sync::{Arc, Mutex};
 use xk_xmltree::Dewey;
 
-/// A shared first-error-wins slot, one per read, cloned into every list
-/// adapter the read builds. An adapter that hits an I/O or corruption
-/// error records it here and returns `None` (which terminates any of
-/// the algorithms); the reader checks [`ErrorSlot::take`] afterwards to
+/// A shared first-error-wins slot, one per read, cloned into every
+/// cursor the read builds. A cursor that hits an I/O or corruption
+/// error records it here and reads as "nothing there" (which terminates
+/// any of the algorithms); the reader checks [`ErrorSlot::take`] afterwards to
 /// tell "no match" from "the storage layer failed".
 pub struct ErrorSlot<E> {
     slot: Arc<Mutex<Option<E>>>,
@@ -55,7 +58,7 @@ impl<E> ErrorSlot<E> {
         }
     }
 
-    /// [`Result::ok`] for an adapter's fallible step: the error is kept
+    /// [`Result::ok`] for a cursor's fallible step: the error is kept
     /// (see [`ErrorSlot::poison`]) and reads as "nothing there".
     pub fn ok<T>(&self, step: Result<T, impl Into<E>>) -> Option<T> {
         step.map_err(|e| self.poison(e.into())).ok()
@@ -67,122 +70,118 @@ impl<E> ErrorSlot<E> {
         self.slot.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 
-    /// True if an adapter has recorded an error since the last take.
+    /// True if a cursor has recorded an error since the last take.
     pub fn is_poisoned(&self) -> bool {
         self.slot.lock().unwrap_or_else(|e| e.into_inner()).is_some()
     }
 }
 
-/// Indexed access to a keyword list sorted by Dewey id.
-pub trait RankedList {
-    /// Number of nodes in the list (the paper's `|S|`).
+/// A position in a keyword list sorted by Dewey id: an index `i` in
+/// `0..=len`. The posting at `i` is [`PostingCursor::current`] (`None`
+/// past the end), the one at `i - 1` is [`PostingCursor::before`] (`None`
+/// at the start). A new cursor stands at the first posting.
+pub trait PostingCursor {
+    /// Number of postings in the list (the paper's `|S|`).
     fn len(&self) -> u64;
 
-    /// True iff the list has no nodes.
+    /// True iff the list has no postings.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The paper's **right match** `rm(v, S)`: the node of `S` with the
-    /// smallest id greater than or equal to `v`, or `None`.
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey>;
+    /// Positions the cursor at the first posting `>= key`, forward or
+    /// backward; seeking the root (`&[]`) rewinds.
+    fn seek(&mut self, key: &[u32]);
 
-    /// The paper's **left match** `lm(v, S)`: the node of `S` with the
-    /// biggest id less than or equal to `v`, or `None`.
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey>;
+    /// Steps to the next posting; a no-op past the end.
+    fn step(&mut self);
+
+    /// The posting under the cursor: after `seek(v)`, the paper's right
+    /// match `rm(v, S)`.
+    fn current(&mut self) -> Option<&[u32]>;
+
+    /// The posting just before [`PostingCursor::current`]: after
+    /// `seek(v)`, the left match `lm(v, S)` whenever `current() != v`.
+    fn before(&mut self) -> Option<&[u32]>;
 }
 
-/// Sequential front-to-back access to a keyword list sorted by Dewey id.
-pub trait StreamList {
-    /// Number of nodes in the list.
-    fn len(&self) -> u64;
-
-    /// True iff the list has no nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resets the stream to the beginning.
-    fn rewind(&mut self);
-
-    /// The next node in id order, or `None` at the end.
-    fn next_node(&mut self) -> Option<Dewey>;
-
-    /// [`StreamList::next_node`] into a caller-owned buffer: on `true`
-    /// `buf` holds the next node's components; on `false` (the end) its
-    /// contents are unspecified. Scan Eager's cursors read through this,
-    /// so a list that overrides it streams without allocating per node.
-    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        let Some(n) = self.next_node() else { return false };
-        buf.clear();
-        buf.extend_from_slice(n.components());
-        true
-    }
-}
-
-impl<L: RankedList + ?Sized> RankedList for &mut L {
+impl<C: PostingCursor + ?Sized> PostingCursor for &mut C {
     fn len(&self) -> u64 {
         (**self).len()
     }
 
+    fn seek(&mut self, key: &[u32]) {
+        (**self).seek(key)
+    }
+
+    fn step(&mut self) {
+        (**self).step()
+    }
+
+    fn current(&mut self) -> Option<&[u32]> {
+        (**self).current()
+    }
+
+    fn before(&mut self) -> Option<&[u32]> {
+        (**self).before()
+    }
+}
+
+impl<C: PostingCursor + ?Sized> PostingCursor for Box<C> {
+    fn len(&self) -> u64 {
+        (**self).len()
+    }
+
+    fn seek(&mut self, key: &[u32]) {
+        (**self).seek(key)
+    }
+
+    fn step(&mut self) {
+        (**self).step()
+    }
+
+    fn current(&mut self) -> Option<&[u32]> {
+        (**self).current()
+    }
+
+    fn before(&mut self) -> Option<&[u32]> {
+        (**self).before()
+    }
+}
+
+/// The paper's match operations as owned ids, over any cursor.
+pub trait RankedList: PostingCursor {
+    /// The **right match** `rm(v, S)`: the posting with the smallest id
+    /// greater than or equal to `v`, or `None`.
     fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        (**self).rm(v)
+        self.seek(v.components());
+        self.current().map(Dewey::from)
     }
 
+    /// The **left match** `lm(v, S)`: the posting with the biggest id
+    /// less than or equal to `v`, or `None`.
     fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        (**self).lm(v)
+        self.seek(v.components());
+        if self.current() == Some(v.components()) {
+            return Some(v.clone());
+        }
+        self.before().map(Dewey::from)
     }
 }
 
-impl<L: StreamList + ?Sized> StreamList for &mut L {
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
+impl<C: PostingCursor + ?Sized> RankedList for C {}
 
-    fn rewind(&mut self) {
-        (**self).rewind()
-    }
-
+/// Front-to-back reading as owned ids, over any cursor.
+pub trait StreamList: PostingCursor {
+    /// The posting under the cursor, stepping past it; `None` at the end.
     fn next_node(&mut self) -> Option<Dewey> {
-        (**self).next_node()
-    }
-
-    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        (**self).next_into(buf)
+        let node = self.current().map(Dewey::from);
+        self.step();
+        node
     }
 }
 
-impl<L: RankedList + ?Sized> RankedList for Box<L> {
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
-
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        (**self).rm(v)
-    }
-
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        (**self).lm(v)
-    }
-}
-
-impl<L: StreamList + ?Sized> StreamList for Box<L> {
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
-
-    fn rewind(&mut self) {
-        (**self).rewind()
-    }
-
-    fn next_node(&mut self) -> Option<Dewey> {
-        (**self).next_node()
-    }
-
-    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        (**self).next_into(buf)
-    }
-}
+impl<C: PostingCursor + ?Sized> StreamList for C {}
 
 /// An in-memory keyword list: a sorted, duplicate-free `Vec<Dewey>`,
 /// held behind an `Arc` so a snapshot's list can be read in place.
@@ -218,151 +217,106 @@ impl MemList {
     }
 }
 
-impl RankedList for MemList {
+impl PostingCursor for MemList {
     fn len(&self) -> u64 {
         self.nodes.len() as u64
     }
 
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.nodes.partition_point(|n| n < v);
-        self.nodes.get(idx).cloned()
+    fn seek(&mut self, key: &[u32]) {
+        self.pos = self.nodes.partition_point(|n| n.components() < key);
     }
 
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.nodes.partition_point(|n| n <= v);
-        idx.checked_sub(1).and_then(|i| self.nodes.get(i)).cloned()
-    }
-}
-
-impl StreamList for MemList {
-    fn len(&self) -> u64 {
-        self.nodes.len() as u64
+    fn step(&mut self) {
+        self.pos = (self.pos + 1).min(self.nodes.len());
     }
 
-    fn rewind(&mut self) {
-        self.pos = 0;
+    fn current(&mut self) -> Option<&[u32]> {
+        self.nodes.get(self.pos).map(Dewey::components)
     }
 
-    fn next_node(&mut self) -> Option<Dewey> {
-        let n = self.nodes.get(self.pos).cloned();
-        if n.is_some() {
-            self.pos += 1;
-        }
-        n
-    }
-
-    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        let Some(n) = self.nodes.get(self.pos) else { return false };
-        buf.clear();
-        buf.extend_from_slice(n.components());
-        self.pos += 1;
-        true
+    fn before(&mut self) -> Option<&[u32]> {
+        self.nodes.get(self.pos.checked_sub(1)?).map(Dewey::components)
     }
 }
 
-/// A [`RankedList`] over several disjoint, time-ordered parts of one
+/// One cursor over several disjoint, time-ordered parts of one
 /// keyword's postings — the shape a segment store produces, where every
 /// id in part `i` is smaller than every id in part `i + 1` (the engine's
-/// tail-append invariant). Each part carries its minimum id, so a probe
-/// binary-searches the minima and consults **at most one** part:
-///
-/// * `rm(v)` — the candidate part is the last one whose min is `<= v`;
-///   if it has no id `>= v`, the answer is the *next* part's min,
-///   available without touching that part at all.
-/// * `lm(v)` — the candidate part is guaranteed to contain the answer
-///   (its min qualifies).
-pub struct ChainedRankedList {
-    parts: Vec<(Dewey, Box<dyn RankedList>)>,
+/// tail-append invariant). Each part carries its first posting, so a
+/// seek binary-searches those and positions **one** part; when that part
+/// has no posting `>= key`, the right match is the next part's first
+/// posting, known without touching that part. The left match of a miss
+/// always lies in the positioned part.
+pub struct ChainedCursor {
+    parts: Vec<Box<dyn PostingCursor>>,
+    /// Each part's first posting.
+    mins: Vec<Dewey>,
+    /// The positioned part. Past its end, the position is the first
+    /// posting of the part after it.
+    part: usize,
     total: u64,
 }
 
-impl ChainedRankedList {
-    /// Chains `parts`, each tagged with its minimum id. Parts must be
-    /// non-empty, with strictly ascending minima and disjoint ranges.
-    pub fn new(parts: Vec<(Dewey, Box<dyn RankedList>)>) -> ChainedRankedList {
+impl ChainedCursor {
+    /// Chains `parts`, each tagged with its first posting. Parts must be
+    /// non-empty and unread, with strictly ascending minima and disjoint
+    /// ranges.
+    pub fn new(parts: Vec<(Dewey, Box<dyn PostingCursor>)>) -> ChainedCursor {
         debug_assert!(
             parts.windows(2).all(|w| w[0].0 < w[1].0),
             "chained parts must have ascending minima"
         );
-        let total = parts.iter().map(|(_, p)| p.len()).sum();
-        ChainedRankedList { parts, total }
-    }
-}
-
-impl RankedList for ChainedRankedList {
-    fn len(&self) -> u64 {
-        self.total
-    }
-
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.parts.partition_point(|(min, _)| min <= v);
-        if idx == 0 {
-            // v precedes every part: the global minimum answers.
-            return self.parts.first().map(|(min, _)| min.clone());
-        }
-        // xk-analyze: allow(panic_path, reason = "partition_point returned idx > 0, so idx - 1 indexes within parts")
-        if let Some(n) = self.parts[idx - 1].1.rm(v) {
-            return Some(n);
-        }
-        self.parts.get(idx).map(|(min, _)| min.clone())
-    }
-
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.parts.partition_point(|(min, _)| min <= v);
-        if idx == 0 {
-            return None;
-        }
-        // xk-analyze: allow(panic_path, reason = "partition_point returned idx > 0, so idx - 1 indexes within parts")
-        self.parts[idx - 1].1.lm(v)
-    }
-}
-
-/// A [`StreamList`] concatenating several parts front to back (same
-/// disjoint time-ordered shape as [`ChainedRankedList`]).
-pub struct ChainedStreamList {
-    parts: Vec<Box<dyn StreamList>>,
-    cur: usize,
-    total: u64,
-}
-
-impl ChainedStreamList {
-    /// Chains `parts` in id order.
-    pub fn new(parts: Vec<Box<dyn StreamList>>) -> ChainedStreamList {
+        let (mins, parts): (Vec<Dewey>, Vec<_>) = parts.into_iter().unzip();
         let total = parts.iter().map(|p| p.len()).sum();
-        ChainedStreamList { parts, cur: 0, total }
+        ChainedCursor { parts, mins, part: 0, total }
     }
 }
 
-impl StreamList for ChainedStreamList {
+impl PostingCursor for ChainedCursor {
     fn len(&self) -> u64 {
         self.total
     }
 
-    fn rewind(&mut self) {
-        for p in &mut self.parts {
-            p.rewind();
+    fn seek(&mut self, key: &[u32]) {
+        self.part = self.mins.partition_point(|m| m.components() <= key).saturating_sub(1);
+        if let Some(p) = self.parts.get_mut(self.part) {
+            p.seek(key);
         }
-        self.cur = 0;
     }
 
-    fn next_node(&mut self) -> Option<Dewey> {
-        while let Some(p) = self.parts.get_mut(self.cur) {
-            if let Some(n) = p.next_node() {
-                return Some(n);
-            }
-            self.cur += 1;
+    fn step(&mut self) {
+        let Some(p) = self.parts.get_mut(self.part) else { return };
+        if p.current().is_some() {
+            p.step();
+        } else if let (Some(p), Some(min)) =
+            (self.parts.get_mut(self.part + 1), self.mins.get(self.part + 1))
+        {
+            // The position was the next part's first posting: step past it.
+            self.part += 1;
+            p.seek(min.components());
+            p.step();
         }
-        None
     }
 
-    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        while let Some(p) = self.parts.get_mut(self.cur) {
-            if p.next_into(buf) {
-                return true;
-            }
-            self.cur += 1;
+    fn current(&mut self) -> Option<&[u32]> {
+        match self.parts.get_mut(self.part)?.current() {
+            Some(n) => Some(n),
+            None => self.mins.get(self.part + 1).map(Dewey::components),
         }
-        false
+    }
+
+    fn before(&mut self) -> Option<&[u32]> {
+        let (earlier, rest) = self.parts.split_at_mut(self.part);
+        match rest.first_mut()?.before() {
+            Some(n) => Some(n),
+            None => {
+                // At the part's first posting: the one before it is the
+                // previous part's last.
+                let prev = earlier.last_mut()?;
+                prev.seek(self.mins.get(self.part)?.components());
+                prev.before()
+            }
+        }
     }
 }
 
@@ -407,27 +361,30 @@ mod tests {
     }
 
     #[test]
-    fn stream_iterates_in_order_and_rewinds() {
+    fn cursor_steps_and_seeks_back() {
         let mut l = list(&["0.2", "0.1"]);
+        assert_eq!(l.before(), None);
         assert_eq!(l.next_node(), Some(d("0.1")));
+        assert_eq!(l.before(), Some(&[0, 1][..]));
         assert_eq!(l.next_node(), Some(d("0.2")));
         assert_eq!(l.next_node(), None);
-        l.rewind();
+        assert_eq!(l.before(), Some(&[0, 2][..]), "past the end, before is the last");
+        l.seek(&[]);
         assert_eq!(l.next_node(), Some(d("0.1")));
     }
 
     #[test]
     fn empty_list() {
         let mut l = MemList::new(vec![]);
-        assert!(RankedList::is_empty(&l));
+        assert!(l.is_empty());
         assert_eq!(l.rm(&d("0")), None);
         assert_eq!(l.lm(&d("0")), None);
         assert_eq!(l.next_node(), None);
     }
 
     /// Splits `all` into disjoint consecutive runs and chains them.
-    fn chained_from(all: &[Dewey], cuts: &[usize]) -> ChainedRankedList {
-        let mut parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
+    fn chained_from(all: &[Dewey], cuts: &[usize]) -> ChainedCursor {
+        let mut parts: Vec<(Dewey, Box<dyn PostingCursor>)> = Vec::new();
         let mut start = 0;
         for &cut in cuts.iter().chain(std::iter::once(&all.len())) {
             if cut > start {
@@ -436,51 +393,40 @@ mod tests {
                 start = cut;
             }
         }
-        ChainedRankedList::new(parts)
+        ChainedCursor::new(parts)
     }
 
     #[test]
-    fn chained_ranked_matches_flat_oracle() {
-        let all: Vec<Dewey> =
-            ["0.0", "0.1", "0.1.0.2", "0.2", "0.4.1", "0.4.2", "0.7", "1.0"]
-                .iter()
-                .map(|s| d(s))
-                .collect();
+    fn chained_matches_flat_oracle() {
+        let all: Vec<Dewey> = ["0.0", "0.1", "0.1.0.2", "0.2", "0.4.1", "0.4.2", "0.7", "1.0"]
+            .iter()
+            .map(|s| d(s))
+            .collect();
         let mut oracle = MemList::from_sorted(all.clone());
-        for cuts in [vec![], vec![3], vec![1, 4, 6], vec![2, 3, 4, 5]] {
+        for cuts in [vec![], vec![3], vec![1, 4, 6], vec![2, 3, 3, 4, 5]] {
             let mut chain = chained_from(&all, &cuts);
-            assert_eq!(RankedList::len(&chain), all.len() as u64);
+            assert_eq!(chain.len(), all.len() as u64);
             let mut probes = all.clone();
             probes.extend(["0", "0.0.0", "0.3", "0.4.1.9", "0.9", "2"].iter().map(|s| d(s)));
             for p in &probes {
                 assert_eq!(chain.rm(p), oracle.rm(p), "rm({p}) cuts {cuts:?}");
                 assert_eq!(chain.lm(p), oracle.lm(p), "lm({p}) cuts {cuts:?}");
+                chain.seek(p.components());
+                oracle.seek(p.components());
+                assert_eq!(chain.before(), oracle.before(), "before({p}) cuts {cuts:?}");
             }
+            chain.seek(&[]);
+            let drained: Vec<Dewey> = std::iter::from_fn(|| chain.next_node()).collect();
+            assert_eq!(drained, all, "cuts {cuts:?}");
         }
     }
 
     #[test]
-    fn chained_ranked_empty_and_single() {
-        let mut empty = ChainedRankedList::new(vec![]);
-        assert!(RankedList::is_empty(&empty));
+    fn chained_empty() {
+        let mut empty = ChainedCursor::new(vec![]);
+        assert!(empty.is_empty());
         assert_eq!(empty.rm(&d("0")), None);
         assert_eq!(empty.lm(&d("0")), None);
-    }
-
-    #[test]
-    fn chained_stream_concatenates_and_rewinds() {
-        let a = MemList::from_sorted(vec![d("0.1"), d("0.2")]);
-        let b = MemList::from_sorted(vec![d("0.5")]);
-        let mut s = ChainedStreamList::new(vec![Box::new(a), Box::new(b)]);
-        assert_eq!(StreamList::len(&s), 3);
-        let mut got = Vec::new();
-        while let Some(n) = s.next_node() {
-            got.push(n);
-        }
-        assert_eq!(got, vec![d("0.1"), d("0.2"), d("0.5")]);
-        s.rewind();
-        assert_eq!(s.next_node(), Some(d("0.1")));
-        let mut none = ChainedStreamList::new(vec![]);
-        assert_eq!(none.next_node(), None);
+        assert_eq!(empty.next_node(), None);
     }
 }

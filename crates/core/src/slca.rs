@@ -7,67 +7,97 @@
 //! stream out before the inputs are exhausted, per the paper's "eagerness"
 //! property.
 
-use crate::lists::{RankedList, StreamList};
-use crate::matching::{deepest_dominator_ranked, EagerFilter, ScanCursor};
+use crate::lists::{PostingCursor, RankedList, StreamList};
+use crate::matching::{scan_dominator, seek_dominator, EagerFilter};
 use crate::stats::AlgoStats;
 use xk_xmltree::Dewey;
 
 /// The candidate loop every eager variant runs. Each witness `v` is
 /// chained through the other lists — `x ← v; x ← slca({x}, S_i)` for
-/// `i = 2..k` (Property 2), two match lookups per step — and the
-/// surviving candidate goes through the Lemma 1/2 ancestor filter, which
-/// hands confirmed SLCAs to `emit`.
-fn eager_candidates(
-    witnesses: impl Iterator<Item = Dewey>,
-    others: &mut [&mut dyn RankedList],
-    filter: &mut EagerFilter,
-    stats: &mut AlgoStats,
-    emit: &mut impl FnMut(Dewey),
-) {
-    'witness: for v in witnesses {
-        stats.nodes_scanned += 1;
-        let mut x = v;
-        for list in others.iter_mut() {
-            match deepest_dominator_ranked(*list, &x, stats) {
-                Some(next) => x = next,
-                None => continue 'witness, // unreachable: lists are non-empty
+/// `i = 2..k` (Property 2) — and the surviving candidate goes through
+/// the Lemma 1/2 ancestor filter, which hands confirmed SLCAs to `emit`.
+/// Every candidate is an ancestor-or-self of its witness, so the loop
+/// carries it as a prefix length of `v`: the only allocations are the
+/// SLCAs emitted. `step` is how a list answers the match step: IL seeks
+/// ([`seek_dominator`]), Scan Eager advances ([`scan_dominator`]).
+struct Candidates<'a, L, S> {
+    others: &'a mut [L],
+    step: S,
+    filter: EagerFilter,
+    stats: AlgoStats,
+}
+
+impl<'a, L, S> Candidates<'a, L, S>
+where
+    L: PostingCursor,
+    S: FnMut(&mut L, &[u32], &mut AlgoStats) -> Option<usize>,
+{
+    /// `None` when a list is empty: no SLCA can exist.
+    fn new(others: &'a mut [L], step: S) -> Option<Self> {
+        if others.iter().any(|l| l.is_empty()) {
+            return None;
+        }
+        Some(Candidates { others, step, filter: EagerFilter::new(), stats: AlgoStats::default() })
+    }
+
+    fn witness(&mut self, v: &[u32], emit: &mut impl FnMut(Dewey)) {
+        self.stats.nodes_scanned += 1;
+        let mut x = v.len();
+        for list in self.others.iter_mut() {
+            match (self.step)(list, v.get(..x).unwrap_or_default(), &mut self.stats) {
+                Some(depth) => x = depth,
+                None => return, // the list's cursor failed: its slot says why
             }
         }
-        stats.candidates += 1;
-        filter.push(x, |slca| {
+        self.stats.candidates += 1;
+        let stats = &mut self.stats;
+        self.filter.push_prefix(v.get(..x).unwrap_or_default(), |slca| {
             stats.results += 1;
             emit(slca);
         });
     }
+
+    fn finish(self, emit: &mut impl FnMut(Dewey)) -> AlgoStats {
+        let mut stats = self.stats;
+        self.filter.finish(|slca| {
+            stats.results += 1;
+            emit(slca);
+        });
+        stats
+    }
+}
+
+/// Runs the candidate loop over every witness `s1` has left.
+fn eager<L: PostingCursor>(
+    s1: &mut dyn StreamList,
+    others: &mut [L],
+    step: impl FnMut(&mut L, &[u32], &mut AlgoStats) -> Option<usize>,
+    mut emit: impl FnMut(Dewey),
+) -> AlgoStats {
+    let Some(mut run) = Candidates::new(others, step) else { return AlgoStats::default() };
+    while let Some(v) = s1.current() {
+        run.witness(v, &mut emit);
+        s1.step();
+    }
+    run.finish(&mut emit)
 }
 
 /// **Indexed Lookup Eager** (Algorithm IL, the paper's core contribution).
 ///
 /// For every node `v` of `S_1`, chains the match step through the other
 /// lists: `x ← v; x ← slca({x}, S_i)` for `i = 2..k` (Property 2), each
-/// step costing two indexed match lookups; the stream of candidates is
-/// ancestor-filtered eagerly with Lemmas 1 and 2. Main-memory complexity
-/// `O(k·d·|S_1|·log|S_max|)`.
+/// step one seek costing two indexed match lookups; the stream of
+/// candidates is ancestor-filtered eagerly with Lemmas 1 and 2.
+/// Main-memory complexity `O(k·d·|S_1|·log|S_max|)`.
 ///
-/// `emit` receives SLCAs in document order. Returns the operation counts.
+/// Reads `s1` from where its cursor stands. `emit` receives SLCAs in
+/// document order. Returns the operation counts.
 pub fn indexed_lookup_eager(
     s1: &mut dyn StreamList,
     others: &mut [&mut dyn RankedList],
-    mut emit: impl FnMut(Dewey),
+    emit: impl FnMut(Dewey),
 ) -> AlgoStats {
-    let mut stats = AlgoStats::default();
-    if others.iter().any(|l| l.is_empty()) {
-        return stats;
-    }
-    s1.rewind();
-    let mut filter = EagerFilter::new();
-    let witnesses = std::iter::from_fn(|| s1.next_node());
-    eager_candidates(witnesses, others, &mut filter, &mut stats, &mut emit);
-    filter.finish(|slca| {
-        stats.results += 1;
-        emit(slca);
-    });
-    stats
+    eager(s1, others, seek_dominator, emit)
 }
 
 /// **Buffered Indexed Lookup Eager** — the paper's Algorithm 1 with an
@@ -89,34 +119,39 @@ pub fn indexed_lookup_eager_buffered(
     mut emit: impl FnMut(Dewey),
 ) -> AlgoStats {
     assert!(beta > 0, "the buffer must hold at least one node");
-    let mut stats = AlgoStats::default();
-    if others.iter().any(|l| l.is_empty()) {
-        return stats;
-    }
-    s1.rewind();
-    let mut filter = EagerFilter::new();
-    let mut buffer: Vec<Dewey> = Vec::with_capacity(beta);
+    let Some(mut run) = Candidates::new(others, seek_dominator) else {
+        return AlgoStats::default();
+    };
+    // The buffer: up to β witnesses' components back to back, and where
+    // each one ends.
+    let (mut comps, mut ends) = (Vec::new(), Vec::with_capacity(beta));
     loop {
         // Fill the buffer with the next β witnesses of S1, then push the
         // block's candidates through the ancestor filter; everything
         // except a possible trailing frontier is emitted before the
         // next block is read.
-        buffer.extend(std::iter::from_fn(|| s1.next_node()).take(beta));
-        if buffer.is_empty() {
+        comps.clear();
+        ends.clear();
+        while ends.len() < beta {
+            let Some(v) = s1.current() else { break };
+            comps.extend_from_slice(v);
+            ends.push(comps.len());
+            s1.step();
+        }
+        if ends.is_empty() {
             break;
         }
-        let exhausted = buffer.len() < beta;
-        eager_candidates(buffer.drain(..), others, &mut filter, &mut stats, &mut emit);
+        let mut start = 0;
+        for &end in &ends {
+            run.witness(comps.get(start..end).unwrap_or_default(), &mut emit);
+            start = end;
+        }
         on_block(beta);
-        if exhausted {
+        if ends.len() < beta {
             break;
         }
     }
-    filter.finish(|slca| {
-        stats.results += 1;
-        emit(slca);
-    });
-    stats
+    run.finish(&mut emit)
 }
 
 /// Convenience wrapper collecting [`indexed_lookup_eager`] results.
@@ -130,54 +165,23 @@ pub fn indexed_lookup_eager_collect(
 }
 
 /// **Scan Eager** (Section 3.2): the eager candidate loop of
-/// [`indexed_lookup_eager`] with every match step answered by a
-/// forward-only [`ScanCursor`] over the list instead of indexed
-/// `lm`/`rm` lookups. Each list is read at most once, front to back, so
-/// the cost is `O(d·Σ|S_i| + k·d·|S_1|)` — the paper's choice when the
-/// keyword frequencies are similar.
+/// [`indexed_lookup_eager`] with every match step answered by advancing
+/// the list's cursor ([`scan_dominator`]) instead of seeking it. Each
+/// list is read at most once, front to back, so the cost is
+/// `O(d·Σ|S_i| + k·d·|S_1|)` — the paper's choice when the keyword
+/// frequencies are similar.
 ///
-/// Every candidate of the chain `x ← slca({x}, S_i)` is an
-/// ancestor-or-self of its witness `v`, so the loop carries it as a
-/// prefix length of `v` and the witness stays in one reused buffer: the
-/// only allocations are the SLCAs handed to `emit`.
-pub fn scan_eager<L: StreamList>(
+/// Reads every cursor from where it stands.
+pub fn scan_eager<L: PostingCursor>(
     s1: &mut dyn StreamList,
-    others: Vec<L>,
-    mut emit: impl FnMut(Dewey),
+    mut others: Vec<L>,
+    emit: impl FnMut(Dewey),
 ) -> AlgoStats {
-    let mut stats = AlgoStats::default();
-    if others.iter().any(|l| l.is_empty()) {
-        return stats;
-    }
-    let mut cursors: Vec<ScanCursor<L>> = others.into_iter().map(ScanCursor::new).collect();
-    s1.rewind();
-    let mut filter = EagerFilter::new();
-    let mut v = Vec::new();
-    'witness: while s1.next_into(&mut v) {
-        stats.nodes_scanned += 1;
-        let mut x = v.len();
-        for cursor in cursors.iter_mut() {
-            let probe = v.get(..x).unwrap_or_default();
-            match cursor.deepest_dominator_depth(probe, &mut stats) {
-                Some(depth) => x = depth,
-                None => continue 'witness, // the stream ended on a storage error
-            }
-        }
-        stats.candidates += 1;
-        filter.push_prefix(v.get(..x).unwrap_or_default(), |slca| {
-            stats.results += 1;
-            emit(slca);
-        });
-    }
-    filter.finish(|slca| {
-        stats.results += 1;
-        emit(slca);
-    });
-    stats
+    eager(s1, &mut others, scan_dominator, emit)
 }
 
 /// Convenience wrapper collecting [`scan_eager`] results.
-pub fn scan_eager_collect<L: StreamList>(
+pub fn scan_eager_collect<L: PostingCursor>(
     s1: &mut dyn StreamList,
     others: Vec<L>,
 ) -> (Vec<Dewey>, AlgoStats) {
@@ -198,37 +202,25 @@ struct StackEntry {
 /// **Stack** — the sort-merge, stack-based algorithm adapted from XRANK's
 /// DIL (the paper's reference 13) to SLCA semantics (Section 3.3).
 ///
-/// All `k` lists are merged in Dewey order. The stack holds the path of
-/// the most recent node; each entry carries a boolean per keyword. When an
-/// entry is popped with every keyword bit set — and no SLCA was reported
-/// in its subtree — the node is an SLCA. Complexity `O(k·d·Σ|S_i|)`.
+/// All `k` lists are merged in Dewey order, each cursor's current
+/// posting compared in place. The stack holds the path of the most
+/// recent node; each entry carries a boolean per keyword. When an entry
+/// is popped with every keyword bit set — and no SLCA was reported in
+/// its subtree — the node is an SLCA. Complexity `O(k·d·Σ|S_i|)`.
 ///
 /// Supports up to 64 keywords (the bitset width); the paper's queries use
-/// 2–5.
-// xk-analyze: allow(panic_path, reason = "heads/streams indices range over 0..k fixed at entry; the stack is non-empty whenever popped by the loop structure")
-pub fn stack_merge<L: StreamList>(lists: Vec<L>, mut emit: impl FnMut(Dewey)) -> AlgoStats {
+/// 2–5. Reads every cursor from where it stands.
+// xk-analyze: allow(panic_path, reason = "the stack is non-empty whenever popped by the loop structure")
+pub fn stack_merge<L: PostingCursor>(mut lists: Vec<L>, mut emit: impl FnMut(Dewey)) -> AlgoStats {
     let mut stats = AlgoStats::default();
     let k = lists.len();
     assert!(k <= 64, "the Stack algorithm supports at most 64 keywords");
-    if k == 0 {
-        return stats;
-    }
-    let full: u64 = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
-
-    // K-way merge state: one lookahead per list.
-    let mut streams: Vec<L> = lists;
-    let mut heads: Vec<Option<Dewey>> = streams
-        .iter_mut()
-        .map(|s| {
-            s.rewind();
-            s.next_node()
-        })
-        .collect();
-    if heads.iter().any(|h| h.is_none()) {
+    if k == 0 || lists.iter_mut().any(|l| l.current().is_none()) {
         // An empty list can never complete a keyword set; the SLCA result
         // is empty, matching the other algorithms' early exit.
         return stats;
     }
+    let full: u64 = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
 
     // The current path: `path` are the Dewey components of the last node;
     // `meta[d]` is the entry for the prefix of length `d` (meta[0] is the
@@ -246,7 +238,7 @@ pub fn stack_merge<L: StreamList>(lists: Vec<L>, mut emit: impl FnMut(Dewey)) ->
             parent.keywords |= e.keywords;
         } else if e.keywords == full {
             stats.results += 1;
-            emit(Dewey::from_components(path.clone()));
+            emit(Dewey::from(path.as_slice()));
             parent.has_slca_descendant = true;
         } else {
             parent.keywords |= e.keywords;
@@ -255,37 +247,34 @@ pub fn stack_merge<L: StreamList>(lists: Vec<L>, mut emit: impl FnMut(Dewey)) ->
     };
 
     loop {
-        // Pick the smallest head among the streams.
-        let mut min_idx: Option<usize> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if let Some(d) = h {
-                if min_idx.is_none_or(|m| d < heads[m].as_ref().unwrap()) {
-                    min_idx = Some(i);
+        // Pick the smallest head among the cursors.
+        let mut min: Option<(usize, &[u32])> = None;
+        for (i, list) in lists.iter_mut().enumerate() {
+            if let Some(head) = list.current() {
+                if min.is_none_or(|(_, m)| head < m) {
+                    min = Some((i, head));
                 }
             }
         }
-        let Some(idx) = min_idx else { break };
-        let node = heads[idx].take().expect("selected head exists");
-        heads[idx] = streams[idx].next_node();
+        let Some((idx, node)) = min else { break };
         stats.nodes_scanned += 1;
 
         // Pop entries that are not ancestors-or-self of the new node.
-        let lcp = path
-            .iter()
-            .zip(node.components())
-            .take_while(|(a, b)| a == b)
-            .count();
+        let lcp = path.iter().zip(node).take_while(|(a, b)| a == b).count();
         while path.len() > lcp {
             pop_one(&mut path, &mut meta, &mut stats, &mut emit);
         }
         // Push the new node's remaining components.
-        for &c in &node.components()[lcp..] {
+        for &c in node.get(lcp..).unwrap_or_default() {
             path.push(c);
             meta.push(StackEntry::default());
             stats.stack_pushes += 1;
         }
         // Mark the keyword on the node's own entry.
         meta.last_mut().expect("root entry").keywords |= 1 << idx;
+        if let Some(list) = lists.get_mut(idx) {
+            list.step();
+        }
     }
 
     // Flush: pop everything, then consider the root itself.
@@ -301,7 +290,7 @@ pub fn stack_merge<L: StreamList>(lists: Vec<L>, mut emit: impl FnMut(Dewey)) ->
 }
 
 /// Convenience wrapper collecting [`stack_merge`] results.
-pub fn stack_merge_collect<L: StreamList>(lists: Vec<L>) -> (Vec<Dewey>, AlgoStats) {
+pub fn stack_merge_collect<L: PostingCursor>(lists: Vec<L>) -> (Vec<Dewey>, AlgoStats) {
     let mut out = Vec::new();
     let stats = stack_merge(lists, |d| out.push(d));
     (out, stats)

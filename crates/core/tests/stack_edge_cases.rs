@@ -2,8 +2,8 @@
 //! the keyword-count limits shared by all algorithms.
 
 use xk_slca::{
-    brute_force_slca, indexed_lookup_eager_collect, stack_merge_collect, MemList, RankedList,
-    StreamList,
+    brute_force_slca, indexed_lookup_eager_collect, stack_merge_collect, MemList, PostingCursor,
+    RankedList, StreamList,
 };
 use xk_xmltree::Dewey;
 
@@ -78,15 +78,15 @@ fn blanket_mut_impls_forward() {
     let mut l = mem(&["0", "1"]);
     {
         let r: &mut MemList = &mut l;
-        assert_eq!(RankedList::len(&r), 2);
+        assert_eq!(PostingCursor::len(&r), 2);
         assert_eq!(r.rm(&d("0.5")), Some(d("1")));
         assert_eq!(r.lm(&d("0.5")), Some(d("0")));
     }
     {
         let s: &mut MemList = &mut l;
-        s.rewind();
-        assert_eq!(StreamList::len(&s), 2);
-        assert!(!StreamList::is_empty(&s));
+        s.seek(&[]);
+        assert_eq!(PostingCursor::len(&s), 2);
+        assert!(!PostingCursor::is_empty(&s));
         assert_eq!(s.next_node(), Some(d("0")));
     }
 }

@@ -92,17 +92,35 @@ pub enum Probe {
 /// Encodes a probe for `lm`/`rm`, falling back to an upper-bound key when
 /// a component overflows its level width (see [`Probe`]).
 pub fn encode_probe(dewey: &Dewey, table: &LevelTable) -> Result<Probe, CodecError> {
-    match encode_dewey(dewey, table) {
-        Ok(bytes) => Ok(Probe::Exact(bytes)),
-        Err(CodecError::ComponentTooLarge { level, .. }) => {
+    let mut out = Vec::new();
+    Ok(match append_probe(dewey.components(), table, &mut out)? {
+        true => Probe::Exact(out),
+        false => Probe::After(out),
+    })
+}
+
+/// [`encode_probe`] of `components`, appended to `out`: true for the
+/// exact encoding, false for the upper bound.
+pub(crate) fn append_probe(
+    components: &[u32],
+    table: &LevelTable,
+    out: &mut Vec<u8>,
+) -> Result<bool, CodecError> {
+    let start = out.len();
+    match packed::pack(components, table.widths(), out) {
+        Ok(()) => Ok(true),
+        Err(PackError::TooLarge { level, .. }) => {
             // Every real node either shares the prefix with a *smaller*
             // component at `level` (thus sorts before the probe) or
             // diverges earlier (sorting entirely before or after the
             // prefix subtree). An upper bound of the prefix subtree is
             // therefore an exact stand-in for the probe.
-            Ok(Probe::After(encode_upper_bound(&dewey.prefix(level), table)?))
+            out.truncate(start);
+            let prefix = components.get(..level).unwrap_or_default();
+            append_upper_bound(prefix, table, out)?;
+            Ok(false)
         }
-        Err(e) => Err(e),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -112,10 +130,19 @@ pub fn encode_probe(dewey: &Dewey, table: &LevelTable) -> Result<Probe, CodecErr
 /// one byte past the longest key so the bound is longer (hence greater)
 /// than any equal-prefix key. The result is never a valid packed key.
 pub fn encode_upper_bound(dewey: &Dewey, table: &LevelTable) -> Result<Vec<u8>, CodecError> {
-    let bits = table.max_packed_bits() + 8;
-    let mut out = Vec::with_capacity(bits.div_ceil(8));
-    packed::pack_upper_bound(dewey.components(), table.widths(), bits, &mut out)?;
+    let mut out = Vec::new();
+    append_upper_bound(dewey.components(), table, &mut out)?;
     Ok(out)
+}
+
+fn append_upper_bound(
+    components: &[u32],
+    table: &LevelTable,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let bits = table.max_packed_bits() + 8;
+    packed::pack_upper_bound(components, table.widths(), bits, out)?;
+    Ok(())
 }
 
 #[cfg(test)]

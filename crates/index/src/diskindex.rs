@@ -12,22 +12,24 @@
 //! * the **IL B+tree** (root slot 1): composite key `(keyword id, packed
 //!   Dewey)` with empty values — "all keyword lists in a single B+tree
 //!   where keywords are the primary key and Dewey numbers are the
-//!   secondary key" (Figure 5). `lm`/`rm` are `seek_le`/`seek_ge` within
+//!   secondary key" (Figure 5). `rm`/`lm` are `seek_ge`/`seek_le` within
 //!   the keyword's key range;
 //! * the **sequential list chains**: one per keyword, packed Dewey records
 //!   front to back — the layout the Scan Eager and Stack algorithms read
 //!   (Figure 4).
 
-use crate::codec::{decode_dewey, encode_dewey, encode_probe, CodecError, Probe};
+use crate::codec::{append_probe, encode_dewey, CodecError};
 use crate::document::write_document;
 use crate::leveltable::LevelTable;
 use crate::memindex::MemIndex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use xk_slca::{ErrorSlot, RankedList, StreamList};
-use xk_storage::{BTree, BTreeCursor, ListHandle, ListReader, ListWriter, StorageEnv, StorageError};
-use xk_xmltree::{Dewey, XmlTree};
+use xk_slca::{ErrorSlot, PostingCursor};
+use xk_storage::{
+    BTree, BTreeCursor, Cursor, ListHandle, ListReader, ListWriter, StorageEnv, StorageError,
+};
+use xk_xmltree::XmlTree;
 
 /// Root slot of the vocabulary B+tree.
 pub const SLOT_VOCAB: usize = 0;
@@ -319,43 +321,29 @@ impl DiskIndex {
         self.doc_handle
     }
 
-    /// Indexed (`lm`/`rm`) access to a keyword's list, for the Indexed
-    /// Lookup Eager and all-LCA algorithms; storage failures go to
-    /// `slot`. `None` if the keyword does not occur.
-    pub fn ranked_list(
+    /// A [`DiskCursor`] over a keyword's list, standing at its first
+    /// posting; storage failures go to `slot`. `None` if the keyword does
+    /// not occur.
+    pub fn cursor(
         &self,
         env: &Arc<StorageEnv>,
         keyword: &str,
         slot: ErrorSlot<IndexError>,
-    ) -> Option<DiskRankedList> {
+    ) -> Option<DiskCursor> {
         let meta = self.freq.get(keyword)?;
-        Some(DiskRankedList {
+        Some(DiskCursor {
             env: Arc::clone(env),
             slot,
             il: self.il,
             kwid: meta.kwid,
             count: meta.count,
             table: Arc::clone(&self.level_table),
-            cursor: None,
-        })
-    }
-
-    /// Sequential access to a keyword's list, for Scan Eager / Stack and
-    /// the `S_1` iteration; storage failures go to `slot`. `None` if the
-    /// keyword does not occur.
-    pub fn stream_list(
-        &self,
-        env: &Arc<StorageEnv>,
-        keyword: &str,
-        slot: ErrorSlot<IndexError>,
-    ) -> Option<DiskStreamList> {
-        let meta = self.freq.get(keyword)?;
-        Some(DiskStreamList {
-            env: Arc::clone(env),
-            slot,
-            handle: meta.handle,
-            table: Arc::clone(&self.level_table),
-            reader: ListReader::new(&meta.handle),
+            anchor: BTreeCursor::new(),
+            at: At::Chain(ListReader::new(&meta.handle)),
+            key: Vec::new(),
+            probe: Vec::new(),
+            cur: Held::default(),
+            prev: Held { read: Some(false), comps: Vec::new() },
         })
     }
 
@@ -379,102 +367,163 @@ impl DiskIndex {
     }
 }
 
-/// Disk-backed [`RankedList`]: `lm`/`rm` as B+tree seeks on the composite
-/// `(keyword id, packed Dewey)` key.
+/// A keyword's list on disk as a [`PostingCursor`]: it steps the
+/// keyword's sequential chain (Figure 4) from the start, and seeks the
+/// IL B+tree (Figure 5) through one anchored path, so near-sorted seeks
+/// resolve inside the pinned leaf or a leaf-chain hop away. After a seek
+/// it steps the tree's leaves.
 ///
-/// I/O or codec failures fill the caller's [`ErrorSlot`] and surface as
-/// `None`; callers must check [`ErrorSlot::take`] once the algorithm
-/// finishes. The traits stay infallible, the query becomes fallible.
-pub struct DiskRankedList {
+/// A seek reads nothing until asked: `current` is one `seek_ge`, and
+/// `before` one `seek_le` (plus one step back when the key itself is
+/// posted), so Indexed Lookup Eager's match step costs a `seek_ge`, and
+/// a `seek_le` only on a miss. I/O or codec failures fill the caller's
+/// [`ErrorSlot`] and read as "nothing there"; callers check
+/// [`ErrorSlot::take`] once the algorithm finishes.
+pub struct DiskCursor {
     env: Arc<StorageEnv>,
     slot: ErrorSlot<IndexError>,
     il: BTree,
     kwid: u32,
     count: u64,
     table: Arc<LevelTable>,
-    /// Per-list anchored B+tree cursor. `None` = stateless seeks (a full
-    /// root-to-leaf descent per probe); `Some` = seeks reuse the pinned
-    /// path, turning near-monotone probe sequences into O(1) leaf hops.
-    /// Results are identical either way — the cursor self-invalidates on
-    /// [`StorageEnv::data_version`] bumps.
-    cursor: Option<BTreeCursor>,
+    anchor: BTreeCursor,
+    at: At,
+    /// The last seek's key, and its IL B+tree probe.
+    key: Vec<u32>,
+    probe: Vec<u8>,
+    cur: Held,
+    prev: Held,
 }
 
-impl DiskRankedList {
-    /// Switches this list to anchored seeks: probes reuse the last
-    /// root-to-leaf path while the env's data version stands still. The
-    /// engine enables this for the per-candidate `lm`/`rm` loops, where
-    /// consecutive probes land near each other in document order.
-    pub fn anchored(mut self) -> DiskRankedList {
-        self.cursor = Some(BTreeCursor::new());
-        self
-    }
+/// Where a [`DiskCursor`] stands.
+enum At {
+    /// In the keyword's chain; the reader stands past `cur`.
+    Chain(ListReader),
+    /// Seeked to `key`; nothing read yet.
+    Seeked,
+    /// In the IL B+tree, at `cur`.
+    Tree(Cursor),
+}
 
-    /// True iff this list reuses an anchored cursor across probes.
-    pub fn is_anchored(&self) -> bool {
-        self.cursor.is_some()
-    }
+/// A posting read on demand, in a reused buffer: `read` is `None` until
+/// it is read, then whether there was one.
+#[derive(Default)]
+struct Held {
+    read: Option<bool>,
+    comps: Vec<u32>,
+}
 
-    /// Shared body of `rm`/`lm`: encode the probe, seek, decode the hit.
-    fn seek_match(&mut self, v: &Dewey, ge: bool) -> Result<Option<Dewey>> {
-        let (Probe::Exact(p) | Probe::After(p)) = encode_probe(v, &self.table)?;
-        let key = il_key(self.kwid, &p);
-        let env = &*self.env;
-        let cur = match (&mut self.cursor, ge) {
-            (Some(anchor), true) => self.il.seek_ge_anchored(env, anchor, &key)?,
-            (Some(anchor), false) => self.il.seek_le_anchored(env, anchor, &key)?,
-            (None, true) => self.il.seek_ge(env, &key)?,
-            (None, false) => self.il.seek_le(env, &key)?,
-        };
-        let Some((hit, _)) = cur.read(env)? else { return Ok(None) };
+impl Held {
+    fn get(&self) -> Option<&[u32]> {
+        (self.read == Some(true)).then_some(self.comps.as_slice())
+    }
+}
+
+impl DiskCursor {
+    /// Unpacks an IL B+tree entry of this keyword into `out`; `Ok(false)`
+    /// past the keyword's key range or the tree's end.
+    fn read_entry(&self, at: &Cursor, out: &mut Vec<u32>) -> Result<bool> {
+        let Some((hit, _)) = at.read(&self.env)? else { return Ok(false) };
         let (kwid, packed) = split_il_key(&hit)?;
         if kwid != self.kwid {
-            return Ok(None); // crossed into another keyword's range
+            return Ok(false); // crossed into another keyword's range
         }
-        Ok(Some(decode_dewey(packed, &self.table)?))
+        unpack(packed, &self.table, out)?;
+        Ok(true)
+    }
+
+    /// Reads `cur` where the cursor stands.
+    fn read_current(&mut self) -> Result<bool> {
+        let mut comps = std::mem::take(&mut self.cur.comps);
+        let found = match &mut self.at {
+            At::Chain(reader) => match reader.next_record(&self.env)? {
+                Some(record) => unpack(&record, &self.table, &mut comps).map(|()| true),
+                None => Ok(false),
+            },
+            At::Seeked => {
+                let at = self.il.seek_ge_anchored(&self.env, &mut self.anchor, &self.probe)?;
+                let found = self.read_entry(&at, &mut comps);
+                self.at = At::Tree(at);
+                found
+            }
+            At::Tree(at) => {
+                let at = *at;
+                self.read_entry(&at, &mut comps)
+            }
+        };
+        self.cur.comps = comps;
+        found
+    }
+
+    /// Reads `prev` after a seek: the left match of `key`, or the
+    /// posting before it when `key` itself is posted.
+    fn read_before(&mut self) -> Result<bool> {
+        let mut comps = std::mem::take(&mut self.prev.comps);
+        let mut at = self.il.seek_le_anchored(&self.env, &mut self.anchor, &self.probe)?;
+        let mut found = self.read_entry(&at, &mut comps);
+        if matches!(found, Ok(true)) && comps == self.key {
+            at.retreat(&self.env)?;
+            found = self.read_entry(&at, &mut comps);
+        }
+        self.prev.comps = comps;
+        found
     }
 }
 
-impl RankedList for DiskRankedList {
+/// Unpacks a packed Dewey into `out`.
+fn unpack(packed: &[u8], table: &LevelTable, out: &mut Vec<u32>) -> Result<()> {
+    match xk_xmltree::packed::unpack(packed, table.widths(), out) {
+        true => Ok(()),
+        false => Err(CodecError::Malformed.into()),
+    }
+}
+
+impl PostingCursor for DiskCursor {
     fn len(&self) -> u64 {
         self.count
     }
 
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let hit = self.seek_match(v, true);
-        self.slot.ok(hit).flatten()
+    fn seek(&mut self, key: &[u32]) {
+        self.key.clear();
+        self.key.extend_from_slice(key);
+        self.probe.clear();
+        self.probe.extend_from_slice(&self.kwid.to_be_bytes());
+        (self.cur.read, self.prev.read) = (None, None);
+        self.at = At::Seeked;
+        if let Err(e) = append_probe(key, &self.table, &mut self.probe) {
+            self.slot.poison(e.into());
+            (self.cur.read, self.prev.read) = (Some(false), Some(false));
+        }
     }
 
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let hit = self.seek_match(v, false);
-        self.slot.ok(hit).flatten()
-    }
-}
-
-/// Disk-backed [`StreamList`]: sequential page-chain reads.
-///
-/// As with [`DiskRankedList`], storage failures fill the caller's
-/// [`ErrorSlot`] and end the stream early.
-pub struct DiskStreamList {
-    env: Arc<StorageEnv>,
-    slot: ErrorSlot<IndexError>,
-    handle: ListHandle,
-    table: Arc<LevelTable>,
-    reader: ListReader,
-}
-
-impl StreamList for DiskStreamList {
-    fn len(&self) -> u64 {
-        self.handle.entry_count
+    fn step(&mut self) {
+        if self.current().is_none() {
+            return;
+        }
+        std::mem::swap(&mut self.cur, &mut self.prev);
+        self.cur.read = None;
+        if let At::Tree(at) = &mut self.at {
+            if let Err(e) = at.advance(&self.env) {
+                self.slot.poison(e.into());
+                self.cur.read = Some(false);
+            }
+        }
     }
 
-    fn rewind(&mut self) {
-        self.reader = ListReader::new(&self.handle);
+    fn current(&mut self) -> Option<&[u32]> {
+        if self.cur.read.is_none() {
+            let found = self.read_current();
+            self.cur.read = Some(self.slot.ok(found).unwrap_or(false));
+        }
+        self.cur.get()
     }
 
-    fn next_node(&mut self) -> Option<Dewey> {
-        let bytes = self.slot.ok(self.reader.next_record(&self.env))??;
-        self.slot.ok(decode_dewey(&bytes, &self.table))
+    fn before(&mut self) -> Option<&[u32]> {
+        if self.prev.read.is_none() {
+            let found = self.read_before();
+            self.prev.read = Some(self.slot.ok(found).unwrap_or(false));
+        }
+        self.prev.get()
     }
 }
 
@@ -482,8 +531,9 @@ impl StreamList for DiskStreamList {
 mod tests {
     use super::*;
     use crate::document::read_document;
+    use xk_slca::{RankedList, StreamList};
     use xk_storage::EnvOptions;
-    use xk_xmltree::school_example;
+    use xk_xmltree::{school_example, Dewey};
 
     type Slot = ErrorSlot<IndexError>;
 
@@ -509,73 +559,60 @@ mod tests {
     }
 
     #[test]
-    fn stream_lists_match_mem_lists() {
+    fn chain_reads_match_mem_lists() {
         let (env, index) = build_school();
         let mem = MemIndex::build(&school_example());
         for (kw, _) in mem.keywords() {
             let expected = mem.keyword_list(kw).unwrap();
-            let mut stream = index.stream_list(&env, kw, Slot::new()).unwrap();
-            let mut got = Vec::new();
-            while let Some(d) = stream.next_node() {
-                got.push(d);
-            }
+            let mut stream = index.cursor(&env, kw, Slot::new()).unwrap();
+            let got: Vec<Dewey> = std::iter::from_fn(|| stream.next_node()).collect();
             assert_eq!(got, expected, "list for {kw}");
             assert_eq!(stream.len(), expected.len() as u64);
-            // Rewind replays from the start.
-            stream.rewind();
-            assert_eq!(stream.next_node().as_ref(), expected.first());
+            // Seeking the root replays from the start, through the tree.
+            stream.seek(&[]);
+            let again: Vec<Dewey> = std::iter::from_fn(|| stream.next_node()).collect();
+            assert_eq!(again, expected, "re-read list for {kw}");
         }
     }
 
     #[test]
-    fn ranked_lists_match_mem_lists() {
-        let (env, index) = build_school();
-        let mem = MemIndex::build(&school_example());
-        let tree = school_example();
-        // Probe with every document node against every keyword list and
-        // compare against the in-memory implementation.
-        let probes: Vec<Dewey> = tree.preorder().map(|n| tree.dewey(n)).collect();
-        for (kw, _) in mem.keywords() {
-            let mut disk = index.ranked_list(&env, kw, Slot::new()).unwrap();
-            let mut memlist =
-                xk_slca::MemList::from_sorted(mem.keyword_list(kw).unwrap().to_vec());
-            for p in &probes {
-                assert_eq!(disk.rm(p), memlist.rm(p), "rm({p}) on {kw}");
-                assert_eq!(disk.lm(p), memlist.lm(p), "lm({p}) on {kw}");
-            }
-            assert_eq!(disk.len(), RankedList::len(&memlist));
-        }
-    }
-
-    #[test]
-    fn anchored_ranked_lists_match_stateless() {
+    fn seeks_match_mem_lists() {
         let (env, index) = build_school();
         let slot = Slot::new();
         let mem = MemIndex::build(&school_example());
         let tree = school_example();
+        // Probe with every document node against every keyword list, in
+        // document order and then reversed, through one anchored cursor
+        // and through a fresh one per probe.
         let probes: Vec<Dewey> = tree.preorder().map(|n| tree.dewey(n)).collect();
         for (kw, _) in mem.keywords() {
-            let mut anchored = index.ranked_list(&env, kw, slot.clone()).unwrap().anchored();
-            assert!(anchored.is_anchored());
-            let mut memlist =
-                xk_slca::MemList::from_sorted(mem.keyword_list(kw).unwrap().to_vec());
-            // Document order (ascending), then reversed: the anchored
-            // cursor must agree with the oracle in both regimes.
+            let mut disk = index.cursor(&env, kw, slot.clone()).unwrap();
+            let mut memlist = xk_slca::MemList::from_sorted(mem.keyword_list(kw).unwrap().to_vec());
             for p in probes.iter().chain(probes.iter().rev()) {
-                assert_eq!(anchored.rm(p), memlist.rm(p), "anchored rm({p}) on {kw}");
-                assert_eq!(anchored.lm(p), memlist.lm(p), "anchored lm({p}) on {kw}");
+                assert_eq!(disk.rm(p), memlist.rm(p), "rm({p}) on {kw}");
+                assert_eq!(disk.lm(p), memlist.lm(p), "lm({p}) on {kw}");
+                let mut fresh = index.cursor(&env, kw, slot.clone()).unwrap();
+                fresh.seek(p.components());
+                memlist.seek(p.components());
+                assert_eq!(fresh.before(), memlist.before(), "before({p}) on {kw}");
+                assert_eq!(fresh.current(), memlist.current(), "current({p}) on {kw}");
+                fresh.step();
+                memlist.step();
+                assert_eq!(fresh.current(), memlist.current(), "next after {p} on {kw}");
+                assert_eq!(fresh.before(), memlist.before(), "before after {p} on {kw}");
             }
+            assert_eq!(disk.len(), memlist.len());
         }
         assert!(slot.take().is_none());
     }
 
     #[test]
-    fn ranked_list_uncle_probe_past_level_width() {
+    fn uncle_probe_past_level_width() {
         let (env, index) = build_school();
         // The school tree has 4 top-level children (ordinals 0..3, width 2
         // bits): the uncle position "4" is unencodable and must behave as
         // "after subtree(3)".
-        let mut john = index.ranked_list(&env, "john", Slot::new()).unwrap();
+        let mut john = index.cursor(&env, "john", Slot::new()).unwrap();
         let probe = Dewey::from_components(vec![4]);
         assert_eq!(john.rm(&probe), None, "no node follows subtree 3");
         let lm = john.lm(&probe).unwrap();
@@ -583,10 +620,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_keyword_has_no_lists() {
+    fn missing_keyword_has_no_cursor() {
         let (env, index) = build_school();
-        assert!(index.ranked_list(&env, "absent", Slot::new()).is_none());
-        assert!(index.stream_list(&env, "absent", Slot::new()).is_none());
+        assert!(index.cursor(&env, "absent", Slot::new()).is_none());
     }
 
     #[test]
@@ -638,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn adapter_errors_poison_instead_of_panicking() {
+    fn cursor_errors_poison_instead_of_panicking() {
         let (env, index) = build_school();
         // Scribble over the head page of john's chain: the record framing
         // no longer decodes, which used to be a panic in next_node.
@@ -646,7 +682,7 @@ mod tests {
         env.with_page_mut(head, |p| p.fill(0xFF)).unwrap();
 
         let slot = Slot::new();
-        let mut stream = index.stream_list(&env, "john", slot.clone()).unwrap();
+        let mut stream = index.cursor(&env, "john", slot.clone()).unwrap();
         assert_eq!(stream.next_node(), None);
         let err = slot.take().expect("poison recorded");
         assert!(matches!(err, IndexError::Storage(_)), "{err:?}");
@@ -667,7 +703,7 @@ mod tests {
             let env = StorageEnv::open(&path, opts).unwrap();
             let index = DiskIndex::open(&env).unwrap();
             assert_eq!(index.frequency("john"), 4);
-            let mut l = index.stream_list(&Arc::new(env), "ben", Slot::new()).unwrap();
+            let mut l = index.cursor(&Arc::new(env), "ben", Slot::new()).unwrap();
             assert_eq!(l.len(), 3);
             assert!(l.next_node().is_some());
         }

@@ -14,9 +14,9 @@
 //!   immutable after `bulk_load`: a vocabulary B+tree (the frequency
 //!   table), the composite-key B+tree for Indexed Lookup matches, and
 //!   sequential list chains for scanning,
-//!   with [`DiskRankedList`] / [`DiskStreamList`] adapters implementing
-//!   the `xk-slca` list traits (storage failures fill the caller's
-//!   `xk_slca::ErrorSlot` instead of panicking);
+//!   with [`DiskCursor`] implementing the `xk-slca` posting cursor over
+//!   both (storage failures fill the caller's `xk_slca::ErrorSlot`
+//!   instead of panicking);
 //! * [`document`] — the stored document as an append-only log (a base
 //!   tree plus one record per appended fragment), its full decode
 //!   [`read_document`], and the streamed [`Spine`] appends extend;
@@ -32,7 +32,7 @@ pub mod verify;
 
 pub use codec::{decode_dewey, encode_dewey, encode_probe, encode_upper_bound, CodecError, Probe};
 pub use diskindex::{
-    build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, IndexError,
+    build_disk_index, BuildOptions, DiskCursor, DiskIndex, IndexError,
     KeywordMeta, Result, SLOT_IL, SLOT_VOCAB,
 };
 pub use document::{

@@ -1,8 +1,8 @@
 //! Segment error type and the per-read error slot.
 //!
-//! The `xk-slca` list traits are infallible by design, so the segment
-//! list adapters report I/O and corruption failures the same way the
-//! disk-index adapters do: through the caller's [`ErrorSlot`], which the
+//! The `xk-slca` posting cursor is infallible by design, so the segment
+//! cursor reports I/O and corruption failures the same way the
+//! disk-index cursor does: through the caller's [`ErrorSlot`], which the
 //! engine checks once the algorithm finishes. Corruption is always a
 //! typed error — a segment blob with a bad CRC, a non-monotone skip
 //! entry, or a truncated dictionary never panics.
@@ -47,7 +47,7 @@ impl From<std::io::Error> for SegmentError {
 /// Convenience alias for segment results.
 pub type Result<T> = std::result::Result<T, SegmentError>;
 
-/// The per-read slot segment list adapters report into: the workspace's
+/// The per-read slot segment cursors report into: the workspace's
 /// one first-error-wins slot, carrying a [`SegmentError`].
 pub type ErrorSlot = xk_slca::ErrorSlot<SegmentError>;
 

@@ -13,13 +13,13 @@
 //! that publishes it commits, mirroring the crash discipline of the
 //! engine's index build.
 //!
-//! [`SegmentReader`] serves the four SLCA algorithms through the same
-//! `RankedList`/`StreamList` traits the B+tree adapters implement: an
-//! `lm`/`rm` probe binary-searches the in-memory skip table, then makes
-//! at most one chunk load (one block read + CRC + one integer check
-//! pass) into a buffer the list reuses, binary-searches the packed keys
-//! where they lie, and unpacks only its answer — one allocation per
-//! answer. [`merge`] folds runs of small adjacent segments
+//! [`SegmentReader`] serves the four SLCA algorithms through one
+//! [`SegCursor`] per keyword, the `xk_slca::PostingCursor` the B+tree
+//! reference implements too: a seek binary-searches the in-memory skip
+//! table, then makes at most one chunk load (one block read + CRC + one
+//! integer check pass) into a buffer the cursor reuses, binary-searches
+//! the packed keys where they lie, and unpacks only the postings asked
+//! for, into reused buffers — no allocation. [`merge`] folds runs of small adjacent segments
 //! together (size-tiered), and [`verify`] deep-checks a whole store for
 //! `xksearch verify`.
 
@@ -43,6 +43,6 @@ pub use manifest::{
 };
 pub use mem::{MemSegment, MemView};
 pub use merge::{merged_lists, plan_merge, size_class, MERGE_FANOUT, MERGE_MAX_RUN};
-pub use reader::{KwEntry, SegRankedList, SegStreamList, SegmentReader};
+pub use reader::{KwEntry, SegCursor, SegmentReader};
 pub use verify::{verify_store, SegmentVerifyReport};
 pub use writer::{seal, unsealable, Chunk, SealSpec};

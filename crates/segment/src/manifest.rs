@@ -181,16 +181,23 @@ impl SegExt {
 }
 
 /// Encodes one journal posting record: `[u16 kwlen][kw][u16 n][u32 × n]`.
-pub fn encode_journal_record(keyword: &str, d: &Dewey) -> Vec<u8> {
+/// A keyword or id too long for its `u16` count is `Corrupt`: the append
+/// path refuses such a posting before its transaction opens.
+pub fn encode_journal_record(keyword: &str, d: &Dewey) -> Result<Vec<u8>> {
     let comps = d.components();
+    let count = |what: &str, n: usize| {
+        u16::try_from(n).map_err(|_| {
+            SegmentError::Corrupt(format!("journal record {what} of {n} overflows its u16 count"))
+        })
+    };
     let mut out = Vec::with_capacity(4 + keyword.len() + 4 * comps.len());
-    out.extend_from_slice(&(keyword.len() as u16).to_le_bytes());
+    out.extend_from_slice(&count("keyword", keyword.len())?.to_le_bytes());
     out.extend_from_slice(keyword.as_bytes());
-    out.extend_from_slice(&(comps.len() as u16).to_le_bytes());
+    out.extend_from_slice(&count("id", comps.len())?.to_le_bytes());
     for &c in comps {
         out.extend_from_slice(&c.to_le_bytes());
     }
-    out
+    Ok(out)
 }
 
 /// Decodes one journal posting record.
@@ -302,12 +309,14 @@ mod tests {
 
     #[test]
     fn journal_record_roundtrip() {
-        let rec = encode_journal_record("café", &d("0.3.12"));
+        let rec = encode_journal_record("café", &d("0.3.12")).unwrap();
         let (kw, id) = decode_journal_record(&rec).unwrap();
         assert_eq!(kw, "café");
         assert_eq!(id, d("0.3.12"));
         assert!(decode_journal_record(&rec[..rec.len() - 1]).is_err());
-        let root = encode_journal_record("r", &Dewey::root());
+        let root = encode_journal_record("r", &Dewey::root()).unwrap();
+        let long = "k".repeat(u16::MAX as usize + 1);
+        assert!(encode_journal_record(&long, &d("0")).is_err());
         assert_eq!(decode_journal_record(&root).unwrap().1, Dewey::root());
     }
 
@@ -321,7 +330,7 @@ mod tests {
 
         let mut w = ListWriter::new(&env);
         for (kw, id) in [("b", "0.1"), ("a", "0.2"), ("b", "0.3")] {
-            w.append(&env, &encode_journal_record(kw, &d(id))).unwrap();
+            w.append(&env, &encode_journal_record(kw, &d(id)).unwrap()).unwrap();
         }
         let jh = w.finish(&env).unwrap();
         let seg = replay_journal(&env, &jh).unwrap();

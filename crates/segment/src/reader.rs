@@ -4,20 +4,19 @@
 //! CRCs and parses the full skip table into memory (the dictionary is a
 //! few bytes per chunk; posting blocks stay on disk).
 //!
-//! An `lm`/`rm` probe costs a binary search of the skip table plus at
-//! most one chunk load: one block read into the list's own block
-//! buffer, its CRC-32C, and the one linear check pass of
-//! [`crate::codec`]'s `PackedChunk::check`. Nothing is decoded: the probe
-//! binary-searches the chunk's fixed-stride keys where they lie in the
-//! buffer, comparing integers, and unpacks only the posting it returns —
-//! the `Dewey` it allocates. The list keeps the last loaded chunk, so a
-//! run of probes over the same region touches the pager once; nothing
-//! is kept across lists, so every query checks every block it reads.
-//! Streams load chunks the same way and unpack one key per step, into a
-//! `Dewey` (`next_node`) or into the caller's reused buffer
-//! (`next_into`, allocation-free). Every read of posting data — probes,
-//! streams, [`SegmentReader::postings`], `verify` — goes through the one
-//! `PackedChunk` view, so every check runs on every path.
+//! A keyword is read through one [`SegCursor`]. A seek costs a binary
+//! search of the skip table plus at most one chunk load: one block read
+//! into the cursor's own block buffer, its CRC-32C, and the one linear
+//! check pass of [`crate::codec`]'s `PackedChunk::check`. Nothing is
+//! decoded: the seek binary-searches the chunk's fixed-stride keys where
+//! they lie in the buffer, comparing integers, and the cursor unpacks
+//! only the postings it is asked for, into reused buffers — no
+//! allocation. The cursor keeps the last loaded chunk, so a run of seeks
+//! over the same region touches the pager once; nothing is kept across
+//! cursors, so every query checks every block it reads. Stepping loads
+//! each chunk as the cursor crosses into it. Every read of posting data
+//! — cursors, [`SegmentReader::postings`], `verify` — goes through the
+//! one `PackedChunk` view, so every check runs on every path.
 
 use crate::codec::{get_varint, PackedChunk};
 use crate::error::{ErrorSlot, Result, SegmentError};
@@ -27,7 +26,7 @@ use crate::writer::Chunk;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xk_slca::{RankedList, StreamList};
+use xk_slca::PostingCursor;
 use xk_storage::Pager;
 use xk_xmltree::Dewey;
 
@@ -259,7 +258,7 @@ impl SegmentReader {
     }
 
     /// Fully decodes `keyword`'s posting list (used by merge and tests;
-    /// queries go through the probe adapters instead).
+    /// queries go through [`SegCursor`] instead).
     pub fn postings(&self, keyword: &str) -> Result<Vec<Dewey>> {
         let Some(&i) = self.by_name.get(keyword) else {
             return Ok(Vec::new());
@@ -276,31 +275,26 @@ impl SegmentReader {
         Ok(out)
     }
 
-    /// A probing [`RankedList`] over `keyword`, or `None` when the
-    /// keyword is absent from this segment.
-    pub fn ranked_list(self: &Arc<Self>, keyword: &str, slot: ErrorSlot) -> Option<SegRankedList> {
+    /// A [`SegCursor`] over `keyword`, standing at its first posting,
+    /// or `None` when the keyword is absent from this segment.
+    pub fn stream_list(self: &Arc<Self>, keyword: &str, slot: ErrorSlot) -> Option<SegCursor> {
         let &kw = self.by_name.get(keyword)?;
-        Some(SegRankedList {
+        let mut cursor = SegCursor {
             reader: Arc::clone(self),
             kw,
             slot,
             block: BlockBuf::default(),
-            cached: None,
-        })
-    }
-
-    /// A streaming [`StreamList`] over `keyword`, or `None` when absent.
-    pub fn stream_list(self: &Arc<Self>, keyword: &str, slot: ErrorSlot) -> Option<SegStreamList> {
-        let &kw = self.by_name.get(keyword)?;
-        Some(SegStreamList {
-            reader: Arc::clone(self),
-            kw,
-            slot,
-            next_chunk: 0,
-            block: BlockBuf::default(),
-            chunk: PackedChunk::default(),
-            pos: 0,
-        })
+            loaded: None,
+            chunk: 0,
+            key: 0,
+            keys_here: 0,
+            from_skip: false,
+            dead: false,
+            cur: Unpacked::default(),
+            prev: Unpacked::default(),
+        };
+        cursor.place(0, 0);
+        Some(cursor)
     }
 
     /// Every keyword with its dictionary entry, in sorted order.
@@ -308,7 +302,7 @@ impl SegmentReader {
         self.names.iter().map(|n| n.as_str()).zip(&self.entries)
     }
 
-    // xk-analyze: allow(panic_path, reason = "kw slots are handed out by ranked_list/stream_list from by_name, so they index within entries")
+    // xk-analyze: allow(panic_path, reason = "kw slots are handed out by stream_list from by_name, so they index within entries")
     pub(crate) fn entry(&self, kw: usize) -> &KwEntry {
         &self.entries[kw]
     }
@@ -345,147 +339,176 @@ impl BlockBuf {
     }
 }
 
-/// `lm`/`rm` probes over one keyword of one segment: binary-search the
-/// skip table, load (at most) one chunk into the list's block buffer,
-/// and binary-search its packed keys in place. The only allocation of a
-/// probe that hits the cached chunk is the `Dewey` it returns.
-pub struct SegRankedList {
+/// One keyword of one segment as a [`PostingCursor`]: a position
+/// `(chunk, key)` in its skip table. A seek binary-searches the skip
+/// table, loads (at most) the one chunk whose range holds the key into
+/// the cursor's block buffer, and ranks the key among the chunk's packed
+/// keys in place. When the key falls past that chunk, the right match is
+/// the next chunk's minimum, straight from the skip table, and the left
+/// match is the loaded chunk's last key, so `before` costs no load
+/// either. Stepping loads each chunk as the cursor crosses into it.
+///
+/// A failed chunk load poisons the slot and reads as the end: after a
+/// failed seek nothing is read until the next seek, which re-reads the
+/// block; a failed step does not move, and each later read re-reads the
+/// bad block and fails again, so a reader never sees postings past it.
+pub struct SegCursor {
     reader: Arc<SegmentReader>,
     kw: usize,
     slot: ErrorSlot,
     block: BlockBuf,
     /// The chunk `block` holds, with its index; set only once its load
     /// fully succeeded.
-    cached: Option<(usize, PackedChunk)>,
+    loaded: Option<(usize, PackedChunk)>,
+    /// The position: the chunk (the chunk count past the end), and the
+    /// key within it; and that chunk's key count (0 past the end).
+    chunk: usize,
+    key: usize,
+    keys_here: usize,
+    /// A seek put the position at a chunk's first key, whose value the
+    /// skip table holds: `current` answers it without a load.
+    from_skip: bool,
+    /// The last seek failed to load its chunk: nothing to read until the
+    /// next seek.
+    dead: bool,
+    /// The postings at the position and just before it, once unpacked;
+    /// a step hands the first to the second.
+    cur: Unpacked,
+    prev: Unpacked,
 }
 
-impl SegRankedList {
-    /// Chunk `idx`, loaded via the one-chunk cache.
-    fn chunk(&mut self, idx: usize) -> Option<PackedChunk> {
-        match self.cached {
+/// A posting unpacked into a reused buffer, tagged with its place in the
+/// skip table: `(chunk, key)`.
+#[derive(Debug, Default)]
+struct Unpacked {
+    at: Option<(usize, usize)>,
+    comps: Vec<u32>,
+}
+
+impl SegCursor {
+    fn chunks(&self) -> &[Chunk] {
+        &self.reader.entry(self.kw).chunks
+    }
+
+    /// Moves to key `key` of chunk `chunk`.
+    fn place(&mut self, chunk: usize, key: usize) {
+        (self.chunk, self.key) = (chunk, key);
+        self.keys_here = self.chunks().get(chunk).map_or(0, |c| c.entries as usize);
+    }
+
+    /// Chunk `idx`'s checked view, loaded via the one-chunk cache; `None`
+    /// past the last chunk or on a failed load (reported through the
+    /// slot).
+    fn loaded_chunk(&mut self, idx: usize) -> Option<PackedChunk> {
+        match self.loaded {
             Some((held, c)) if held == idx => Some(c),
             _ => {
-                self.cached = None;
+                self.loaded = None;
                 let chunk = self.reader.entry(self.kw).chunks.get(idx)?;
                 let c = self.slot.ok(self.reader.load_chunk(chunk, &mut self.block))?;
-                self.cached = Some((idx, c));
+                self.loaded = Some((idx, c));
                 Some(c)
             }
         }
     }
 
-    /// Index of the first chunk whose min is **greater than** `v`
-    /// (i.e. `v`, if present, lives in chunk `idx - 1`).
-    fn upper_chunk(&self, v: &Dewey) -> usize {
-        self.reader.entry(self.kw).chunks.partition_point(|c| c.min <= *v)
-    }
-
-    /// How many of chunk `c`'s keys lie below `v` (or at or below it).
-    fn rank(&mut self, c: PackedChunk, v: &Dewey, inclusive: bool) -> Option<usize> {
-        let (payload, scratch) = self.block.parts();
-        let at = c.rank(payload, v.components(), inclusive, scratch);
-        if at.is_none() {
-            self.slot.poison(SegmentError::Corrupt(format!("probe {v} has no bound in its chunk")));
+    /// The posting at `(chunk, key)`, unpacked into `prev` or `cur`
+    /// unless that already holds it.
+    fn unpacked(&mut self, at: (usize, usize), prev: bool) -> Option<&[u32]> {
+        if (if prev { &self.prev } else { &self.cur }).at != Some(at) {
+            let c = self.loaded_chunk(at.0)?;
+            let held = if prev { &mut self.prev } else { &mut self.cur };
+            held.at = None;
+            if !c.unpack(self.block.payload(), at.1, &mut held.comps) {
+                if at.1 < c.len() {
+                    self.slot.poison(unpack_failed(at.1));
+                }
+                return None;
+            }
+            held.at = Some(at);
         }
-        at
+        Some(if prev { &self.prev.comps } else { &self.cur.comps })
     }
 }
 
-impl RankedList for SegRankedList {
+impl PostingCursor for SegCursor {
     fn len(&self) -> u64 {
         self.reader.entry(self.kw).count
     }
 
-    fn rm(&mut self, v: &Dewey) -> Option<Dewey> {
-        let idx = self.upper_chunk(v);
-        let Some(within) = idx.checked_sub(1) else {
-            // v precedes everything: the answer is the global minimum,
-            // available straight from the skip table — no block read.
-            return self.reader.entry(self.kw).chunks.first().map(|c| c.min.clone());
+    fn seek(&mut self, key: &[u32]) {
+        let idx = self.chunks().partition_point(|c| c.min.components() <= key);
+        // Before every chunk's minimum, or past the chunk that holds the
+        // key: the position is a chunk's first key.
+        self.place(idx, 0);
+        (self.from_skip, self.dead) = (true, false);
+        let Some(within) = idx.checked_sub(1) else { return };
+        let Some(c) = self.loaded_chunk(within) else {
+            self.dead = true; // the slot says why
+            (self.cur.at, self.prev.at) = (None, None);
+            return;
         };
-        let c = self.chunk(within)?;
-        let at = self.rank(c, v, false)?;
-        if at < c.len() {
-            return c.dewey(self.block.payload(), at);
+        let (payload, scratch) = self.block.parts();
+        match c.rank(payload, key, false, scratch) {
+            Some(at) if at < c.len() => {
+                self.place(within, at);
+                self.from_skip = false;
+            }
+            Some(_) => {}
+            None => {
+                self.slot.poison(SegmentError::Corrupt(format!(
+                    "probe {key:?} has no bound in its chunk"
+                )));
+                self.dead = true;
+                (self.cur.at, self.prev.at) = (None, None);
+            }
         }
-        // Ran off the chunk: the successor opens the next one.
-        self.reader.entry(self.kw).chunks.get(idx).map(|c| c.min.clone())
     }
 
-    fn lm(&mut self, v: &Dewey) -> Option<Dewey> {
-        // v precedes the whole list when idx is 0.
-        let within = self.upper_chunk(v).checked_sub(1)?;
-        let c = self.chunk(within)?;
-        // chunk.min <= v, so at least one key qualifies.
-        let at = self.rank(c, v, true)?;
-        c.dewey(self.block.payload(), at.checked_sub(1)?)
-    }
-}
-
-/// Sequential scan over one keyword of one segment, loading each chunk
-/// into the list's block buffer as the cursor crosses into it and
-/// unpacking one key per step. A failed chunk load poisons the slot and
-/// ends the stream: every later call re-reads the bad block and fails
-/// again, so a reader never sees postings past it.
-pub struct SegStreamList {
-    reader: Arc<SegmentReader>,
-    kw: usize,
-    slot: ErrorSlot,
-    /// The chunk to load once `chunk` is drained.
-    next_chunk: usize,
-    block: BlockBuf,
-    chunk: PackedChunk,
-    pos: usize,
-}
-
-impl SegStreamList {
-    /// The chunk and index of the next posting, loading chunks as the
-    /// cursor crosses into them; `None` at the end or on a failed load
-    /// (reported through the slot).
-    fn advance(&mut self) -> Option<(PackedChunk, usize)> {
-        while self.pos >= self.chunk.len() {
-            let chunk = self.reader.entry(self.kw).chunks.get(self.next_chunk)?;
-            self.chunk = self.slot.ok(self.reader.load_chunk(chunk, &mut self.block))?;
-            self.pos = 0;
-            self.next_chunk += 1;
+    fn step(&mut self) {
+        let at = (self.chunk, self.key);
+        // Only a readable posting is stepped past: a failed block stops
+        // the cursor.
+        if self.cur.at != Some(at) && self.current().is_none() {
+            return;
         }
-        self.pos += 1;
-        Some((self.chunk, self.pos - 1))
-    }
-
-    /// Reports a key the check pass admitted that then failed to unpack.
-    fn lost(&self, i: usize) {
-        self.slot.poison(unpack_failed(i));
-    }
-}
-
-impl StreamList for SegStreamList {
-    fn len(&self) -> u64 {
-        self.reader.entry(self.kw).count
-    }
-
-    fn rewind(&mut self) {
-        self.next_chunk = 0;
-        self.chunk = PackedChunk::default();
-        self.pos = 0;
-    }
-
-    fn next_node(&mut self) -> Option<Dewey> {
-        let (c, i) = self.advance()?;
-        let d = c.dewey(self.block.payload(), i);
-        if d.is_none() {
-            self.lost(i);
+        if self.cur.at == Some(at) {
+            std::mem::swap(&mut self.cur, &mut self.prev);
         }
-        d
+        (self.key, self.from_skip) = (self.key + 1, false);
+        if self.key >= self.keys_here {
+            self.place(self.chunk + 1, 0);
+        }
     }
 
-    fn next_into(&mut self, buf: &mut Vec<u32>) -> bool {
-        let Some((c, i)) = self.advance() else { return false };
-        let ok = c.unpack(self.block.payload(), i, buf);
-        if !ok {
-            self.lost(i);
+    fn current(&mut self) -> Option<&[u32]> {
+        if self.cur.at == Some((self.chunk, self.key)) {
+            return Some(&self.cur.comps);
         }
-        ok
+        if self.dead {
+            return None;
+        }
+        if self.key == 0 && self.from_skip {
+            return self.reader.entry(self.kw).chunks.get(self.chunk).map(|c| c.min.components());
+        }
+        self.unpacked((self.chunk, self.key), false)
+    }
+
+    fn before(&mut self) -> Option<&[u32]> {
+        if self.key > 0 && self.prev.at == Some((self.chunk, self.key - 1)) {
+            return Some(&self.prev.comps);
+        }
+        if self.dead {
+            return None;
+        }
+        let at = match self.key.checked_sub(1) {
+            Some(key) => (self.chunk, key),
+            None => {
+                let chunk = self.chunk.checked_sub(1)?;
+                (chunk, (self.chunks().get(chunk)?.entries as usize).checked_sub(1)?)
+            }
+        };
+        self.unpacked(at, true)
     }
 }
 
@@ -494,7 +517,7 @@ mod tests {
     use super::*;
     use crate::writer::{seal, SealSpec};
     use std::collections::BTreeMap;
-    use xk_slca::MemList;
+    use xk_slca::{MemList, RankedList, StreamList};
     use xk_storage::MemPager;
 
     fn d(s: &str) -> Dewey {
@@ -536,7 +559,7 @@ mod tests {
         let r = sealed(&lists, 256);
         let slot = ErrorSlot::new();
         for (kw, nodes) in &lists {
-            let mut seg = r.ranked_list(kw, slot.clone()).unwrap();
+            let mut seg = r.stream_list(kw, slot.clone()).unwrap();
             let mut mem = MemList::from_sorted(nodes.clone());
             let mut probes: Vec<Dewey> = nodes.to_vec();
             probes.push(Dewey::root());
@@ -547,7 +570,7 @@ mod tests {
                 assert_eq!(seg.rm(p), mem.rm(p), "rm({p}) for {kw}");
                 assert_eq!(seg.lm(p), mem.lm(p), "lm({p}) for {kw}");
             }
-            assert_eq!(RankedList::len(&seg), nodes.len() as u64);
+            assert_eq!(seg.len(), nodes.len() as u64);
         }
         assert!(!slot.is_poisoned());
     }
@@ -564,15 +587,8 @@ mod tests {
                 got.push(n);
             }
             assert_eq!(&got, nodes, "stream for {kw}");
-            s.rewind();
+            s.seek(&[]);
             assert_eq!(s.next_node().as_ref(), nodes.first(), "rewound stream for {kw}");
-            s.rewind();
-            let mut buf = Vec::new();
-            let mut borrowed = Vec::new();
-            while s.next_into(&mut buf) {
-                borrowed.push(Dewey::from(buf.as_slice()));
-            }
-            assert_eq!(&borrowed, nodes, "next_into stream for {kw}");
         }
         assert!(!slot.is_poisoned());
     }
@@ -582,7 +598,7 @@ mod tests {
         let lists = corpus();
         let r = sealed(&lists, 256);
         let slot = ErrorSlot::new();
-        let mut seg = r.ranked_list("alpha", slot.clone()).unwrap();
+        let mut seg = r.stream_list("alpha", slot.clone()).unwrap();
         let before = r.block_reads();
         seg.rm(&d("0.10"));
         let after_first = r.block_reads();
@@ -604,7 +620,7 @@ mod tests {
         pager.write_page(xk_storage::PageId(1), &buf).unwrap();
         let r = SegmentReader::open(pager, None).unwrap(); // dict blocks intact
         let slot = ErrorSlot::new();
-        let mut seg = r.ranked_list("alpha", slot.clone()).unwrap();
+        let mut seg = r.stream_list("alpha", slot.clone()).unwrap();
         // Probe inside the first chunk so the corrupt block is decoded
         // (a probe before the whole list is answered from the skip table).
         assert_eq!(seg.rm(&d("0.0.1")), None);
@@ -632,14 +648,10 @@ mod tests {
         let r = SegmentReader::open(pager, None).unwrap();
         let slot = ErrorSlot::new();
         let mut s = r.stream_list("alpha", slot.clone()).unwrap();
-        let mut buf = Vec::new();
-        let mut read = 0;
-        while s.next_into(&mut buf) {
-            read += 1;
-        }
+        let read = std::iter::from_fn(|| s.next_node()).count();
         assert_eq!(read, before_bad as usize, "the stream stops at the bad block");
         assert!(matches!(slot.take(), Some(SegmentError::Corrupt(_))));
-        assert!(!s.next_into(&mut buf), "and stays ended");
+        assert_eq!(s.next_node(), None, "and stays ended");
         assert!(matches!(slot.take(), Some(SegmentError::Corrupt(_))), "the retry fails too");
     }
 

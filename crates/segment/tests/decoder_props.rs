@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xk_segment::{seal, ErrorSlot, SealSpec, SegmentReader};
-use xk_slca::{MemList, RankedList, StreamList};
+use xk_slca::{MemList, PostingCursor, RankedList, StreamList};
 use xk_storage::MemPager;
 use xk_xmltree::Dewey;
 
@@ -50,7 +50,7 @@ fn ancestors_and_descendants_in_one_chunk() {
     let r = sealed(&BTreeMap::from([("k".to_string(), nodes.clone())]), 256);
     assert_eq!(r.postings("k").unwrap(), nodes);
     let slot = ErrorSlot::new();
-    let mut seg = r.ranked_list("k", slot.clone()).unwrap();
+    let mut seg = r.stream_list("k", slot.clone()).unwrap();
     let mut mem = MemList::from_sorted(nodes.clone());
     let probes = [
         "/",
@@ -93,7 +93,7 @@ proptest! {
 
                 // Every input id (so every chunk minimum), the root, one
                 // past the last id, and random probes.
-                let mut seg = r.ranked_list(kw, slot.clone()).unwrap();
+                let mut seg = r.stream_list(kw, slot.clone()).unwrap();
                 let mut mem = MemList::from_sorted(nodes.clone());
                 let ends = [Dewey::root(), nodes.last().unwrap().child(0)];
                 for p in nodes.iter().chain(&ends).chain(&probes) {
@@ -105,11 +105,11 @@ proptest! {
                 let mut s = r.stream_list(kw, slot.clone()).unwrap();
                 let drained: Vec<Dewey> = std::iter::from_fn(|| s.next_node()).collect();
                 prop_assert_eq!(&drained, nodes, "stream({}) @ {}", kw, block);
-                s.rewind();
+                s.seek(&[]);
                 for _ in 0..cut.index(nodes.len()) {
                     s.next_node();
                 }
-                s.rewind();
+                s.seek(&[]);
                 let again: Vec<Dewey> = std::iter::from_fn(|| s.next_node()).collect();
                 prop_assert_eq!(&again, nodes, "rewound stream({}) @ {}", kw, block);
             }

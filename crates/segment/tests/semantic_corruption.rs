@@ -87,7 +87,7 @@ fn assert_rejected(name: &str, nodes: &[Dewey], payload: &[u8], expect: &str) {
     // Probes: no answer, a typed error, and a retry that re-reads the
     // block and fails again instead of answering from a failed load.
     let slot = ErrorSlot::new();
-    let mut ranked = r.ranked_list("k", slot.clone()).unwrap();
+    let mut ranked = r.stream_list("k", slot.clone()).unwrap();
     assert_eq!(ranked.rm(probe), None, "{name}: rm");
     let text = corrupt_text(slot.take());
     assert!(text.contains(expect), "{name}: rm error {text:?}");
@@ -118,7 +118,7 @@ fn the_planting_helper_reproduces_a_clean_block() {
         let p = plant(&nodes, &chunk(widths, &nodes));
         assert_eq!(p.reader.postings("k").unwrap(), nodes);
         let slot = ErrorSlot::new();
-        let mut ranked = p.reader.ranked_list("k", slot.clone()).unwrap();
+        let mut ranked = p.reader.stream_list("k", slot.clone()).unwrap();
         assert_eq!(ranked.rm(&nodes[4]), Some(nodes[4].clone()));
         assert!(!slot.is_poisoned());
         let report = verify_store(&p.env, &p.ext, &p.io).unwrap();

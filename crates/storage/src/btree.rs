@@ -943,6 +943,19 @@ impl Cursor {
         *self = chain_forward(env, next)?;
         Ok(())
     }
+
+    /// Moves to the previous entry in key order; past the first entry
+    /// the cursor is exhausted.
+    pub fn retreat(&mut self, env: &StorageEnv) -> Result<()> {
+        let Some(page) = self.page else { return Ok(()) };
+        if self.idx > 0 {
+            self.idx -= 1;
+            return Ok(());
+        }
+        let prev = env.with_page(page, raw::leaf_prev)??;
+        *self = chain_backward(env, prev)?;
+        Ok(())
+    }
 }
 
 /// One descent step, computed inside a page closure.

@@ -91,12 +91,11 @@ impl ListWriter {
         env.page_size() - LIST_HDR - 2
     }
 
-    /// Appends one logical entry (a length-prefixed byte record).
+    /// Appends one logical entry (a length-prefixed byte record). A
+    /// record past [`ListWriter::max_record`] is refused with
+    /// [`StorageError::EntryTooLarge`] and nothing is written.
     pub fn append(&mut self, env: &StorageEnv, record: &[u8]) -> Result<()> {
-        assert!(
-            record.len() + 2 <= self.payload_capacity,
-            "record larger than a page payload"
-        );
+        fits_a_page(record, self.payload_capacity)?;
         let framed_len = 2 + record.len();
         if self.buffer.len() + framed_len > self.payload_capacity {
             self.flush_page(env, false)?;
@@ -172,13 +171,11 @@ impl ListAppender {
         Ok(ListAppender { handle, payload_capacity, tail_used })
     }
 
-    /// Appends one record to the chain.
+    /// Appends one record to the chain; refused like
+    /// [`ListWriter::append`]'s when it cannot fit a page.
     // xk-analyze: allow(panic_path, reason = "a fresh tail page is chained whenever tail_used + framed_len would overflow payload_capacity, so the write range fits")
     pub fn append(&mut self, env: &StorageEnv, record: &[u8]) -> Result<()> {
-        assert!(
-            record.len() + 2 <= self.payload_capacity,
-            "record larger than a page payload"
-        );
+        fits_a_page(record, self.payload_capacity)?;
         let framed_len = 2 + record.len();
         if self.tail_used + framed_len > self.payload_capacity {
             // Seal the tail and chain a fresh page.
@@ -412,6 +409,15 @@ pub fn inspect_chain(env: &StorageEnv, handle: &ListHandle) -> Result<ChainInfo>
     Ok(info)
 }
 
+/// A record, framed, must fit one page payload of `capacity` bytes.
+fn fits_a_page(record: &[u8], capacity: usize) -> Result<()> {
+    let max_bytes = capacity.saturating_sub(2);
+    match record.len() <= max_bytes {
+        true => Ok(()),
+        false => Err(StorageError::EntryTooLarge { entry_bytes: record.len(), max_bytes }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,11 +606,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "record larger than a page payload")]
-    fn oversized_record_panics() {
+    fn oversized_record_is_refused_without_a_write() {
         let env = mem_env();
+        let max = ListWriter::max_record(&env);
+        let too_big = |r: Result<()>| {
+            matches!(r, Err(StorageError::EntryTooLarge { entry_bytes, max_bytes })
+                if entry_bytes == max + 1 && max_bytes == max)
+        };
         let mut w = ListWriter::new(&env);
-        w.append(&env, &[0u8; 512]).unwrap();
+        w.append(&env, &[1u8; 10]).unwrap();
+        assert!(too_big(w.append(&env, &vec![0u8; max + 1])));
+        let h = w.finish(&env).unwrap();
+        assert_eq!(h.entry_count, 1, "the refused record left no trace");
+        let mut a = ListAppender::open(&env, h).unwrap();
+        assert!(too_big(a.append(&env, &vec![0u8; max + 1])));
+        let h = a.finish();
+        assert_eq!(h.entry_count, 1);
+        assert_eq!(inspect_chain(&env, &h).unwrap().records, 1);
     }
 
     #[test]

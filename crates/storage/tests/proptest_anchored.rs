@@ -91,7 +91,7 @@ proptest! {
     ) {
         // The engine's access pattern: probes in ascending order over a
         // static tree (queries never mutate). Both directions per probe,
-        // sharing one anchor, exactly like a DiskRankedList's lm/rm pair.
+        // sharing one anchor, exactly like a DiskCursor's rm/lm pair.
         let env = mem_env();
         let entries: Vec<(Vec<u8>, Vec<u8>)> =
             keys.into_iter().map(|k| (k, Vec::new())).collect();

@@ -58,7 +58,8 @@ impl Engine {
     ///   id-disjoint and time-ordered);
     /// * the index must embed its document (`store_document = true`);
     /// * every posting of the fragment must fit a sealed blob
-    ///   ([`xk_segment::unsealable`]), else [`EngineError::BadQuery`].
+    ///   ([`xk_segment::unsealable`]) and one journal record
+    ///   ([`ListWriter::max_record`]), else [`EngineError::BadQuery`].
     ///
     /// On a durable engine the call returns once the commit record is
     /// fsynced (inline under [`CommitMode::SyncEachCommit`], by the
@@ -87,14 +88,26 @@ impl Engine {
             })
             .collect();
         // A posting no blob could hold would be journaled now and then
-        // fail every later seal: refuse the fragment instead.
+        // fail every later seal, and one no journal page could hold would
+        // fail inside the transaction: refuse the fragment instead.
         let block_size = seg.io.block_size();
-        let unsealable = added
-            .iter()
-            .filter(|(_, tokens)| !tokens.is_empty())
-            .find_map(|(d, _)| Some((d, xk_segment::unsealable(d, block_size)?)));
+        let tokened = || added.iter().filter(|(_, tokens)| !tokens.is_empty());
+        let unsealable =
+            tokened().find_map(|(d, _)| Some((d, xk_segment::unsealable(d, block_size)?)));
         if let Some((dewey, why)) = unsealable {
             return Err(EngineError::BadQuery(format!("fragment node {dewey} {why}")));
+        }
+        let max_record = ListWriter::max_record(&self.env);
+        let fits =
+            |kw: &str, d: &Dewey| encode_journal_record(kw, d).is_ok_and(|r| r.len() <= max_record);
+        let unjournalable = tokened()
+            .find_map(|(d, tokens)| tokens.iter().find(|kw| !fits(kw, d)).map(|kw| (d, kw)));
+        if let Some((dewey, kw)) = unjournalable {
+            return Err(EngineError::BadQuery(format!(
+                "fragment node {dewey}: its posting for a {}-byte keyword overflows a \
+                 {max_record}-byte journal record",
+                kw.len()
+            )));
         }
 
         // Nothing the transaction writes is visible to queries — they
@@ -264,14 +277,14 @@ impl Engine {
                 Some(h) => {
                     let mut a = ListAppender::open(e, h)?;
                     for (kw, d) in &records {
-                        a.append(e, &encode_journal_record(kw, d))?;
+                        a.append(e, &encode_journal_record(kw, d)?)?;
                     }
                     a.finish()
                 }
                 None => {
                     let mut w = ListWriter::new(e);
                     for (kw, d) in &records {
-                        w.append(e, &encode_journal_record(kw, d))?;
+                        w.append(e, &encode_journal_record(kw, d)?)?;
                     }
                     w.finish(e)?
                 }
@@ -460,6 +473,42 @@ mod tests {
         assert_eq!(report.replayed_txns, 1, "recovery replays the committed append");
         let hit = engine.query(&["phoenix"], Algorithm::Auto).unwrap();
         assert_eq!(hit.slcas, vec![d("4.0")], "the appended memo's text node");
+    }
+
+    #[test]
+    fn a_keyword_too_long_for_a_journal_record_is_refused_before_the_write() {
+        use xk_storage::MemPager;
+        let long = "x".repeat(5_000);
+        let doc = format!("<dblp><paper><title>alpha {long}</title></paper></dblp>");
+        let (db, io) = seeded_pagers_with(&xk_xmltree::parse(&doc).unwrap());
+        let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
+        let durability = DurabilityOptions::default();
+        let open = |durability| {
+            Engine::open_durable_with_pagers(
+                Arc::clone(&db),
+                Arc::clone(&wal) as Arc<dyn Pager>,
+                128,
+                durability,
+                Arc::clone(&io),
+            )
+            .unwrap()
+            .0
+        };
+        let engine = open(durability.clone());
+        let fragment = format!("<paper><title>alpha {long}</title></paper>");
+        match engine.append_subtree(&Dewey::root(), &fragment) {
+            Err(EngineError::BadQuery(m)) => assert!(m.contains("journal record"), "{m}"),
+            other => panic!("expected BadQuery, got {other:?}"),
+        }
+        // The refusal left no transaction open: the next append commits.
+        let beta = engine.append_subtree(&Dewey::root(), "<paper><title>beta</title></paper>");
+        let beta = beta.unwrap().root;
+        drop(engine);
+        let engine = open(durability);
+        let hit = engine.query(&[&long], Algorithm::Auto).unwrap();
+        assert_eq!(hit.slcas, vec![d("0.0.0")], "the build's token, and only it");
+        let hit = engine.query(&["beta"], Algorithm::Auto).unwrap();
+        assert_eq!(hit.slcas, vec![beta.child(0).child(0)], "the append after the refusal");
     }
 
     #[test]

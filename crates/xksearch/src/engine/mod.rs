@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 use xk_index::{
-    build_disk_index, read_document, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList,
+    build_disk_index, read_document, BuildOptions, DiskCursor, DiskIndex,
     IndexError, Spine,
 };
 use xk_segment::{
@@ -680,30 +680,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Sequential access to a keyword's list (tools, benches). `None` if
-    /// the keyword does not occur. Reads the reference layout's B+tree
-    /// lists only: a segmented engine's index has no postings, so this
-    /// is `None` there — use [`Engine::posting_dump`]. The list is
-    /// infallible: a storage failure ends it early and fills `slot`,
-    /// which the caller must check when done.
-    pub fn stream_list(
-        &self,
-        keyword: &str,
-        slot: ErrorSlot<IndexError>,
-    ) -> Option<DiskStreamList> {
-        self.index.stream_list(&self.env, keyword, slot)
-    }
-
-    /// Indexed (`lm`/`rm`) access to a keyword's list (tools, benches).
-    /// `None` if the keyword does not occur. Reference layout only and
-    /// reporting into `slot`, like [`Engine::stream_list`]
-    /// ([`Engine::posting_probe`] serves both layouts).
-    pub fn ranked_list(
-        &self,
-        keyword: &str,
-        slot: ErrorSlot<IndexError>,
-    ) -> Option<DiskRankedList> {
-        self.index.ranked_list(&self.env, keyword, slot)
+    /// A cursor over a keyword's list (tools, benches), standing at its
+    /// first posting. `None` if the keyword does not occur. Reads the
+    /// reference layout's B+tree lists only: a segmented engine's index
+    /// has no postings, so this is `None` there — use
+    /// [`Engine::posting_dump`] or [`Engine::posting_probe`]. The cursor
+    /// is infallible: a storage failure reads as "nothing there" and
+    /// fills `slot`, which the caller must check when done.
+    pub fn cursor(&self, keyword: &str, slot: ErrorSlot<IndexError>) -> Option<DiskCursor> {
+        self.index.cursor(&self.env, keyword, slot)
     }
 
     /// Counts the calling append as awaiting durability until the

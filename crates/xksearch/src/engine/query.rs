@@ -10,15 +10,15 @@ use std::time::Instant;
 use xk_index::{DiskIndex, IndexError};
 use xk_segment::SegmentError;
 use xk_slca::{
-    all_lcas, indexed_lookup_eager, scan_eager, stack_merge, AlgoStats, ChainedRankedList,
-    ChainedStreamList, ErrorSlot, MemList, RankedList, StreamList,
+    all_lcas, indexed_lookup_eager, scan_eager, stack_merge, AlgoStats, ChainedCursor, ErrorSlot,
+    MemList, PostingCursor, RankedList, StreamList,
 };
 use xk_storage::{IoStats, StorageEnv};
 use xk_xmltree::{normalize_keyword, Dewey};
 
 /// One request's consistent picture of the store at one committed
-/// epoch: every reader opens one, builds its list adapters from it, and
-/// ends with [`ReadView::finish`].
+/// epoch: every reader opens one, builds its cursors from it, and ends
+/// with [`ReadView::finish`].
 ///
 /// Safe against a concurrent [`Engine::append_subtree`] or merge: the
 /// posting source is immutable (see [`Source`]), so an in-flight
@@ -29,13 +29,12 @@ struct ReadView<'e> {
 }
 
 /// Where a [`ReadView`] finds postings and frequencies, and the slot
-/// its list adapters report failures into (the list traits are
-/// infallible): this request's own, so a storage failure errors out
-/// exactly this request. A keyword has exactly one kind of source per
-/// engine.
+/// its cursors report failures into (the cursor is infallible): this
+/// request's own, so a storage failure errors out exactly this request.
+/// A keyword has exactly one kind of source per engine.
 enum Source<'e> {
     /// The read-only reference layout: the index's vocabulary and its
-    /// anchored B+tree / chain lists.
+    /// B+tree / chain cursors.
     Reference(&'e DiskIndex, ErrorSlot<IndexError>),
     /// The serving layout: sealed segments in seal order, then the mem
     /// segment. The snapshot is self-contained (`Arc`s into immutable
@@ -103,86 +102,54 @@ impl ReadView<'_> {
         Ok(Some(with_freq.into_iter().unzip()))
     }
 
-    /// `keyword`'s postings as one [`RankedList`]: the anchored B+tree
-    /// list, or the keyword's segment parts chained. Segment parts are
-    /// id-disjoint and time-ordered (the engine's tail-append
-    /// invariant), so a probe touches at most one. `None` when the
-    /// keyword has no postings.
-    fn ranked(&self, keyword: &str) -> Option<Box<dyn RankedList>> {
+    /// `keyword`'s postings as one cursor standing at the first: the
+    /// B+tree reference's, or the keyword's segment parts chained. Segment
+    /// parts are id-disjoint and time-ordered (the engine's tail-append
+    /// invariant), so a seek touches at most one. `None` when the keyword
+    /// has no postings.
+    fn cursor(&self, keyword: &str) -> Option<Box<dyn PostingCursor>> {
         let (s, slot) = match &self.source {
             Source::Reference(index, slot) => {
-                let list = index.ranked_list(self.env, keyword, slot.clone())?.anchored();
-                return Some(Box::new(list));
+                let cursor = index.cursor(self.env, keyword, slot.clone())?;
+                return (!cursor.is_empty()).then(|| Box::new(cursor) as Box<dyn PostingCursor>);
             }
             Source::Segments(s, slot) => (s, slot),
         };
-        let mut parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
+        let mut parts: Vec<(&Dewey, Box<dyn PostingCursor>)> = Vec::new();
         for r in &s.sealed {
             // The skip table carries each keyword's minimum, so sealed
             // parts cost no I/O to tag.
-            if let (Some(min), Some(list)) =
-                (r.min_dewey(keyword), r.ranked_list(keyword, slot.clone()))
+            if let (Some(min), Some(cursor)) =
+                (r.min_dewey(keyword), r.stream_list(keyword, slot.clone()))
             {
-                parts.push((min.clone(), Box::new(list)));
+                parts.push((min, Box::new(cursor)));
             }
         }
         if let Some(l) = s.mem.list(keyword) {
             if let Some(min) = l.first() {
-                parts.push((min.clone(), Box::new(MemList::shared(Arc::clone(l)))));
-            }
-        }
-        if parts.is_empty() {
-            return None;
-        }
-        Some(Box::new(ChainedRankedList::new(parts)))
-    }
-
-    /// [`ReadView::ranked`]'s streaming twin: the same sources front to
-    /// back as one [`StreamList`].
-    fn stream(&self, keyword: &str) -> Option<Box<dyn StreamList>> {
-        let (s, slot) = match &self.source {
-            Source::Reference(index, slot) => {
-                let list = index.stream_list(self.env, keyword, slot.clone())?;
-                return (!list.is_empty()).then(|| Box::new(list) as Box<dyn StreamList>);
-            }
-            Source::Segments(s, slot) => (s, slot),
-        };
-        let mut parts: Vec<Box<dyn StreamList>> = Vec::new();
-        for r in &s.sealed {
-            if let Some(list) = r.stream_list(keyword, slot.clone()) {
-                if !list.is_empty() {
-                    parts.push(Box::new(list));
-                }
-            }
-        }
-        if let Some(l) = s.mem.list(keyword) {
-            if !l.is_empty() {
-                parts.push(Box::new(MemList::shared(Arc::clone(l))));
+                parts.push((min, Box::new(MemList::shared(Arc::clone(l)))));
             }
         }
         match parts.len() {
             0 => None,
-            1 => parts.pop(),
-            _ => Some(Box::new(ChainedStreamList::new(parts))),
+            1 => parts.pop().map(|(_, cursor)| cursor),
+            _ => {
+                let parts = parts.into_iter().map(|(min, c)| (min.clone(), c)).collect();
+                Some(Box::new(ChainedCursor::new(parts)))
+            }
         }
     }
 
-    /// [`ReadView::stream`] for a keyword [`ReadView::prepare`] returned.
-    fn stream_of(&self, keyword: &str) -> Box<dyn StreamList> {
-        // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in this view's source")
-        self.stream(keyword).expect("keyword verified present")
-    }
-
-    /// [`ReadView::ranked`] for keywords [`ReadView::prepare`] returned.
-    fn ranked_of(&self, keywords: &[String]) -> Vec<Box<dyn RankedList>> {
+    /// [`ReadView::cursor`] for each keyword [`ReadView::prepare`] returned.
+    fn cursors(&self, keywords: &[String]) -> Vec<Box<dyn PostingCursor>> {
         keywords
             .iter()
             // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in this view's source")
-            .map(|k| self.ranked(k).expect("keyword verified present"))
+            .map(|k| self.cursor(k).expect("keyword verified present"))
             .collect()
     }
 
-    /// Ends the read. The list traits are infallible, so adapters report
+    /// Ends the read. The cursor is infallible, so cursors report
     /// failures out of band, into the source's slot; a filled slot means
     /// the run produced a truncated (wrong) answer and must error out
     /// instead.
@@ -213,23 +180,23 @@ impl Engine {
     }
 
     /// Drains `keyword`'s full posting chain (the B+tree list, or the
-    /// sealed segments then the mem segment) through the exact
-    /// [`StreamList`] adapter the algorithms consume. `Ok(None)` when the
-    /// keyword is absent.
+    /// sealed segments then the mem segment) through the exact cursor
+    /// the algorithms consume. `Ok(None)` when the keyword is absent.
     /// The differential tests compare this across layouts element for
     /// element.
     pub fn posting_dump(&self, keyword: &str) -> Result<Option<Vec<Dewey>>> {
         let Some(k) = normalize_keyword(keyword) else { return Ok(None) };
         let view = self.read_view();
-        let Some(mut stream) = view.stream(&k) else { return Ok(None) };
+        let Some(mut stream) = view.cursor(&k) else { return Ok(None) };
         let out = std::iter::from_fn(|| stream.next_node()).collect();
         view.finish()?;
         Ok(Some(out))
     }
 
-    /// One `rm`/`lm` probe pair at `at` against `keyword`'s ranked
-    /// chain — the [`RankedList`] counterpart of
-    /// [`Engine::posting_dump`]. `Ok(None)` when the keyword is absent.
+    /// One `rm`/`lm` probe pair at `at` against `keyword`'s cursor —
+    /// one seek, as Indexed Lookup Eager makes it — the seeking
+    /// counterpart of [`Engine::posting_dump`]. `Ok(None)` when the
+    /// keyword is absent.
     pub fn posting_probe(
         &self,
         keyword: &str,
@@ -237,8 +204,14 @@ impl Engine {
     ) -> Result<Option<(Option<Dewey>, Option<Dewey>)>> {
         let Some(k) = normalize_keyword(keyword) else { return Ok(None) };
         let view = self.read_view();
-        let Some(mut ranked) = view.ranked(&k) else { return Ok(None) };
-        let pair = (ranked.rm(at), ranked.lm(at));
+        let Some(mut cursor) = view.cursor(&k) else { return Ok(None) };
+        cursor.seek(at.components());
+        let rm = cursor.current().map(Dewey::from);
+        let lm = match rm.as_ref() == Some(at) {
+            true => rm.clone(),
+            false => cursor.before().map(Dewey::from),
+        };
+        let pair = (rm, lm);
         view.finish()?;
         Ok(Some(pair))
     }
@@ -272,32 +245,29 @@ impl Engine {
         };
         let algorithm = resolve(algorithm, &frequencies);
 
-        // Every adapter is a chain over the keyword's sources. For IL,
-        // in the reference layout each non-smallest list holds one
-        // anchored cursor for the whole candidate loop: the probes are
-        // near-sorted, so most lm/rm pairs resolve inside the pinned
-        // leaf or a leaf-chain hop away. Segment parts answer the same
-        // probes from the skip table plus at most one decoded block.
-        // Scan Eager and Stack only stream.
+        // One cursor per keyword, over the keyword's sources. IL seeks
+        // the non-smallest lists once per candidate: the seeks are
+        // near-sorted, so in the reference layout most resolve inside
+        // the pinned B+tree leaf or a leaf-chain hop away, and segment
+        // parts answer them from the skip table plus at most one checked
+        // block. Scan Eager and Stack only step.
         let mut slcas = Vec::new();
-        let stats = match algorithm {
-            Algorithm::Stack => {
-                let streams = ordered.iter().map(|k| view.stream_of(k)).collect();
-                stack_merge(streams, |d| slcas.push(d))
-            }
-            Algorithm::IndexedLookupEager => {
-                let mut s1 = view.stream_of(&ordered[0]);
-                let mut ranked = view.ranked_of(&ordered[1..]);
-                let mut refs: Vec<&mut dyn RankedList> =
-                    ranked.iter_mut().map(|l| l as &mut dyn RankedList).collect();
-                indexed_lookup_eager(s1.as_mut(), &mut refs, |d| slcas.push(d))
-            }
-            // `resolve` maps Auto to IL or to Scan Eager, never to itself.
-            Algorithm::ScanEager | Algorithm::Auto => {
-                let mut s1 = view.stream_of(&ordered[0]);
-                let others = ordered[1..].iter().map(|k| view.stream_of(k)).collect();
-                scan_eager(s1.as_mut(), others, |d| slcas.push(d))
-            }
+        let mut cursors = view.cursors(&ordered);
+        let stats = match cursors.split_first_mut() {
+            // `prepare` returns at least one keyword.
+            None => AlgoStats::default(),
+            Some((s1, rest)) => match algorithm {
+                Algorithm::IndexedLookupEager => {
+                    let mut others: Vec<&mut dyn RankedList> =
+                        rest.iter_mut().map(|c| c as &mut dyn RankedList).collect();
+                    indexed_lookup_eager(s1, &mut others, |d| slcas.push(d))
+                }
+                // `resolve` maps Auto to IL or to Scan Eager, never to itself.
+                Algorithm::ScanEager | Algorithm::Auto => {
+                    scan_eager(s1, rest.iter_mut().collect(), |d| slcas.push(d))
+                }
+                Algorithm::Stack => stack_merge(cursors, |d| slcas.push(d)),
+            },
         };
         let io = view.io_stats().delta_since(&io_before);
         view.finish()?;
@@ -331,12 +301,15 @@ impl Engine {
                 epoch,
             });
         };
-        let mut s1 = view.stream_of(&ordered[0]);
-        let mut owned = view.ranked_of(&ordered);
+        let mut s1 = view.cursors(&ordered[..1]);
+        let mut all = view.cursors(&ordered);
         let mut refs: Vec<&mut dyn RankedList> =
-            owned.iter_mut().map(|l| l as &mut dyn RankedList).collect();
+            all.iter_mut().map(|c| c as &mut dyn RankedList).collect();
         let mut lcas = Vec::new();
-        let stats = all_lcas(s1.as_mut(), &mut refs, |d, k| lcas.push((d, k)));
+        let stats = match s1.first_mut() {
+            Some(s1) => all_lcas(s1, &mut refs, |d, k| lcas.push((d, k))),
+            None => AlgoStats::default(),
+        };
         let io = view.io_stats().delta_since(&io_before);
         view.finish()?;
         lcas.sort_by(|a, b| a.0.cmp(&b.0));
@@ -554,7 +527,7 @@ mod tests {
             .unwrap();
         let e = Engine::from_env(env).unwrap();
         let slot = ErrorSlot::new();
-        let mut john = e.ranked_list("john", slot.clone()).unwrap();
+        let mut john = e.cursor("john", slot.clone()).unwrap();
         assert!(john.rm(&d("0")).is_some() && !slot.is_poisoned());
 
         e.clear_cache().unwrap();

@@ -13,6 +13,7 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     ! grep -rn '^\[\[bench\]\]' crates/*/Cargo.toml
     ! grep -rn 'FlatChunk' crates/*/src
+    ! grep -rnE '(Chained|Seg|Disk)(Ranked|Stream)List' crates/*/src src tests examples
     ! grep -rn 'thread_local!' crates/*/src
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
